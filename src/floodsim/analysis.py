@@ -13,7 +13,6 @@ mitigation.optimal_skip for the minimizer.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from .csvio import write_columns
 from .detector import DetectorModel, classify_stream
 from .mitigation import FixedSkip, optimal_skip, run_mitigation
 from .model import ConfigError, RngStream, substream, to_ns
@@ -166,20 +166,19 @@ def sweep_skip(params: CostParams, skips) -> list[CostReport]:
 
 def write_sweep_csv(path, skips, reports) -> None:
     """Columns: m,EN,EOmega_s,Edelta,EK_s,total_cost."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "EN", "EOmega_s", "Edelta", "EK_s", "total_cost"])
-        for m, r in zip(skips, reports):
-            w.writerow(
-                [
-                    int(m),
-                    f"{r.expected_windows:.6f}",
-                    f"{r.overhead_s:.9f}",
-                    f"{r.dropped:.6f}",
-                    f"{r.reprocessing_s:.9f}",
-                    f"{r.total:.9f}",
-                ]
-            )
+    rows = list(zip(skips, reports))
+    write_columns(
+        path,
+        ["m", "EN", "EOmega_s", "Edelta", "EK_s", "total_cost"],
+        [
+            [str(int(m)) for m, _ in rows],
+            [format(r.expected_windows, ".6f") for _, r in rows],
+            [format(r.overhead_s, ".9f") for _, r in rows],
+            [format(r.dropped, ".6f") for _, r in rows],
+            [format(r.reprocessing_s, ".9f") for _, r in rows],
+            [format(r.total, ".9f") for _, r in rows],
+        ],
+    )
 
 
 @dataclass
@@ -267,18 +266,16 @@ def write_monte_carlo_csv(path, results) -> None:
     seed it pins the run's randomness); windows_tested counts the windows
     that bear overhead cost, i.e. those tested in mitigation mode.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "run", "seed", "realized_cost", "benign_dropped", "windows_tested"])
-        for res in results:
-            for t in res.trials:
-                w.writerow(
-                    [
-                        res.skip,
-                        t.run,
-                        t.stream_key,
-                        f"{t.realized_cost:.9f}",
-                        t.benign_dropped,
-                        t.mitigation_windows,
-                    ]
-                )
+    rows = [(res.skip, t) for res in results for t in res.trials]
+    write_columns(
+        path,
+        ["m", "run", "seed", "realized_cost", "benign_dropped", "windows_tested"],
+        [
+            [str(m) for m, _ in rows],
+            [str(t.run) for _, t in rows],
+            [str(t.stream_key) for _, t in rows],
+            [format(t.realized_cost, ".9f") for _, t in rows],
+            [str(t.benign_dropped) for _, t in rows],
+            [str(t.mitigation_windows) for _, t in rows],
+        ],
+    )

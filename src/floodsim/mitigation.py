@@ -22,7 +22,6 @@ packets count as gone, a documented desk-scale simplification.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .csvio import Seconds, write_columns
 from .detector import DetectorModel, classify_stream, window_decision
 from .model import PacketClass, RngStream, Trace
 
@@ -298,16 +298,17 @@ def write_events_csv(path, events) -> None:
     from_seq/to_seq are 1-based stream positions (the auditing convention);
     subtract one to index the trace. m_value 0 means "not yet assigned".
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["event_time_s", "event", "from_seq", "to_seq", "m_value"])
-        for ev in events:
-            w.writerow(
-                [
-                    f"{ev.time_ns / 1e9:.9f}",
-                    ev.kind,
-                    ev.first + 1,
-                    ev.last + 1,
-                    ev.skip,
-                ]
-            )
+    def ints(values):
+        return np.fromiter(values, np.int64, len(events))
+
+    write_columns(
+        path,
+        ["event_time_s", "event", "from_seq", "to_seq", "m_value"],
+        [
+            Seconds(ints(ev.time_ns for ev in events)),
+            [ev.kind for ev in events],
+            ints(ev.first + 1 for ev in events),
+            ints(ev.last + 1 for ev in events),
+            ints(ev.skip for ev in events),
+        ],
+    )

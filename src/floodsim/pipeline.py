@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-import csv
 
 import numpy as np
 
+from .csvio import write_columns
 from .mitigation import (
     AdaptiveSkip,
     FixedSkip,
@@ -200,14 +200,8 @@ def run_simulation(scenario: Scenario, run_key: int = 0) -> SimulationResult:
 
 def write_summary_csv(path, summary: dict) -> None:
     """Columns: key,value. Floats carry 9 fractional digits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["key", "value"])
-        for key, val in summary.items():
-            if isinstance(val, float):
-                w.writerow([key, f"{val:.9f}"])
-            else:
-                w.writerow([key, int(val)])
+    values = [format(v, ".9f") if isinstance(v, float) else str(int(v)) for v in summary.values()]
+    write_columns(path, ["key", "value"], [list(summary), values])
 
 
 _GNUPLOT = """\

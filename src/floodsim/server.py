@@ -13,12 +13,12 @@ walks the stream in regime-constant chunks, each chunk fully vectorized.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .csvio import Seconds, write_columns
 from .model import Regime, RngStream, ServiceTimeModel, to_ns
 from .pacing import queue_timeline
 
@@ -193,26 +193,19 @@ def simulate_server(
 
 def write_server_trace_csv(path, trace: ServerTrace) -> None:
     """Columns: seq,arrival_s,wait_s,service_s,departure_s (9-digit seconds)."""
-    dep = trace.departure_ns
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seq", "arrival_s", "wait_s", "service_s", "departure_s"])
-        for k in range(len(trace)):
-            w.writerow(
-                [
-                    int(trace.seq[k]),
-                    f"{trace.arrival_ns[k] / 1e9:.9f}",
-                    f"{trace.wait_ns[k] / 1e9:.9f}",
-                    f"{trace.service_ns[k] / 1e9:.9f}",
-                    f"{dep[k] / 1e9:.9f}",
-                ]
-            )
+    write_columns(
+        path,
+        ["seq", "arrival_s", "wait_s", "service_s", "departure_s"],
+        [
+            trace.seq,
+            Seconds(trace.arrival_ns),
+            Seconds(trace.wait_ns),
+            Seconds(trace.service_ns),
+            Seconds(trace.departure_ns),
+        ],
+    )
 
 
 def write_timeline_csv(path, times_ns, counts) -> None:
     """Columns: time_s,queue_len."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "queue_len"])
-        for t, q in zip(np.asarray(times_ns), np.asarray(counts)):
-            w.writerow([f"{int(t) / 1e9:.9f}", int(q)])
+    write_columns(path, ["time_s", "queue_len"], [Seconds(times_ns), counts])

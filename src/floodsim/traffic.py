@@ -9,15 +9,20 @@ from __future__ import annotations
 
 import csv
 import math
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, InvalidOperation
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .csvio import Seconds, write_columns
 from .model import ConfigError, PacketClass, RngStream, Trace, to_ns
 
-_CLASS_LETTER = {int(PacketClass.BENIGN): "B", int(PacketClass.ATTACK): "A"}
 _LETTER_CLASS = {"B": int(PacketClass.BENIGN), "A": int(PacketClass.ATTACK)}
+_CLASS_LETTERS = np.array([b"B", b"A"])  # indexed by class value
+_TRACE_HEADER = ["seq", "arrival_time_s", "class", "source_id"]
+_INT64_RANGE = (-(2**63), 2**63 - 1)
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # scaling never rounds
 
 
 @dataclass
@@ -126,19 +131,27 @@ def merge(traces: Sequence[Trace]) -> Trace:
 
 def write_trace_csv(path, trace: Trace) -> None:
     """Columns: seq,arrival_time_s,class,source_id with class in {B,A}."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seq", "arrival_time_s", "class", "source_id"])
-        arr_s = trace.arrival_ns / 1e9
-        for k in range(len(trace)):
-            w.writerow(
-                [
-                    k,
-                    f"{arr_s[k]:.9f}",
-                    _CLASS_LETTER[int(trace.klass[k])],
-                    int(trace.source_id[k]),
-                ]
-            )
+    if len(trace) and trace.klass.max() >= len(_CLASS_LETTERS):
+        raise ValueError(f"unknown packet class {int(trace.klass.max())}")
+    write_columns(
+        path,
+        _TRACE_HEADER,
+        [np.arange(len(trace)), Seconds(trace.arrival_ns), _CLASS_LETTERS[trace.klass], trace.source_id],
+    )
+
+
+def _parse_ns(text: str) -> int:
+    """Decimal seconds -> integer ns, rounded half to even, with no float step."""
+    try:
+        sec = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"not a time value: {text!r}") from None
+    if not sec.is_finite():
+        raise ValueError("time values must be finite")
+    ns = sec.scaleb(9, _EXACT).to_integral_value(ROUND_HALF_EVEN, _EXACT)
+    if not _INT64_RANGE[0] <= ns <= _INT64_RANGE[1]:
+        raise ValueError(f"time value out of range: {text!r}")
+    return int(ns)
 
 
 def read_trace_csv(path) -> Trace:
@@ -147,14 +160,14 @@ def read_trace_csv(path) -> Trace:
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
-        if header != ["seq", "arrival_time_s", "class", "source_id"]:
+        if header != _TRACE_HEADER:
             raise ValueError(f"unexpected trace header: {header}")
         for k, row in enumerate(r):
             if int(row[0]) != k:
                 raise ValueError(f"non-dense seq at row {k}: {row[0]}")
             if row[2] not in _LETTER_CLASS:
                 raise ValueError(f"unknown class letter {row[2]!r} at row {k}")
-            arrivals.append(to_ns(float(row[1])))
+            arrivals.append(_parse_ns(row[1]))
             klasses.append(_LETTER_CLASS[row[2]])
             sources.append(int(row[3]))
     trace = Trace(

@@ -1,0 +1,89 @@
+"""The shared CSV writer: exact seconds, csv.writer byte format, row blocks."""
+import csv
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from floodsim.csvio import BLOCK_ROWS, Seconds, write_columns
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+def exact_seconds(ns: int) -> str:
+    """Reference rendering: sign, then divmod of the magnitude by 10**9."""
+    whole, frac = divmod(abs(ns), 10**9)
+    return f"{'-' if ns < 0 else ''}{whole}.{frac:09d}"
+
+
+def written(header, columns) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_columns(path, header, columns)
+        return path.read_bytes()
+
+
+def seconds_lines(ns) -> list:
+    return written(["t"], [Seconds(np.array(ns, np.int64))]).decode().split("\r\n")[1:-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(10**14) + 1, 10**14 - 1), min_size=1, max_size=50))
+def test_seconds_match_float_formatting_below_1e14_ns(ns):
+    assert seconds_lines(ns) == [f"{v / 1e9:.9f}" for v in ns]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(INT64, min_size=1, max_size=50))
+def test_seconds_are_exact_for_every_int64(ns):
+    assert seconds_lines(ns) == [exact_seconds(v) for v in ns]
+
+
+def test_seconds_edge_values():
+    ns = [0, 1, -1, 999_999_999, -(10**9), 10**9, 2**63 - 1, -(2**63)]
+    assert seconds_lines(ns) == [exact_seconds(v) for v in ns]
+    assert seconds_lines([-1])[0] == "-0.000000001"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(INT64, st.integers(0, 2**64 - 1), st.text("AB_xyz09.- ")), max_size=30))
+def test_bytes_match_csv_writer(rows):
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["i", "u", "s"])
+    w.writerows(rows)
+    ints = np.array([r[0] for r in rows], np.int64)
+    uints = np.array([r[1] for r in rows], np.uint64)
+    got = written(["i", "u", "s"], [ints, uints, [r[2] for r in rows]])
+    assert got == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_block_boundary_does_not_change_bytes(n):
+    assert BLOCK_ROWS == 65536
+    rng = np.random.default_rng(n)
+    ns = rng.integers(-(10**18), 10**18, n) // (10 ** rng.integers(0, 18, n))
+    seq = np.arange(n)
+    expected = "seq,t\r\n" + "".join(f"{k},{exact_seconds(int(v))}\r\n" for k, v in zip(seq, ns))
+    assert written(["seq", "t"], [seq, Seconds(ns)]) == expected.encode()
+
+
+@pytest.mark.parametrize("bad", ["a,b", 'say "x"', "cr\r", "lf\n"])
+def test_field_that_needs_quoting_is_rejected(bad):
+    with pytest.raises(ValueError, match="quoting"):
+        written(["k", "v"], [["ok", bad], np.array([1, 2])])
+    with pytest.raises(ValueError, match="quoting"):
+        written(["k", bad], [["ok"], np.array([1])])
+
+
+def test_column_checks():
+    with pytest.raises(TypeError, match="float"):
+        written(["x"], [np.array([0.5])])
+    with pytest.raises(ValueError, match="length"):
+        written(["a", "b"], [np.arange(3), np.arange(2)])
+    with pytest.raises(ValueError, match="header"):
+        written(["a"], [np.arange(3), np.arange(3)])
+    assert written(["a", "b"], [[], np.array([], np.int64)]) == b"a,b\r\n"

@@ -162,3 +162,38 @@ def test_trace_csv_rejects_unknown_class(tmp_path):
     p.write_text("seq,arrival_time_s,class,source_id\n0,0.5,X,0\n")
     with pytest.raises(ValueError, match="class"):
         read_trace_csv(p)
+
+
+def test_trace_csv_round_trip_is_exact_at_long_horizons(tmp_path):
+    # Above ~8.4e15 ns a float64 of the seconds can no longer hold every
+    # nanosecond; writer and reader must both stay in integer arithmetic.
+    rng = RngStream(7, 0).generator
+    n = 2000
+    tr = Trace(
+        np.sort(rng.integers(10**16, 10**17, n)),
+        rng.integers(0, 2, n).astype(np.uint8),
+        rng.integers(0, 5, n).astype(np.int32),
+    )
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, tr)
+    back = read_trace_csv(path)
+    np.testing.assert_array_equal(back.arrival_ns, tr.arrival_ns)
+
+
+@pytest.mark.parametrize(
+    "text, ns",
+    [("1.5", 1_500_000_000), ("0.0000000005", 0), ("0.0000000015", 2), ("2.0000000025", 2_000_000_002),
+     ("1e-9", 1), ("100", 100 * NS_PER_S)],
+)
+def test_trace_csv_reads_decimal_seconds_half_even(tmp_path, text, ns):
+    p = tmp_path / "t.csv"
+    p.write_text(f"seq,arrival_time_s,class,source_id\n0,{text},A,0\n")
+    assert read_trace_csv(p).arrival_ns.tolist() == [ns]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "abc", "1e30"])
+def test_trace_csv_rejects_non_finite_or_bad_times(tmp_path, text):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"seq,arrival_time_s,class,source_id\n0,{text},B,0\n")
+    with pytest.raises(ValueError):
+        read_trace_csv(p)
