@@ -9,7 +9,6 @@ from floodsim import (
     RngStream,
     ServiceTimeModel,
     forward_times,
-    pacing_delays,
     peak_occupancy,
     simulate_server,
     to_ns,
@@ -21,7 +20,7 @@ arrivals = np.array([0, 10_000, 10_500, 11_000, 50_000], np.int64)
 gap = 5_000  # ns
 
 out = forward_times(arrivals, gap)
-delay = pacing_delays(arrivals, gap)
+delay = out - arrivals
 
 print("gap = 5 us")
 print(f"{'arrival':>10} {'forwarded':>10} {'held for':>10}")

@@ -1,153 +1,54 @@
 """Discrete-event models of a flood-protected gateway: source-side pacing,
 FCFS server queueing, windowed majority-vote detection and skip-based
 mitigation, plus the closed-form cost model used to pick the skip length.
+
+The package namespace carries what the README and the demos use; everything
+else is imported from its module (``floodsim.server``, ``floodsim.analysis``
+and so on).
 """
 
-from .analysis import (
-    CostParams,
-    CostReport,
-    McCost,
-    brute_force_optimal,
-    cost_report,
-    exact_drop_count,
-    exact_window_count,
-    expected_drop_count,
-    expected_overhead_s,
-    expected_reprocessing_s,
-    expected_window_count,
-    monte_carlo_cost,
-    sweep_skip,
-    total_cost,
-)
-from .detector import DetectorModel, classify_packet, classify_stream, window_decision
-from .mitigation import (
-    AdaptiveSkip,
-    FixedSkip,
-    MitigationResult,
-    MitigationState,
-    Outcome,
-    estimate_attack_size,
-    optimal_skip,
-    run_mitigation,
-)
-from .model import (
-    ConfigError,
-    InvariantViolation,
-    NS_PER_S,
-    PacketClass,
-    PacketRecord,
-    Regime,
-    RngStream,
-    ServiceTimeModel,
-    Trace,
-    sample_service_time,
-    sample_service_times_ns,
-    substream,
-    to_ns,
-    to_seconds,
-)
-from .pacing import (
-    forward_times,
-    pacing_delays,
-    peak_occupancy,
-    queue_timeline,
-    shaping_queue_timeline,
-)
+from .analysis import CostParams, brute_force_optimal, cost_report, monte_carlo_cost
+from .mitigation import optimal_skip
+from .model import ConfigError, InvariantViolation, RngStream, ServiceTimeModel, to_ns, to_seconds
+from .pacing import forward_times, peak_occupancy
 from .pipeline import SimulationResult, run_simulation, write_outputs
 from .scenario import (
     Scenario,
     ScenarioError,
-    build_trace,
     expected_attack_fraction,
     expected_attack_packets,
     load_scenario,
     parse_scenario,
 )
-from .server import (
-    NORMAL_ALWAYS,
-    RegimeSchedule,
-    ServerTrace,
-    lindley_waits,
-    simulate_server,
-)
-from .traffic import (
-    BenignSpec,
-    FloodSpec,
-    gen_benign,
-    gen_flood,
-    merge,
-    read_trace_csv,
-    write_trace_csv,
-)
+from .server import NORMAL_ALWAYS, simulate_server
+from .traffic import read_trace_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveSkip",
-    "BenignSpec",
     "ConfigError",
     "CostParams",
-    "CostReport",
-    "DetectorModel",
-    "FixedSkip",
-    "FloodSpec",
     "InvariantViolation",
-    "McCost",
-    "MitigationResult",
-    "MitigationState",
     "NORMAL_ALWAYS",
-    "NS_PER_S",
-    "Outcome",
-    "PacketClass",
-    "PacketRecord",
-    "Regime",
-    "RegimeSchedule",
     "RngStream",
     "Scenario",
     "ScenarioError",
-    "ServerTrace",
     "ServiceTimeModel",
     "SimulationResult",
-    "Trace",
     "brute_force_optimal",
-    "build_trace",
-    "classify_packet",
-    "classify_stream",
     "cost_report",
-    "estimate_attack_size",
-    "exact_drop_count",
-    "exact_window_count",
     "expected_attack_fraction",
     "expected_attack_packets",
-    "expected_drop_count",
-    "expected_overhead_s",
-    "expected_reprocessing_s",
-    "expected_window_count",
     "forward_times",
-    "gen_benign",
-    "gen_flood",
-    "lindley_waits",
     "load_scenario",
-    "merge",
     "monte_carlo_cost",
     "optimal_skip",
-    "pacing_delays",
     "parse_scenario",
     "peak_occupancy",
-    "queue_timeline",
     "read_trace_csv",
-    "run_mitigation",
     "run_simulation",
-    "sample_service_time",
-    "sample_service_times_ns",
-    "shaping_queue_timeline",
     "simulate_server",
-    "substream",
-    "sweep_skip",
     "to_ns",
     "to_seconds",
-    "total_cost",
-    "window_decision",
     "write_outputs",
-    "write_trace_csv",
 ]

@@ -21,9 +21,9 @@ import numpy as np
 from scipy import stats
 
 from .csvio import write_columns
-from .detector import DetectorModel, classify_stream
+from .detector import classify_stream
 from .mitigation import FixedSkip, optimal_skip, run_mitigation
-from .model import ConfigError, RngStream, substream, to_ns
+from .model import STREAM_DETECTOR, ConfigError, RngStream, substream, to_ns
 
 
 @dataclass
@@ -233,7 +233,7 @@ def monte_carlo_cost(scenario, skip: int, runs: int, rng: RngStream) -> McCost:
     for r in range(runs):
         run_key = (r + 1) * 1000
         trace = build_trace(scenario, rng, run_key)
-        det_rng = substream(rng, run_key + 3)
+        det_rng = substream(rng, run_key + STREAM_DETECTOR)
         labels = classify_stream(trace.klass, scenario.detector, det_rng)
         res = run_mitigation(
             trace, scenario.detector, w, FixedSkip(int(skip)), labels=labels

@@ -27,14 +27,6 @@ class DetectorModel:
             raise ConfigError("window must be >= 1")
 
 
-def classify_packet(true_class: PacketClass, model: DetectorModel, rng: RngStream) -> PacketClass:
-    """One noisy label draw."""
-    u = rng.generator.random()
-    if true_class == PacketClass.ATTACK:
-        return PacketClass.ATTACK if u < model.tpr else PacketClass.BENIGN
-    return PacketClass.BENIGN if u < model.tnr else PacketClass.ATTACK
-
-
 def classify_stream(klass, model: DetectorModel, rng: RngStream) -> np.ndarray:
     """Noisy labels for a whole stream (uint8 array of PacketClass values).
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .csvio import Seconds, write_columns
 from .detector import DetectorModel, classify_stream, window_decision
-from .model import PacketClass, RngStream, Trace
+from .model import InvariantViolation, PacketClass, RngStream, Trace
 
 EVENT_WINDOW_ATTACK = "WINDOW_ATTACK"
 EVENT_WINDOW_CLEAR = "WINDOW_CLEAR"
@@ -51,18 +51,6 @@ class Outcome(IntEnum):
 class Mode(IntEnum):
     MONITORING = 0
     UNDER_ATTACK = 1
-
-
-def estimate_attack_size(queue_len: int) -> int:
-    """Expected remaining attack volume from the input-queue length.
-
-    The backlog at alarm time *is* the estimate; the identity is kept as a
-    named seam so smarter estimators can slot in.
-    """
-    q = int(queue_len)
-    if q < 0:
-        raise ValueError("queue length must be >= 0")
-    return q
 
 
 def optimal_skip(window: int, beta_over_alpha: float, expected_packets: float) -> int:
@@ -106,17 +94,17 @@ class FixedSkip:
 
 @dataclass
 class AdaptiveSkip:
-    """Recomputes the optimal skip from the live queue estimate."""
+    """Recomputes the optimal skip from the live queue estimate, which is
+    taken as the expected remaining attack volume."""
 
     beta_over_alpha: float
     adaptive = True
 
     def refresh(self, window: int, queue_len: int) -> int:
-        volume = estimate_attack_size(queue_len)
-        if volume <= window:
+        if queue_len <= window:
             # a tiny backlog never justifies skipping far
             return 1
-        return optimal_skip(window, self.beta_over_alpha, float(volume))
+        return optimal_skip(window, self.beta_over_alpha, float(queue_len))
 
 
 @dataclass
@@ -288,7 +276,7 @@ def run_mitigation(
         st.pending_cursor = n
 
     if n and np.any(outcomes == 255):
-        raise AssertionError("disposition partition violated")
+        raise InvariantViolation("disposition partition violated")
     return MitigationResult(outcomes, release_ns, drop_time_ns, st, events)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -56,25 +55,11 @@ class Regime(IntEnum):
     ATTACK = 1
 
 
-class PacketRecord(NamedTuple):
-    """One packet of the merged input stream."""
-
-    seq: int            # dense 0-based index within the stream
-    arrival_ns: int
-    klass: PacketClass
-    source_id: int
-
-    @property
-    def arrival_s(self) -> float:
-        return self.arrival_ns / NS_PER_S
-
-
 @dataclass
 class Trace:
     """A packet stream in arrival order, stored as parallel numpy arrays.
 
-    ``seq`` is implicit: packet k of the trace has seq k. Indexing returns a
-    PacketRecord view for convenience; bulk work should use the arrays.
+    ``seq`` is implicit: packet k of the trace has seq k.
     """
 
     arrival_ns: np.ndarray   # int64, nondecreasing, >= 0
@@ -92,30 +77,8 @@ class Trace:
     def empty(cls) -> "Trace":
         return cls(np.empty(0, np.int64), np.empty(0, np.uint8), np.empty(0, np.int32))
 
-    @classmethod
-    def from_records(cls, records) -> "Trace":
-        records = list(records)
-        return cls(
-            np.array([r.arrival_ns for r in records], dtype=np.int64),
-            np.array([int(r.klass) for r in records], dtype=np.uint8),
-            np.array([r.source_id for r in records], dtype=np.int32),
-        )
-
     def __len__(self) -> int:
         return len(self.arrival_ns)
-
-    def __getitem__(self, k: int) -> PacketRecord:
-        seq = k if k >= 0 else len(self) + k
-        return PacketRecord(
-            seq,
-            int(self.arrival_ns[k]),
-            PacketClass(int(self.klass[k])),
-            int(self.source_id[k]),
-        )
-
-    def __iter__(self) -> Iterator[PacketRecord]:
-        for k in range(len(self)):
-            yield self[k]
 
     @property
     def arrival_s(self) -> np.ndarray:
@@ -181,6 +144,17 @@ class ServiceTimeModel:
     def floor_s(self, regime: Regime) -> float:
         return self.mean_s(regime) / 100.0
 
+    def draw_ns(self, regime: Regime, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Service times (int64 ns) under a regime, from pre-drawn standard
+        normals z and uniforms u (one of each per packet; u picks outliers)."""
+        draws = self.mean_s(regime) + self.std_s(regime) * z
+        if regime == Regime.ATTACK and self.outlier_prob > 0:
+            draws = np.where(u < self.outlier_prob, draws * self.outlier_scale, draws)
+        np.maximum(draws, self.floor_s(regime), out=draws)
+        if self.ceiling_s is not None:
+            np.minimum(draws, self.ceiling_s, out=draws)
+        return to_ns(draws)
+
 
 @dataclass(eq=False)
 class RngStream:
@@ -189,7 +163,7 @@ class RngStream:
     The same pair always yields the identical sample sequence (PCG64 seeded
     through SeedSequence, which is stable across platforms). A stream is
     single-owner: share the ids, not the object. Subsystems get distinct
-    stream_ids; see pipeline.py for the registry.
+    stream_ids; the STREAM_* registry below assigns them.
     """
 
     seed: int
@@ -206,27 +180,14 @@ class RngStream:
 
 def substream(stream: RngStream, key: int) -> RngStream:
     """Derive a related but independent stream. Composition is arithmetic
-    (documented in pipeline.py), so derived ids stay reproducible."""
+    (id * 1009 + key), so derived ids stay reproducible."""
     return RngStream(stream.seed, stream.stream_id * 1009 + key)
 
 
-def sample_service_times_ns(
-    model: ServiceTimeModel, regime: Regime, n: int, rng: RngStream
-) -> np.ndarray:
-    """Draw n service times under the given regime, as int64 nanoseconds."""
-    g = rng.generator
-    mean = model.mean_s(regime)
-    sd = model.std_s(regime)
-    draws = g.normal(mean, sd, size=n) if sd > 0 else np.full(n, mean)
-    if regime == Regime.ATTACK and model.outlier_prob > 0:
-        hit = g.random(n) < model.outlier_prob
-        draws = np.where(hit, draws * model.outlier_scale, draws)
-    np.maximum(draws, model.floor_s(regime), out=draws)
-    if model.ceiling_s is not None:
-        np.minimum(draws, model.ceiling_s, out=draws)
-    return to_ns(draws)
-
-
-def sample_service_time(model: ServiceTimeModel, regime: Regime, rng: RngStream) -> float:
-    """Single draw, in seconds. Vector work should use sample_service_times_ns."""
-    return to_seconds(int(sample_service_times_ns(model, regime, 1, rng)[0]))
+# Stream-key registry. Every consumer draws from substream(base, run_key +
+# key), where base is the scenario's (seed, 0) stream and run_key is 0 for a
+# single run and (r + 1) * 1000 for Monte Carlo run r.
+STREAM_BENIGN = 1       # benign traffic
+STREAM_SERVICE = 2      # server service times
+STREAM_DETECTOR = 3     # detector labels
+STREAM_FLOOD_BASE = 10  # + k for the k-th flood in ascending index order

@@ -1,10 +1,10 @@
 """The paced forwarder: spaces an arrival stream so consecutive departures
 are at least one gap apart, plus queue-length timelines for any FIFO stage.
 
-Forwarding recursion: t_0 = a_0, t_{n+1} = max(t_n + gap, a_{n+1}). The
-shaping delay q_n = t_n - a_n obeys its own reflected recursion
-q_{n+1} = max(0, q_n + gap - (a_{n+1} - a_n)); both are implemented as
-independent closed forms over int64 nanoseconds and cross-checked in tests.
+Forwarding recursion: t_0 = a_0, t_{n+1} = max(t_n + gap, a_{n+1}), solved
+in closed form over int64 nanoseconds. The shaping delay t_n - a_n is
+cross-checked in tests against a literal loop of its own reflected
+recursion q_{n+1} = max(0, q_n + gap - (a_{n+1} - a_n)).
 
 Queue-occupancy convention used throughout the library: a packet occupies a
 stage during the closed interval [entry, exit], i.e. a sample taken exactly
@@ -42,25 +42,6 @@ def forward_times(arrival_ns, gap_ns: int) -> np.ndarray:
     k = np.arange(len(a), dtype=np.int64)
     shifted = a - k * gap
     return k * gap + np.maximum.accumulate(shifted)
-
-
-def pacing_delays(arrival_ns, gap_ns: int) -> np.ndarray:
-    """Per-packet shaping delay q_n (int64 ns), via the reflected recursion.
-
-    Implemented independently of forward_times: with u_n = gap - (a_{n+1}-a_n)
-    and partial sums s, the reflection gives q_n = s_n - min_{k<=n} s_k.
-    """
-    a = _as_times(arrival_ns)
-    gap = int(gap_ns)
-    if gap <= 0:
-        raise ValueError("pacing gap must be positive")
-    if len(a) == 0:
-        return a.copy()
-    if np.any(np.diff(a) < 0):
-        raise ValueError("arrivals must be sorted")
-    u = gap - np.diff(a)
-    s = np.concatenate(([np.int64(0)], np.cumsum(u)))
-    return s - np.minimum.accumulate(s)
 
 
 def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int, t_start_ns: int = 0, t_end_ns=None):

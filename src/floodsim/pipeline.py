@@ -21,7 +21,15 @@ from .mitigation import (
     run_mitigation,
     write_events_csv,
 )
-from .model import InvariantViolation, RngStream, Trace, substream, to_ns
+from .model import (
+    STREAM_DETECTOR,
+    STREAM_SERVICE,
+    InvariantViolation,
+    RngStream,
+    Trace,
+    substream,
+    to_ns,
+)
 from .pacing import forward_times, peak_occupancy, shaping_queue_timeline
 from .scenario import Scenario, build_trace
 from .server import (
@@ -33,12 +41,6 @@ from .server import (
     write_timeline_csv,
 )
 from .traffic import write_trace_csv
-
-# rng substream keys, offset by the run key (see scenario.build_trace)
-STREAM_BENIGN = 1
-STREAM_SERVICE = 2
-STREAM_DETECTOR = 3
-STREAM_FLOOD_BASE = 10
 
 
 @dataclass
@@ -55,11 +57,6 @@ class SimulationResult:
 
 def _empty_timeline():
     return np.zeros(1, np.int64), np.zeros(1, np.int64)
-
-
-def _flood_mask(flood_sched: RegimeSchedule, times_ns: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(flood_sched._bounds, times_ns, side="right")
-    return (pos % 2) == 1
 
 
 def run_simulation(scenario: Scenario, run_key: int = 0) -> SimulationResult:
@@ -110,7 +107,7 @@ def run_simulation(scenario: Scenario, run_key: int = 0) -> SimulationResult:
 
     scale = None
     if scenario.drain_slowdown > 1 and scenario.floods:
-        in_flood = _flood_mask(flood_sched, trace.arrival_ns[rel_idx])
+        in_flood = flood_sched.in_attack(trace.arrival_ns[rel_idx])
         scale = np.where(in_flood, scenario.drain_slowdown, 1.0)
 
     server = simulate_server(

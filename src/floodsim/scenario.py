@@ -16,16 +16,28 @@ Example::
 Unknown keys, bad types and out-of-range values raise ScenarioError with the
 offending line number (a configuration error, exit code 2 in the CLI);
 scenarios whose horizon does not cover every flood violate a run invariant
-(exit code 3). Floods are optional and numbered from 1; the whole benign
-section may be omitted for flood-only scenarios.
+(exit code 3). Floods are optional; N in ``flood.N.*`` may be any integer,
+and floods are generated in ascending N order. The whole benign section may
+be omitted for flood-only scenarios.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .detector import DetectorModel
-from .model import ConfigError, InvariantViolation, RngStream, ServiceTimeModel, Trace, substream
+from .model import (
+    STREAM_BENIGN,
+    STREAM_FLOOD_BASE,
+    ConfigError,
+    InvariantViolation,
+    RngStream,
+    ServiceTimeModel,
+    Trace,
+    substream,
+    to_ns,
+)
 from .traffic import BenignSpec, FloodSpec, gen_benign, gen_flood, merge
 
 
@@ -37,6 +49,11 @@ class ScenarioError(ConfigError):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
+
+
+def _at_least_1ns(seconds: float) -> bool:
+    """A time that stays nonzero once rounded to the nanosecond clock."""
+    return math.isfinite(seconds) and to_ns(seconds) >= 1
 
 
 @dataclass
@@ -60,8 +77,8 @@ class Scenario:
     drain_slowdown: float = 1.0
 
     def validate(self) -> None:
-        if self.pacing_gap_s <= 0:
-            raise ConfigError("sqf.D_ms must be positive")
+        if not _at_least_1ns(self.pacing_gap_s):
+            raise ConfigError("sqf.D_ms must be positive and at least 1 ns")
         if self.link_latency_s < 0:
             raise ConfigError("sqf.link_latency_ms must be >= 0")
         if self.skip_mode not in ("optimal", "fixed"):
@@ -74,8 +91,8 @@ class Scenario:
             raise ConfigError("cost.tau_ms must be positive")
         if self.horizon_s <= 0:
             raise ConfigError("run.horizon_s must be positive")
-        if self.sample_dt_s <= 0:
-            raise ConfigError("run.sample_dt_ms must be positive")
+        if not _at_least_1ns(self.sample_dt_s):
+            raise ConfigError("run.sample_dt_ms must be positive and at least 1 ns")
         if self.drain_slowdown < 1:
             raise ConfigError("run.drain_slowdown_factor must be >= 1")
         if self.seed < 0:
@@ -105,62 +122,44 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-# key -> (converter, setter(state, value))
-def _key_table():
-    def set_benign(field_name, conv):
-        def setter(state, raw):
-            state["benign"][field_name] = conv(raw)
-        return setter
-
-    def set_plain(field_name, conv, scale=None):
-        def setter(state, raw):
-            v = conv(raw)
-            state["plain"][field_name] = v * scale if scale else v
-        return setter
-
-    def set_service(field_name, conv, scale=None):
-        def setter(state, raw):
-            v = conv(raw)
-            state["service"][field_name] = v * scale if scale else v
-        return setter
-
-    def set_detector(field_name, conv):
-        def setter(state, raw):
-            state["detector"][field_name] = conv(raw)
-        return setter
-
-    return {
-        "benign.period_s": set_benign("period_s", float),
-        "benign.jitter_fraction": set_benign("jitter_fraction", float),
-        "benign.num_sources": set_benign("num_sources", int),
-        "service.mean_normal_ms": set_service("mean_normal_s", float, _MS),
-        "service.var_normal_ms2": set_service("var_normal_s2", float, _MS2),
-        "service.mean_attack_ms": set_service("mean_attack_s", float, _MS),
-        "service.var_attack_ms2": set_service("var_attack_s2", float, _MS2),
-        "service.outlier_prob": set_service("outlier_prob", float),
-        "service.outlier_scale": set_service("outlier_scale", float),
-        "service.ceiling_ms": set_service("ceiling_s", float, _MS),
-        "sqf.enabled": set_plain("sqf_enabled", _parse_bool),
-        "sqf.D_ms": set_plain("pacing_gap_s", float, _MS),
-        "sqf.link_latency_ms": set_plain("link_latency_s", float, _MS),
-        "detector.tpr": set_detector("tpr", float),
-        "detector.tnr": set_detector("tnr", float),
-        "detector.window": set_detector("window", int),
-        "aam.enabled": set_plain("aam_enabled", _parse_bool),
-        "aam.m_mode": set_plain("skip_mode", str),
-        "aam.m_fixed": set_plain("fixed_skip", int),
-        "cost.alpha": set_plain("alpha", float),
-        "cost.beta": set_plain("beta", float),
-        "cost.tau_ms": set_plain("tau_s", float, _MS),
-        "run.seed": set_plain("seed", int),
-        "run.horizon_s": set_plain("horizon_s", float),
-        "run.sample_dt_ms": set_plain("sample_dt_s", float, _MS),
-        "run.drain_slowdown_factor": set_plain("drain_slowdown", float),
-    }
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
 
-_KEYS = _key_table()
-_FLOOD_FIELDS = {"start_s": float, "duration_s": float, "rate_pps": float}
+# key -> (section of the parse state, field, converter, scale or None)
+_KEYS = {
+    "benign.enabled": ("benign", "enabled", _parse_bool, None),
+    "benign.period_s": ("benign", "period_s", _finite, None),
+    "benign.jitter_fraction": ("benign", "jitter_fraction", _finite, None),
+    "benign.num_sources": ("benign", "num_sources", int, None),
+    "service.mean_normal_ms": ("service", "mean_normal_s", _finite, _MS),
+    "service.var_normal_ms2": ("service", "var_normal_s2", _finite, _MS2),
+    "service.mean_attack_ms": ("service", "mean_attack_s", _finite, _MS),
+    "service.var_attack_ms2": ("service", "var_attack_s2", _finite, _MS2),
+    "service.outlier_prob": ("service", "outlier_prob", _finite, None),
+    "service.outlier_scale": ("service", "outlier_scale", _finite, None),
+    "service.ceiling_ms": ("service", "ceiling_s", _finite, _MS),
+    "sqf.enabled": ("plain", "sqf_enabled", _parse_bool, None),
+    "sqf.D_ms": ("plain", "pacing_gap_s", _finite, _MS),
+    "sqf.link_latency_ms": ("plain", "link_latency_s", _finite, _MS),
+    "detector.tpr": ("detector", "tpr", _finite, None),
+    "detector.tnr": ("detector", "tnr", _finite, None),
+    "detector.window": ("detector", "window", int, None),
+    "aam.enabled": ("plain", "aam_enabled", _parse_bool, None),
+    "aam.m_mode": ("plain", "skip_mode", str, None),
+    "aam.m_fixed": ("plain", "fixed_skip", int, None),
+    "cost.alpha": ("plain", "alpha", _finite, None),
+    "cost.beta": ("plain", "beta", _finite, None),
+    "cost.tau_ms": ("plain", "tau_s", _finite, _MS),
+    "run.seed": ("plain", "seed", int, None),
+    "run.horizon_s": ("plain", "horizon_s", _finite, None),
+    "run.sample_dt_ms": ("plain", "sample_dt_s", _finite, _MS),
+    "run.drain_slowdown_factor": ("plain", "drain_slowdown", _finite, None),
+}
+_FLOOD_FIELDS = ("start_s", "duration_s", "rate_pps")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -184,27 +183,20 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"unknown key {key!r}", line_no)
             try:
                 idx = int(parts[1])
-                val = _FLOOD_FIELDS[parts[2]](raw_val)
+                val = _finite(raw_val)
             except ValueError as exc:
                 raise ScenarioError(str(exc), line_no) from exc
             floods.setdefault(idx, {})[parts[2]] = val
             continue
-        if key == "benign.enabled":
-            benign_mentioned = True
-            try:
-                state["benign"]["enabled"] = _parse_bool(raw_val)
-            except ValueError as exc:
-                raise ScenarioError(str(exc), line_no) from exc
-            continue
-        setter = _KEYS.get(key)
-        if setter is None:
+        if key not in _KEYS:
             raise ScenarioError(f"unknown key {key!r}", line_no)
-        if key.startswith("benign."):
-            benign_mentioned = True
+        section, name, conv, scale = _KEYS[key]
+        benign_mentioned |= section == "benign"
         try:
-            setter(state, raw_val)
+            val = conv(raw_val)
         except ValueError as exc:
             raise ScenarioError(str(exc), line_no) from exc
+        state[section][name] = val * scale if scale else val
 
     try:
         benign_fields = dict(state["benign"])
@@ -241,25 +233,16 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(Path(path).read_text())
 
 
-# --- traffic assembly --------------------------------------------------
-#
-# rng stream registry, composed through model.substream relative to the
-# scenario's base stream (seed, 0):
-#   run_key + 1       benign traffic           (run_key = 0 for a single run,
-#   run_key + 2       service sampling          (r+1)*1000 for Monte-Carlo
-#   run_key + 3       detector labels           run r)
-#   run_key + 10 + k  flood number k
-
-
 def build_trace(scenario: Scenario, rng: RngStream, run_key: int = 0) -> Trace:
-    """Generate and merge the scenario's arrival streams."""
+    """Generate and merge the scenario's arrival streams, drawing from the
+    run's keys of the stream-key registry in model.py."""
     parts = []
     if scenario.benign is not None:
-        parts.append(
-            gen_benign(scenario.benign, scenario.horizon_s, substream(rng, run_key + 1))
-        )
+        benign_rng = substream(rng, run_key + STREAM_BENIGN)
+        parts.append(gen_benign(scenario.benign, scenario.horizon_s, benign_rng))
     for k, flood in enumerate(scenario.floods):
-        parts.append(gen_flood(flood, substream(rng, run_key + 10 + k), source_id=0))
+        flood_rng = substream(rng, run_key + STREAM_FLOOD_BASE + k)
+        parts.append(gen_flood(flood, flood_rng, source_id=0))
     if not parts:
         return Trace.empty()
     return merge(parts)

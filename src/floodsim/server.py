@@ -14,21 +14,16 @@ walks the stream in regime-constant chunks, each chunk fully vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .csvio import Seconds, write_columns
-from .model import Regime, RngStream, ServiceTimeModel, to_ns
+from .model import InvariantViolation, Regime, RngStream, ServiceTimeModel, to_ns
 from .pacing import queue_timeline
 
 
 def lindley_waits(arrival_ns, service_ns) -> np.ndarray:
-    """Waiting times of an FCFS queue (int64 ns), one per packet.
-
-    Uses the reflection identity L_n = s_n - min_{k<=n} s_k over partial sums
-    of u_n = T_n - A_{n+1}; exact integer arithmetic, no drift.
-    """
+    """Waiting times of an FCFS queue (int64 ns), one per packet."""
     a = np.asarray(arrival_ns, dtype=np.int64)
     t = np.asarray(service_ns, dtype=np.int64)
     if a.shape != t.shape:
@@ -39,14 +34,17 @@ def lindley_waits(arrival_ns, service_ns) -> np.ndarray:
         raise ValueError("arrivals must be sorted")
     if np.any(t < 0):
         raise ValueError("service times must be nonnegative")
-    u = t[:-1] - np.diff(a)
-    s = np.concatenate(([np.int64(0)], np.cumsum(u)))
-    return s - np.minimum.accumulate(s)
+    return _lindley_from(a, t, 0)
 
 
 def _lindley_from(a: np.ndarray, t: np.ndarray, initial_wait: int) -> np.ndarray:
-    """Lindley waits over a stream fragment whose first packet already waits
-    initial_wait. Used by the chunked simulation."""
+    """Lindley waits over a nonempty stream fragment whose first packet
+    already waits initial_wait. Unchecked; the chunked simulation calls it
+    per chunk.
+
+    Reflection identity over the partial sums s_n of u_n = T_n - A_{n+1}:
+    L_n = max(s_n + initial_wait, s_n - min_{k<=n} s_k), exact in integers.
+    """
     n = len(a)
     out = np.empty(n, np.int64)
     out[0] = initial_wait
@@ -79,9 +77,9 @@ class RegimeSchedule:
         self.attack_windows_ns = merged
         self._bounds = np.array([b for w in merged for b in w], dtype=np.int64)
 
-    def regime_at(self, t_ns: int) -> Regime:
-        k = int(np.searchsorted(self._bounds, t_ns, side="right"))
-        return Regime.ATTACK if k % 2 == 1 else Regime.NORMAL
+    def in_attack(self, times_ns):
+        """True where a time lies inside an attack window (scalar or array)."""
+        return np.searchsorted(self._bounds, times_ns, side="right") % 2 == 1
 
     def next_boundary(self, t_ns: int):
         """Smallest window boundary strictly after t, or None."""
@@ -89,9 +87,6 @@ class RegimeSchedule:
         if k >= len(self._bounds):
             return None
         return int(self._bounds[k])
-
-    def __call__(self, t_ns: int) -> Regime:
-        return self.regime_at(t_ns)
 
 
 NORMAL_ALWAYS = RegimeSchedule([])
@@ -155,34 +150,24 @@ def simulate_server(
     z = g.standard_normal(n)
     u = g.random(n)
 
-    def transform(lo: int, regime: Regime) -> np.ndarray:
-        draws = model.mean_s(regime) + model.std_s(regime) * z[lo:]
-        if regime == Regime.ATTACK and model.outlier_prob > 0:
-            hit = u[lo:] < model.outlier_prob
-            draws = np.where(hit, draws * model.outlier_scale, draws)
-        np.maximum(draws, model.floor_s(regime), out=draws)
-        if model.ceiling_s is not None:
-            np.minimum(draws, model.ceiling_s, out=draws)
-        ns = to_ns(draws)
-        if service_scale is not None:
-            ns = np.maximum(np.rint(ns * service_scale[lo:]).astype(np.int64), 1)
-        return ns
-
     idx = 0
     wait = 0
     while idx < n:
         start0 = int(a[idx]) + wait
-        regime = schedule.regime_at(start0)
+        regime = Regime.ATTACK if schedule.in_attack(start0) else Regime.NORMAL
         bound = schedule.next_boundary(start0)
-        t_cand = transform(idx, regime)
+        t_cand = model.draw_ns(regime, z[idx:], u[idx:])
+        if service_scale is not None:
+            t_cand = np.maximum(np.rint(t_cand * service_scale[idx:]).astype(np.int64), 1)
         w_cand = _lindley_from(a[idx:], t_cand, wait)
         if bound is None:
             take = n - idx
         else:
             starts = a[idx:] + w_cand
             take = int(np.searchsorted(starts, bound, side="left"))
-            # the first packet's start defines the regime, so it always fits
-            assert take >= 1
+            if take < 1:
+                # the first packet's start defines the regime, so it must fit
+                raise InvariantViolation(f"regime chunk at {start0} ns is empty")
         waits[idx : idx + take] = w_cand[:take]
         services[idx : idx + take] = t_cand[:take]
         if idx + take < n:

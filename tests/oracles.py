@@ -34,6 +34,19 @@ def fcfs_waits_event_driven(arrival_ns, service_ns):
     return waits
 
 
+def pacing_delays(arrival_ns, gap_ns):
+    """Shaping delay per packet, one packet at a time through the reflected
+    recursion q_0 = 0, q_{n+1} = max(0, q_n + gap - (a_{n+1} - a_n))."""
+    delays = []
+    for k in range(len(arrival_ns)):
+        if k == 0:
+            q = 0
+        else:
+            q = max(0, q + int(gap_ns) - (int(arrival_ns[k]) - int(arrival_ns[k - 1])))
+        delays.append(q)
+    return delays
+
+
 def step_through_machine(labels, window, skip, klass=None):
     """1-based step-through of the drop/skip cursor machine.
 

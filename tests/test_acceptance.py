@@ -12,32 +12,30 @@ from pathlib import Path
 import numpy as np
 
 from floodsim import (
-    DetectorModel,
-    FixedSkip,
-    FloodSpec,
     NORMAL_ALWAYS,
     RngStream,
     Scenario,
     ServiceTimeModel,
-    Trace,
     brute_force_optimal,
-    exact_drop_count,
-    exact_window_count,
-    expected_window_count,
     forward_times,
-    gen_flood,
-    lindley_waits,
     load_scenario,
     monte_carlo_cost,
     optimal_skip,
-    run_mitigation,
     run_simulation,
     simulate_server,
     to_ns,
 )
-from floodsim.analysis import CostParams
-from floodsim.mitigation import EVENT_RECALC_M, EVENT_WINDOW_ATTACK
-from floodsim.traffic import BenignSpec
+from floodsim.analysis import (
+    CostParams,
+    exact_drop_count,
+    exact_window_count,
+    expected_window_count,
+)
+from floodsim.detector import DetectorModel
+from floodsim.mitigation import EVENT_RECALC_M, EVENT_WINDOW_ATTACK, FixedSkip, run_mitigation
+from floodsim.model import Trace
+from floodsim.server import lindley_waits
+from floodsim.traffic import BenignSpec, FloodSpec, gen_flood
 from oracles import fcfs_waits_event_driven, step_through_machine
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

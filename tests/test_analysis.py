@@ -9,25 +9,27 @@ import pytest
 from floodsim import (
     ConfigError,
     CostParams,
-    DetectorModel,
-    FixedSkip,
     RngStream,
     Scenario,
     brute_force_optimal,
     cost_report,
+    monte_carlo_cost,
+    optimal_skip,
+)
+from floodsim.analysis import (
     exact_drop_count,
     exact_window_count,
     expected_drop_count,
     expected_overhead_s,
     expected_reprocessing_s,
     expected_window_count,
-    monte_carlo_cost,
-    optimal_skip,
-    run_mitigation,
     sweep_skip,
     total_cost,
+    write_monte_carlo_csv,
+    write_sweep_csv,
 )
-from floodsim.analysis import write_monte_carlo_csv, write_sweep_csv
+from floodsim.detector import DetectorModel
+from floodsim.mitigation import FixedSkip, run_mitigation
 from floodsim.scenario import build_trace
 from floodsim.traffic import BenignSpec, FloodSpec
 

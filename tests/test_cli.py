@@ -108,6 +108,31 @@ def test_bad_key_reports_line(tmp_path, capsys):
     assert "configuration error" in err and "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sqf.D_ms = nan",
+        "sqf.D_ms = 1e-9",
+        "run.horizon_s = inf",
+        "service.mean_normal_ms = nan",
+        "sqf.link_latency_ms = nan",
+        "flood.1.start_s = nan",
+        "run.sample_dt_ms = 1e-9",
+        "cost.alpha = nan",
+        "cost.tau_ms = inf",
+    ],
+)
+def test_non_finite_and_sub_ns_values_are_config_errors(tmp_path, capsys, line):
+    path = tmp_path / "case.cfg"
+    path.write_text(CFG + line + "\n")
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+    if "1e-9" not in line:
+        assert f"line {len(CFG.splitlines()) + 1}:" in err
+
+
 def test_uncovered_flood_is_invariant_violation(tmp_path, capsys):
     path = tmp_path / "late.cfg"
     path.write_text(

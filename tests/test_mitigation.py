@@ -5,28 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from floodsim import (
-    AdaptiveSkip,
-    DetectorModel,
-    FixedSkip,
-    Outcome,
-    RngStream,
-    Trace,
-    estimate_attack_size,
-    exact_drop_count,
-    exact_window_count,
-    optimal_skip,
-    run_mitigation,
-    to_ns,
-)
+from floodsim import RngStream, optimal_skip, to_ns
+from floodsim.analysis import exact_drop_count, exact_window_count
+from floodsim.detector import DetectorModel
 from floodsim.mitigation import (
+    AdaptiveSkip,
     EVENT_DROP_RANGE,
     EVENT_FORWARD_RANGE,
     EVENT_RECALC_M,
     EVENT_WINDOW_ATTACK,
     EVENT_WINDOW_CLEAR,
+    FixedSkip,
+    Outcome,
+    run_mitigation,
     write_events_csv,
 )
+from floodsim.model import Trace
 from oracles import step_through_machine
 
 PERFECT = DetectorModel(tpr=1.0, tnr=1.0)
@@ -226,13 +220,6 @@ def test_optimal_skip_edge_cases():
         optimal_skip(0, 0.05, 100)
     with pytest.raises(ValueError):
         optimal_skip(20, 0.0, 100)
-
-
-def test_estimate_attack_size():
-    assert estimate_attack_size(0) == 0
-    assert estimate_attack_size(1234) == 1234
-    with pytest.raises(ValueError):
-        estimate_attack_size(-1)
 
 
 def test_skip_policies():

@@ -2,21 +2,8 @@
 import numpy as np
 import pytest
 
-from floodsim import (
-    ConfigError,
-    NS_PER_S,
-    PacketClass,
-    PacketRecord,
-    Regime,
-    RngStream,
-    ServiceTimeModel,
-    Trace,
-    sample_service_time,
-    sample_service_times_ns,
-    substream,
-    to_ns,
-    to_seconds,
-)
+from floodsim import ConfigError, RngStream, ServiceTimeModel, to_ns, to_seconds
+from floodsim.model import NS_PER_S, PacketClass, Regime, Trace, substream
 
 
 def test_to_ns_scalar_is_python_int():
@@ -49,20 +36,10 @@ def test_to_seconds_round_trip():
     np.testing.assert_allclose(to_seconds(np.array([1, NS_PER_S])), [1e-9, 1.0])
 
 
-def test_packet_record_arrival_s():
-    rec = PacketRecord(0, 1_500_000_000, PacketClass.BENIGN, 3)
-    assert rec.arrival_s == 1.5
-
-
-def test_trace_round_trip_records():
-    recs = [
-        PacketRecord(0, 10, PacketClass.BENIGN, 1),
-        PacketRecord(1, 20, PacketClass.ATTACK, 0),
-    ]
-    tr = Trace.from_records(recs)
+def test_trace_arrival_s_and_counts():
+    tr = Trace([10, 1_500_000_000], [PacketClass.BENIGN, PacketClass.ATTACK], [1, 0])
+    np.testing.assert_array_equal(tr.arrival_s, [1e-8, 1.5])
     assert len(tr) == 2
-    assert list(tr) == recs
-    assert tr[-1] == recs[1]
     assert tr.attack_count() == 1
 
 
@@ -116,32 +93,46 @@ def test_service_model_regime_stats():
     assert m.floor_s(Regime.ATTACK) == 5e-5
 
 
+def draws(seed, n):
+    """n standard normals and n uniforms, as simulate_server pre-draws them."""
+    g = RngStream(seed, 9).generator
+    return g.standard_normal(n), g.random(n)
+
+
 def test_sampling_zero_variance_is_exact():
     m = ServiceTimeModel(var_normal_s2=0.0)
-    out = sample_service_times_ns(m, Regime.NORMAL, 5, RngStream(1, 9))
+    out = m.draw_ns(Regime.NORMAL, *draws(1, 5))
     np.testing.assert_array_equal(out, np.full(5, to_ns(m.mean_normal_s)))
+    assert out.dtype == np.int64
 
 
 def test_sampling_floor():
     # enormous variance: raw normals go deeply negative, floor must hold
     m = ServiceTimeModel(mean_normal_s=1e-3, var_normal_s2=1.0)
-    out = sample_service_times_ns(m, Regime.NORMAL, 2000, RngStream(2, 9))
+    out = m.draw_ns(Regime.NORMAL, *draws(2, 2000))
     assert out.min() >= to_ns(1e-5)
 
 
 def test_sampling_ceiling_clips_after_outliers():
     m = ServiceTimeModel(outlier_prob=1.0, outlier_scale=1e3, ceiling_s=3.1e-3)
-    out = sample_service_times_ns(m, Regime.ATTACK, 2000, RngStream(3, 9))
+    out = m.draw_ns(Regime.ATTACK, *draws(3, 2000))
     assert out.max() <= to_ns(3.1e-3)
 
 
 def test_outliers_only_in_attack_regime():
     m = ServiceTimeModel(outlier_prob=1.0, outlier_scale=10.0, var_normal_s2=0.0,
                          var_attack_s2=0.0)
-    normal = sample_service_times_ns(m, Regime.NORMAL, 100, RngStream(4, 9))
-    attack = sample_service_times_ns(m, Regime.ATTACK, 100, RngStream(4, 9))
+    normal = m.draw_ns(Regime.NORMAL, *draws(4, 100))
+    attack = m.draw_ns(Regime.ATTACK, *draws(4, 100))
     np.testing.assert_array_equal(normal, np.full(100, to_ns(m.mean_normal_s)))
     np.testing.assert_array_equal(attack, np.full(100, to_ns(m.mean_attack_s * 10)))
+
+
+def test_outliers_follow_the_uniforms():
+    m = ServiceTimeModel(outlier_prob=0.5, outlier_scale=10.0, var_attack_s2=0.0)
+    out = m.draw_ns(Regime.ATTACK, np.zeros(4), np.array([0.1, 0.6, 0.49, 0.5]))
+    base = to_ns(m.mean_attack_s)
+    np.testing.assert_array_equal(out, [10 * base, base, 10 * base, base])
 
 
 def test_rng_stream_reproducible():
@@ -161,10 +152,3 @@ def test_rng_streams_differ():
 def test_substream_arithmetic():
     s = substream(RngStream(5, 3), 7)
     assert (s.seed, s.stream_id) == (5, 3 * 1009 + 7)
-
-
-def test_single_draw_matches_vector_head():
-    m = ServiceTimeModel()
-    single = sample_service_time(m, Regime.NORMAL, RngStream(11, 2))
-    vec = sample_service_times_ns(m, Regime.NORMAL, 4, RngStream(11, 2))
-    assert to_ns(single) == int(vec[0])

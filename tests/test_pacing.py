@@ -1,25 +1,18 @@
 """Paced forwarding and queue-occupancy timelines.
 
-forward_times and pacing_delays are two independent closed forms of the
-same recursion; the tests hold them against each other, against a naive
-sequential evaluation, and against brute-force occupancy counting.
+forward_times is a closed form of the forwarding recursion; the tests hold
+it against a naive sequential evaluation, its delays against a literal loop
+of the reflected delay recursion (oracles.pacing_delays), and the timelines
+against brute-force occupancy counting.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floodsim import (
-    forward_times,
-    gen_flood,
-    pacing_delays,
-    peak_occupancy,
-    queue_timeline,
-    shaping_queue_timeline,
-    to_ns,
-    FloodSpec,
-    RngStream,
-)
-from oracles import occupancy_at
+from floodsim import RngStream, forward_times, peak_occupancy, to_ns
+from floodsim.pacing import queue_timeline, shaping_queue_timeline
+from floodsim.traffic import FloodSpec, gen_flood
+from oracles import occupancy_at, pacing_delays
 
 MS = 1_000_000
 
@@ -33,29 +26,27 @@ def naive_forward(a, gap):
 
 def test_single_packet_passes_through():
     np.testing.assert_array_equal(forward_times([to_ns(5.0)], 7), [to_ns(5.0)])
-    np.testing.assert_array_equal(pacing_delays([to_ns(5.0)], 7), [0])
+    np.testing.assert_array_equal(forward_times([to_ns(5.0)], 7) - to_ns(5.0), [0])
 
 
 def test_dense_burst_spreads_at_gap():
     a = [0, 1 * MS, 2 * MS]
     np.testing.assert_array_equal(forward_times(a, 3 * MS), [0, 3 * MS, 6 * MS])
-    np.testing.assert_array_equal(pacing_delays(a, 3 * MS), [0, 2 * MS, 4 * MS])
+    np.testing.assert_array_equal(forward_times(a, 3 * MS) - a, [0, 2 * MS, 4 * MS])
 
 
 def test_sparse_arrivals_unshaped():
     a = to_ns(np.array([0.0, 10.0, 20.0]))
     np.testing.assert_array_equal(forward_times(a, 3 * MS), a)
-    np.testing.assert_array_equal(pacing_delays(a, 3 * MS), [0, 0, 0])
 
 
 def test_interarrival_at_gap_means_zero_delay():
     a = np.arange(50, dtype=np.int64) * 4 * MS
-    np.testing.assert_array_equal(pacing_delays(a, 4 * MS), np.zeros(50, np.int64))
+    np.testing.assert_array_equal(forward_times(a, 4 * MS) - a, np.zeros(50, np.int64))
 
 
 def test_empty_input():
     assert len(forward_times(np.empty(0, np.int64), 5)) == 0
-    assert len(pacing_delays(np.empty(0, np.int64), 5)) == 0
 
 
 def test_input_validation():
@@ -63,8 +54,6 @@ def test_input_validation():
         forward_times([3, 1], 5)
     with pytest.raises(ValueError):
         forward_times([1, 3], 0)
-    with pytest.raises(ValueError):
-        pacing_delays([3, 1], 5)
     with pytest.raises(ValueError):
         forward_times(np.zeros((2, 2), np.int64), 5)
 

@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 
 from floodsim import (
-    DetectorModel,
     Scenario,
     ServiceTimeModel,
     load_scenario,
@@ -14,6 +13,7 @@ from floodsim import (
     to_ns,
     write_outputs,
 )
+from floodsim.detector import DetectorModel
 from floodsim.mitigation import EVENT_WINDOW_ATTACK
 from floodsim.traffic import BenignSpec, FloodSpec
 

@@ -8,12 +8,12 @@ from floodsim import (
     RngStream,
     Scenario,
     ScenarioError,
-    build_trace,
     expected_attack_fraction,
     expected_attack_packets,
     load_scenario,
     parse_scenario,
 )
+from floodsim.scenario import build_trace
 from floodsim.traffic import BenignSpec, FloodSpec
 
 EXAMPLE = """\

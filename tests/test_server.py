@@ -4,19 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floodsim import (
-    FloodSpec,
     NORMAL_ALWAYS,
-    Regime,
-    RegimeSchedule,
     RngStream,
     ServiceTimeModel,
     forward_times,
-    gen_flood,
-    lindley_waits,
     peak_occupancy,
     simulate_server,
     to_ns,
 )
+from floodsim.model import InvariantViolation, Regime
+from floodsim.server import RegimeSchedule, lindley_waits
+from floodsim.traffic import FloodSpec, gen_flood
 from oracles import fcfs_waits_event_driven
 
 MS = 1_000_000
@@ -103,14 +101,12 @@ def test_regime_schedule_merges_overlaps():
 
 def test_regime_schedule_boundaries_half_open():
     sched = RegimeSchedule([(10, 20)])
-    assert sched.regime_at(9) == Regime.NORMAL
-    assert sched.regime_at(10) == Regime.ATTACK
-    assert sched.regime_at(19) == Regime.ATTACK
-    assert sched.regime_at(20) == Regime.NORMAL
+    np.testing.assert_array_equal(sched.in_attack([9, 10, 19, 20]), [False, True, True, False])
+    assert sched.in_attack(10) and not sched.in_attack(20)
     assert sched.next_boundary(5) == 10
     assert sched.next_boundary(10) == 20
     assert sched.next_boundary(20) is None
-    assert NORMAL_ALWAYS.regime_at(123) == Regime.NORMAL
+    assert not NORMAL_ALWAYS.in_attack(123)
     assert NORMAL_ALWAYS.next_boundary(0) is None
 
 
@@ -132,6 +128,15 @@ def test_simulate_server_empty_and_validation():
     with pytest.raises(ValueError):
         simulate_server(np.array([1, 5]), model, NORMAL_ALWAYS, RngStream(1, 0),
                         service_scale=np.ones(3))
+
+
+def test_empty_regime_chunk_is_an_invariant_violation(monkeypatch):
+    # a boundary at the chunk's own start instant leaves the chunk empty
+    monkeypatch.setattr(RegimeSchedule, "next_boundary", lambda self, t_ns: t_ns)
+    sched = RegimeSchedule([(10 * MS, 20 * MS)])
+    with pytest.raises(InvariantViolation, match="empty"):
+        simulate_server(np.arange(5, dtype=np.int64) * MS, ServiceTimeModel(), sched,
+                        RngStream(1, 0))
 
 
 def test_regime_switch_changes_service_means():

@@ -3,21 +3,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from floodsim import (
-    BenignSpec,
-    ConfigError,
-    FloodSpec,
-    NS_PER_S,
-    PacketClass,
-    RngStream,
-    Trace,
-    gen_benign,
-    gen_flood,
-    merge,
-    read_trace_csv,
-    to_ns,
-    write_trace_csv,
-)
+from floodsim import ConfigError, RngStream, read_trace_csv, to_ns
+from floodsim.model import NS_PER_S, PacketClass, Trace
+from floodsim.traffic import BenignSpec, FloodSpec, gen_benign, gen_flood, merge, write_trace_csv
 
 
 def test_benign_spec_validation():
