@@ -7,6 +7,8 @@ below shows that rhythm: a tested window, a drop range, another tested
 window, until the flood passes and a clear verdict ends the episode.
 """
 
+import numpy as np
+
 from floodsim import parse_scenario, run_simulation, to_seconds
 
 CONFIG = """
@@ -39,8 +41,10 @@ print(f"forwarded:          {s['packets_forwarded']}")
 print(f"final skip length:  {s['final_skip']}")
 print()
 
+# the event log is columnar: arrays of times, kinds, index ranges and skips;
+# a slice of it is another log, and iterating it yields one row at a time
 events = res.mitigation.events
-first_attack = next(i for i, ev in enumerate(events) if ev.kind == "WINDOW_ATTACK")
+first_attack = int(np.flatnonzero(events.is_kind("WINDOW_ATTACK"))[0])
 print("event log around the first attack verdict (0-based stream indices):")
 print(f"{'t [s]':>9}  {'event':<14} {'first':>7} {'last':>7} {'skip':>6}")
 for ev in events[max(0, first_attack - 2):first_attack + 10]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -117,6 +118,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_result1(args) -> int:
+    for flag in ("D", "ceiling", "rate", "duration"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ConfigError(f"--{flag} must be a finite number")
     gap_s = args.D * 1e-3
     scn = Scenario(
         benign=None,

@@ -3,7 +3,8 @@
 The classifier is modeled as a Bernoulli error channel: an attack packet is
 labeled attack with probability tpr, a benign packet benign with probability
 tnr, independently per packet. A window of labels raises the alarm iff the
-attack labels hold a strict majority (ties stay quiet).
+attack labels hold a strict majority (ties stay quiet); the window machine in
+mitigation.py counts the votes from prefix sums of the labels.
 """
 from __future__ import annotations
 
@@ -39,18 +40,3 @@ def classify_stream(klass, model: DetectorModel, rng: RngStream) -> np.ndarray:
     labeled_attack = np.where(is_attack, u < model.tpr, u >= model.tnr)
     return labeled_attack.astype(np.uint8)
 
-
-def window_decision(labels, expected_len: int | None = None) -> bool:
-    """True iff attack labels hold a strict majority of the window.
-
-    expected_len, when given, asserts the window length (wrong length is a
-    precondition error). Works on any nonempty label sequence; the trailing
-    partial window at stream end is decided over its actual length.
-    """
-    arr = np.asarray(labels, dtype=np.uint8)
-    if arr.ndim != 1 or len(arr) == 0:
-        raise ValueError("labels must be a nonempty 1-d sequence")
-    if expected_len is not None and len(arr) != expected_len:
-        raise ValueError(f"expected {expected_len} labels, got {len(arr)}")
-    n_attack = int(np.count_nonzero(arr == int(PacketClass.ATTACK)))
-    return 2 * n_attack > len(arr)

@@ -19,18 +19,34 @@ every ATTACK verdict; a RECALC_M event is logged whenever the value actually
 changes. The queue estimate at a verdict is "packets arrived so far, minus
 packets disposed through the current window end" -- released-but-unpaced
 packets count as gone, a documented desk-scale simplification.
+
+The machine runs in time linear in the stream. Prefix sums of the detector
+labels and of the packet classes give every window's vote and every drop
+span's benign/attack split in O(1). While MONITORING the windows tile the
+stream back to back, so a stretch of clear windows is decided as one numpy
+block: the first attack window is found from prefix-sum votes over a span
+of windows that doubles until it holds one, and the stretch's verdict
+instants follow the max-plus recursion v_j = max(a_end_j, v_{j-1} + W*D),
+which has the closed form v_j = j*W*D + max(max_{i<=j}(a_end_i - i*W*D),
+v_prev + W*D) (the form pacing.forward_times uses). Only the verdict that
+opens an episode, the verdicts tested under attack and the trailing partial
+window step one at a time.
+
+The event log is an EventLog: parallel columns of verdict instants, kind
+codes, index ranges and skip lengths. Iterating it, or indexing it with an
+integer, yields MitigationEvent rows.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 from .csvio import Seconds, write_columns
-from .detector import DetectorModel, classify_stream, window_decision
+from .detector import DetectorModel, classify_stream
 from .model import InvariantViolation, PacketClass, RngStream, Trace
 
 EVENT_WINDOW_ATTACK = "WINDOW_ATTACK"
@@ -119,6 +135,86 @@ class MitigationEvent:
     skip: int   # current skip length, 0 while not yet assigned
 
 
+EVENT_KINDS = (
+    EVENT_WINDOW_ATTACK,
+    EVENT_WINDOW_CLEAR,
+    EVENT_RECALC_M,
+    EVENT_DROP_RANGE,
+    EVENT_FORWARD_RANGE,
+)
+_ATTACK, _CLEAR, _RECALC, _DROP, _FORWARD = range(len(EVENT_KINDS))
+_KIND_BYTES = np.array([k.encode() for k in EVENT_KINDS])
+
+
+@dataclass(eq=False)
+class EventLog:
+    """The event log as parallel columns, one entry per row.
+
+    kind holds codes into EVENT_KINDS. An integer index gives one
+    MitigationEvent, iteration gives every row in order, and a slice or a
+    boolean mask gives another EventLog.
+    """
+
+    time_ns: np.ndarray  # int64 verdict instant
+    kind: np.ndarray     # uint8 code into EVENT_KINDS
+    first: np.ndarray    # int64, 0-based inclusive stream indices
+    last: np.ndarray     # int64
+    skip: np.ndarray     # int64 current skip length, 0 while not yet assigned
+
+    def __len__(self) -> int:
+        return len(self.time_ns)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return MitigationEvent(
+                int(self.time_ns[key]),
+                EVENT_KINDS[self.kind[key]],
+                int(self.first[key]),
+                int(self.last[key]),
+                int(self.skip[key]),
+            )
+        return EventLog(self.time_ns[key], self.kind[key], self.first[key], self.last[key],
+                        self.skip[key])
+
+    def __iter__(self):
+        rows = zip(self.time_ns.tolist(), self.kind.tolist(), self.first.tolist(),
+                   self.last.tolist(), self.skip.tolist())
+        for t, k, first, last, skip in rows:
+            yield MitigationEvent(t, EVENT_KINDS[k], first, last, skip)
+
+    def is_kind(self, kind: str) -> np.ndarray:
+        """Boolean mask of the rows of one event kind."""
+        return self.kind == EVENT_KINDS.index(kind)
+
+
+class _EventColumns:
+    """Collects event rows in log order: single (time, kind, first, last,
+    skip) tuples through ``add``, or whole column blocks."""
+
+    def __init__(self):
+        self.blocks: list = []
+        self.rows: list[tuple] = []  # single rows added since the last block
+        self.add = self.rows.append
+
+    def add_block(self, *columns: np.ndarray) -> None:
+        self._flush()
+        self.blocks.append(columns)
+
+    def _flush(self) -> None:
+        if self.rows:
+            self.blocks.append(np.array(self.rows, np.int64).T)
+            self.rows.clear()
+
+    def build(self) -> EventLog:
+        self._flush()
+        dtypes = (np.int64, np.uint8, np.int64, np.int64, np.int64)
+        return EventLog(*(
+            np.concatenate([b[c] for b in self.blocks]).astype(dt, copy=False) if self.blocks
+            else np.empty(0, dt)
+            for c, dt in enumerate(dtypes)
+        ))
+
+
 @dataclass
 class MitigationState:
     test_cursor: int = 0        # 0-based start of the next window
@@ -140,10 +236,38 @@ class MitigationResult:
     release_ns: np.ndarray    # int64; instant a packet became forwardable, -1 if dropped
     drop_time_ns: np.ndarray  # int64; verdict instant that dropped it, -1 otherwise
     state: MitigationState
-    events: list = field(default_factory=list)
+    events: EventLog
 
     def dropped_mask(self) -> np.ndarray:
         return self.outcomes == int(Outcome.DROPPED)
+
+
+_FIRST_SPAN_WINDOWS = 64  # windows in the first span searched for an attack
+
+
+def _prefix_count(values: np.ndarray, code: int) -> np.ndarray:
+    """out[k] = how many of values[:k] equal code (int64, length n + 1)."""
+    out = np.zeros(len(values) + 1, np.int64)
+    np.cumsum(values == code, out=out[1:])
+    return out
+
+
+def _first_attack_window(votes: np.ndarray, start: int, window: int, count: int) -> int:
+    """Index of the first of `count` back-to-back windows from `start` whose
+    attack labels hold a strict majority, or `count` if none does.
+
+    The span of windows searched doubles until it holds one, so the cost
+    follows the answer rather than `count`.
+    """
+    lo, span = 0, _FIRST_SPAN_WINDOWS
+    while lo < count:
+        hi = min(count, lo + span)
+        bounds = votes[start + lo * window : start + hi * window + 1 : window]
+        hits = np.flatnonzero(2 * np.diff(bounds) > window)
+        if len(hits):
+            return lo + int(hits[0])
+        lo, span = hi, 2 * span
+    return count
 
 
 def run_mitigation(
@@ -182,93 +306,111 @@ def run_mitigation(
             raise ValueError("labels must align with the trace")
 
     arrivals = trace.arrival_ns
+    votes = _prefix_count(labels, int(PacketClass.ATTACK))
+    attack_packets = _prefix_count(trace.klass, int(PacketClass.ATTACK))
     outcomes = np.full(n, 255, np.uint8)
     release_ns = np.full(n, -1, np.int64)
     drop_time_ns = np.full(n, -1, np.int64)
     st = MitigationState()
-    events: list[MitigationEvent] = []
-    last_verdict_ns = None
+    log = _EventColumns()
+    pace = max(int(test_pacing_ns), 0)
 
-    def verdict_instant(window_end: int, window_len: int) -> int:
-        t = int(arrivals[window_end])
-        if test_pacing_ns > 0 and last_verdict_ns is not None:
-            t = max(t, last_verdict_ns + window_len * int(test_pacing_ns))
-        return t
+    def monitor(last_verdict_ns):
+        """Forward the clear windows from the cursor up to the next attack
+        window as one block; returns the last verdict instant."""
+        c = st.test_cursor
+        k = _first_attack_window(votes, c, window, (n - c) // window)
+        if k == 0:
+            return last_verdict_ns
+        end = c + k * window
+        win_end = np.arange(c + window - 1, end, window, dtype=np.int64)
+        now = arrivals[win_end]
+        if pace:
+            offset = np.arange(k, dtype=np.int64) * (window * pace)
+            now = np.maximum.accumulate(now - offset)
+            if last_verdict_ns is not None:
+                np.maximum(now, last_verdict_ns + window * pace, out=now)
+            now += offset
+        log.add_block(
+            np.repeat(now, 2),
+            np.tile(np.array([_CLEAR, _FORWARD], np.uint8), k),
+            np.repeat(win_end - (window - 1), 2),
+            np.repeat(win_end, 2),
+            np.full(2 * k, st.skip, np.int64),
+        )
+        outcomes[c:end] = int(Outcome.TESTED_FORWARDED)
+        release_ns[c:end] = arrivals[c:end]
+        st.windows_tested += k
+        st.packets_forwarded += end - c
+        st.test_cursor = st.pending_cursor = end
+        return int(now[-1])
 
-    def queue_estimate(now_ns: int, window_end: int) -> int:
-        arrived = int(np.searchsorted(arrivals, now_ns, side="right"))
-        return max(0, arrived - (window_end + 1))
+    adaptive = getattr(policy, "adaptive", False)
 
-    def drop_span(first: int, last: int, now_ns: int) -> None:
-        outcomes[first : last + 1] = int(Outcome.DROPPED)
-        drop_time_ns[first : last + 1] = now_ns
-        k = trace.klass[first : last + 1]
-        n_att = int(np.count_nonzero(k == int(PacketClass.ATTACK)))
-        st.packets_dropped += last - first + 1
-        st.attack_dropped += n_att
-        st.benign_dropped += (last - first + 1) - n_att
-
-    def forward_span(first_pending: int, win_start: int, last: int, now_ns: int) -> None:
-        # untested packets released by the verdict leave at the verdict
-        # instant; tested ones were already flowing and keep their arrival
-        if win_start > first_pending:
-            outcomes[first_pending:win_start] = int(Outcome.FORWARDED)
-            release_ns[first_pending:win_start] = now_ns
-        outcomes[win_start : last + 1] = int(Outcome.TESTED_FORWARDED)
-        release_ns[win_start : last + 1] = arrivals[win_start : last + 1]
-        st.packets_forwarded += last - first_pending + 1
-
-    def handle_window(win_start: int, win_end: int) -> None:
-        nonlocal last_verdict_ns
+    def step(win_start: int, win_end: int, last_verdict_ns):
+        """Decide one window on its own; returns its verdict instant."""
         win_len = win_end - win_start + 1
-        now = verdict_instant(win_end, win_len)
-        last_verdict_ns = now
+        now = arrivals.item(win_end)
+        if pace and last_verdict_ns is not None:
+            now = max(now, last_verdict_ns + win_len * pace)
         if st.mode == Mode.UNDER_ATTACK:
             st.mitigation_windows += 1
         st.windows_tested += 1
-        is_attack = window_decision(labels[win_start : win_end + 1])
-        if is_attack:
+        first = st.pending_cursor
+        if 2 * (votes.item(win_end + 1) - votes.item(win_start)) > win_len:
             if st.mode == Mode.MONITORING:
                 st.episodes += 1
                 st.mode = Mode.UNDER_ATTACK
-            events.append(MitigationEvent(now, EVENT_WINDOW_ATTACK, win_start, win_end, st.skip))
-            new_skip = policy.refresh(window, queue_estimate(now, win_end))
+            log.add((now, _ATTACK, win_start, win_end, st.skip))
+            arrived = int(arrivals.searchsorted(now, side="right"))
+            new_skip = policy.refresh(window, max(0, arrived - (win_end + 1)))
             if new_skip < 1:
                 raise ValueError("skip policy must yield skip >= 1")
             if new_skip != st.skip:
                 st.skip = new_skip
-                if getattr(policy, "adaptive", False):
-                    events.append(MitigationEvent(now, EVENT_RECALC_M, win_start, win_end, st.skip))
-            drop_span(st.pending_cursor, win_end, now)
-            events.append(
-                MitigationEvent(now, EVENT_DROP_RANGE, st.pending_cursor, win_end, st.skip)
-            )
+                if adaptive:
+                    log.add((now, _RECALC, win_start, win_end, st.skip))
+            outcomes[first : win_end + 1] = int(Outcome.DROPPED)
+            drop_time_ns[first : win_end + 1] = now
+            n_att = attack_packets.item(win_end + 1) - attack_packets.item(first)
+            st.packets_dropped += win_end + 1 - first
+            st.attack_dropped += n_att
+            st.benign_dropped += win_end + 1 - first - n_att
+            log.add((now, _DROP, first, win_end, st.skip))
             st.pending_cursor = win_end + 1
             st.test_cursor = win_end + st.skip
         else:
             st.mode = Mode.MONITORING
-            events.append(MitigationEvent(now, EVENT_WINDOW_CLEAR, win_start, win_end, st.skip))
-            events.append(
-                MitigationEvent(now, EVENT_FORWARD_RANGE, st.pending_cursor, win_end, st.skip)
-            )
-            forward_span(st.pending_cursor, win_start, win_end, now)
-            st.pending_cursor = win_end + 1
-            st.test_cursor = win_end + 1
+            log.add((now, _CLEAR, win_start, win_end, st.skip))
+            log.add((now, _FORWARD, first, win_end, st.skip))
+            # untested packets released by the verdict leave at the verdict
+            # instant; tested ones were already flowing and keep their arrival
+            outcomes[first:win_start] = int(Outcome.FORWARDED)
+            release_ns[first:win_start] = now
+            outcomes[win_start : win_end + 1] = int(Outcome.TESTED_FORWARDED)
+            release_ns[win_start : win_end + 1] = arrivals[win_start : win_end + 1]
+            st.packets_forwarded += win_end + 1 - first
+            st.pending_cursor = st.test_cursor = win_end + 1
+        return now
 
     if isinstance(policy, FixedSkip):
         st.skip = policy.skip
 
+    last_verdict_ns = None
     while st.test_cursor + window <= n:
-        handle_window(st.test_cursor, st.test_cursor + window - 1)
+        if st.mode == Mode.MONITORING:
+            last_verdict_ns = monitor(last_verdict_ns)
+            if st.test_cursor + window > n:
+                break
+        last_verdict_ns = step(st.test_cursor, st.test_cursor + window - 1, last_verdict_ns)
 
     # stream end: maybe one partial window, then flush leftovers untested
-    remaining = n - st.test_cursor
-    if remaining >= math.ceil(window / 2):
-        handle_window(st.test_cursor, n - 1)
+    if n - st.test_cursor >= math.ceil(window / 2):
+        step(st.test_cursor, n - 1, last_verdict_ns)
     if st.pending_cursor < n:
         first = st.pending_cursor
         end_ns = int(arrivals[n - 1])
-        events.append(MitigationEvent(end_ns, EVENT_FORWARD_RANGE, first, n - 1, st.skip))
+        log.add((end_ns, _FORWARD, first, n - 1, st.skip))
         outcomes[first:n] = int(Outcome.FORWARDED)
         held = np.arange(first, n) < st.test_cursor
         release_ns[first:n] = np.where(held, end_ns, arrivals[first:n])
@@ -277,26 +419,23 @@ def run_mitigation(
 
     if n and np.any(outcomes == 255):
         raise InvariantViolation("disposition partition violated")
-    return MitigationResult(outcomes, release_ns, drop_time_ns, st, events)
+    return MitigationResult(outcomes, release_ns, drop_time_ns, st, log.build())
 
 
-def write_events_csv(path, events) -> None:
+def write_events_csv(path, events: EventLog) -> None:
     """Columns: event_time_s,event,from_seq,to_seq,m_value.
 
     from_seq/to_seq are 1-based stream positions (the auditing convention);
     subtract one to index the trace. m_value 0 means "not yet assigned".
     """
-    def ints(values):
-        return np.fromiter(values, np.int64, len(events))
-
     write_columns(
         path,
         ["event_time_s", "event", "from_seq", "to_seq", "m_value"],
         [
-            Seconds(ints(ev.time_ns for ev in events)),
-            [ev.kind for ev in events],
-            ints(ev.first + 1 for ev in events),
-            ints(ev.last + 1 for ev in events),
-            ints(ev.skip for ev in events),
+            Seconds(events.time_ns),
+            _KIND_BYTES[events.kind],
+            events.first + 1,
+            events.last + 1,
+            events.skip,
         ],
     )

@@ -24,11 +24,21 @@ class InvariantViolation(RuntimeError):
     """A declared simulation invariant was broken (bug or bad scenario)."""
 
 
+MAX_TIME_S = 9.2e9  # a little under 2**63 ns, so every smaller time fits int64
+
+
 def to_ns(seconds):
-    """Convert seconds (scalar or array-like) to integer nanoseconds."""
+    """Convert seconds (scalar or array-like) to integer nanoseconds.
+
+    Raises ValueError on a non-finite time or one of MAX_TIME_S (about 290
+    years) or more in magnitude, which the int64 cast would wrap.
+    """
     arr = np.asarray(seconds, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("time values must be finite")
+    # written so that nan fails the comparison too
+    if arr.size and not (-MAX_TIME_S < arr.min() and arr.max() < MAX_TIME_S):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("time values must be finite")
+        raise ValueError(f"time values must be below {MAX_TIME_S:g} s in magnitude")
     ns = np.rint(arr * NS_PER_S).astype(np.int64)
     if arr.ndim == 0:
         return int(ns)

@@ -51,9 +51,19 @@ class ScenarioError(ConfigError):
         super().__init__(message)
 
 
+def _clock_ns(seconds: float) -> int | None:
+    """A time on the nanosecond clock, or None when it is not finite or does
+    not fit int64 nanoseconds."""
+    try:
+        return to_ns(seconds)
+    except ValueError:
+        return None
+
+
 def _at_least_1ns(seconds: float) -> bool:
-    """A time that stays nonzero once rounded to the nanosecond clock."""
-    return math.isfinite(seconds) and to_ns(seconds) >= 1
+    """A time that fits the nanosecond clock and stays nonzero on it."""
+    ns = _clock_ns(seconds)
+    return ns is not None and ns >= 1
 
 
 @dataclass
@@ -78,7 +88,7 @@ class Scenario:
 
     def validate(self) -> None:
         if not _at_least_1ns(self.pacing_gap_s):
-            raise ConfigError("sqf.D_ms must be positive and at least 1 ns")
+            raise ConfigError("sqf.D_ms must be at least 1 ns and fit the nanosecond clock")
         if self.link_latency_s < 0:
             raise ConfigError("sqf.link_latency_ms must be >= 0")
         if self.skip_mode not in ("optimal", "fixed"):
@@ -89,10 +99,10 @@ class Scenario:
             raise ConfigError("cost.alpha and cost.beta must be positive")
         if self.tau_s <= 0:
             raise ConfigError("cost.tau_ms must be positive")
-        if self.horizon_s <= 0:
-            raise ConfigError("run.horizon_s must be positive")
+        if self.horizon_s <= 0 or _clock_ns(self.horizon_s) is None:
+            raise ConfigError("run.horizon_s must be positive and fit the nanosecond clock")
         if not _at_least_1ns(self.sample_dt_s):
-            raise ConfigError("run.sample_dt_ms must be positive and at least 1 ns")
+            raise ConfigError("run.sample_dt_ms must be at least 1 ns and fit the nanosecond clock")
         if self.drain_slowdown < 1:
             raise ConfigError("run.drain_slowdown_factor must be >= 1")
         if self.seed < 0:
@@ -184,6 +194,8 @@ def parse_scenario(text: str) -> Scenario:
             try:
                 idx = int(parts[1])
                 val = _finite(raw_val)
+                if parts[2].endswith("_s"):
+                    to_ns(val)  # must fit the nanosecond clock
             except ValueError as exc:
                 raise ScenarioError(str(exc), line_no) from exc
             floods.setdefault(idx, {})[parts[2]] = val
@@ -194,9 +206,13 @@ def parse_scenario(text: str) -> Scenario:
         benign_mentioned |= section == "benign"
         try:
             val = conv(raw_val)
+            if scale:
+                val *= scale
+            if name.endswith("_s"):
+                to_ns(val)  # must fit the nanosecond clock
         except ValueError as exc:
             raise ScenarioError(str(exc), line_no) from exc
-        state[section][name] = val * scale if scale else val
+        state[section][name] = val
 
     try:
         benign_fields = dict(state["benign"])

@@ -10,6 +10,12 @@ regime is a function of wall-clock time (the load a real server sees while a
 flood is in progress). The regime of packet n is decided by its service
 *start* instant, which itself depends on earlier waits, so the simulation
 walks the stream in regime-constant chunks, each chunk fully vectorized.
+A chunk's end is only known after its waits are, so each chunk draws and
+runs the recursion over a candidate span of packets, doubling the span until
+the chunk's regime boundary falls inside it. The span carries over to the
+next chunk (halved after a chunk that used less than a quarter of it), which
+keeps the work linear in the stream length instead of proportional to the
+stream length times the chunk count.
 """
 from __future__ import annotations
 
@@ -20,6 +26,8 @@ import numpy as np
 from .csvio import Seconds, write_columns
 from .model import InvariantViolation, Regime, RngStream, ServiceTimeModel, to_ns
 from .pacing import queue_timeline
+
+_FIRST_SPAN = 1024  # packets in a chunk's first candidate span
 
 
 def lindley_waits(arrival_ns, service_ns) -> np.ndarray:
@@ -152,22 +160,32 @@ def simulate_server(
 
     idx = 0
     wait = 0
+    span = _FIRST_SPAN
     while idx < n:
         start0 = int(a[idx]) + wait
         regime = Regime.ATTACK if schedule.in_attack(start0) else Regime.NORMAL
         bound = schedule.next_boundary(start0)
-        t_cand = model.draw_ns(regime, z[idx:], u[idx:])
-        if service_scale is not None:
-            t_cand = np.maximum(np.rint(t_cand * service_scale[idx:]).astype(np.int64), 1)
-        w_cand = _lindley_from(a[idx:], t_cand, wait)
-        if bound is None:
-            take = n - idx
-        else:
-            starts = a[idx:] + w_cand
-            take = int(np.searchsorted(starts, bound, side="left"))
-            if take < 1:
-                # the first packet's start defines the regime, so it must fit
-                raise InvariantViolation(f"regime chunk at {start0} ns is empty")
+        while True:
+            hi = n if bound is None else min(n, idx + span)
+            t_cand = model.draw_ns(regime, z[idx:hi], u[idx:hi])
+            if service_scale is not None:
+                t_cand = np.maximum(np.rint(t_cand * service_scale[idx:hi]).astype(np.int64), 1)
+            w_cand = _lindley_from(a[idx:hi], t_cand, wait)
+            take = hi - idx
+            if bound is not None:
+                # the chunk ends at the first packet whose service starts at
+                # or after the boundary; it must fall inside the span
+                take = int(np.searchsorted(a[idx:hi] + w_cand, bound, side="left"))
+            if take < hi - idx or hi == n:
+                break
+            span *= 2
+        # shrink after a short chunk, so one long chunk cannot inflate the
+        # spans of all the chunks after it
+        if take < span // 4:
+            span = max(_FIRST_SPAN, span // 2)
+        if take < 1:
+            # the first packet's start defines the regime, so it must fit
+            raise InvariantViolation(f"regime chunk at {start0} ns is empty")
         waits[idx : idx + take] = w_cand[:take]
         services[idx : idx + take] = t_cand[:take]
         if idx + take < n:

@@ -1,13 +1,46 @@
 """Reference implementations the tests trust instead of the library.
 
-Everything here is deliberately literal: explicit event queues, 1-based
-cursor walks, O(n^2) scans. Nothing imports from floodsim, so agreement
+The literal oracles are deliberately literal: explicit event queues, 1-based
+cursor walks, O(n^2) scans. They import nothing from floodsim, so agreement
 means two independent readings of the same definitions landed on the same
 numbers.
+
+The functions from window_decision on are earlier library code kept
+verbatim: the per-window majority vote, the one-verdict-at-a-time window
+machine that called it, the server chunk loop that redraws the whole
+remaining stream per chunk, and the sort-based peak occupancy. They use
+floodsim's types and primitives, and the faster versions must reproduce
+them exactly.
 """
 import heapq
 import math
 from collections import deque
+
+import numpy as np
+
+from floodsim.detector import DetectorModel, classify_stream
+from floodsim.mitigation import (
+    EVENT_DROP_RANGE,
+    EVENT_FORWARD_RANGE,
+    EVENT_RECALC_M,
+    EVENT_WINDOW_ATTACK,
+    EVENT_WINDOW_CLEAR,
+    FixedSkip,
+    MitigationEvent,
+    MitigationResult,
+    MitigationState,
+    Mode,
+    Outcome,
+)
+from floodsim.model import (
+    InvariantViolation,
+    PacketClass,
+    Regime,
+    RngStream,
+    ServiceTimeModel,
+    Trace,
+)
+from floodsim.server import RegimeSchedule, ServerTrace, _lindley_from
 
 
 def fcfs_waits_event_driven(arrival_ns, service_ns):
@@ -127,3 +160,232 @@ def strict_majority_prob(window, p):
 def occupancy_at(entry, exits, t):
     """Occupancy of a stage at one instant, closed [entry, exit] convention."""
     return sum(1 for e in entry if e <= t) - sum(1 for x in exits if x < t)
+
+
+def window_decision(labels, expected_len: int | None = None) -> bool:
+    """True iff attack labels hold a strict majority of the window.
+
+    expected_len, when given, asserts the window length (wrong length is a
+    precondition error). Works on any nonempty label sequence; the trailing
+    partial window at stream end is decided over its actual length.
+    """
+    arr = np.asarray(labels, dtype=np.uint8)
+    if arr.ndim != 1 or len(arr) == 0:
+        raise ValueError("labels must be a nonempty 1-d sequence")
+    if expected_len is not None and len(arr) != expected_len:
+        raise ValueError(f"expected {expected_len} labels, got {len(arr)}")
+    n_attack = int(np.count_nonzero(arr == int(PacketClass.ATTACK)))
+    return 2 * n_attack > len(arr)
+
+
+def reference_run_mitigation(
+    trace: Trace,
+    detector: DetectorModel,
+    window: int,
+    policy,
+    rng: RngStream | None = None,
+    *,
+    test_pacing_ns: int = 0,
+    labels: np.ndarray | None = None,
+) -> MitigationResult:
+    """Run the index machine over a stream and return per-packet outcomes,
+    an event log and final counters.
+
+    labels may be precomputed; otherwise the whole stream is classified up
+    front from rng (one draw per packet, so outcomes are reproducible no
+    matter how the windows fall). test_pacing_ns > 0 spaces verdicts at
+    least window_len*test_pacing apart, modeling a detector that is fed
+    through the paced link; 0 decides at the window's last arrival.
+
+    The trailing partial window at stream end is tested when at least
+    ceil(window/2) packets remain, otherwise the leftovers are forwarded
+    untested.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    n = len(trace)
+    if labels is None:
+        if rng is None:
+            raise ValueError("need rng when labels are not precomputed")
+        labels = classify_stream(trace.klass, detector, rng)
+    else:
+        labels = np.asarray(labels, dtype=np.uint8)
+        if len(labels) != n:
+            raise ValueError("labels must align with the trace")
+
+    arrivals = trace.arrival_ns
+    outcomes = np.full(n, 255, np.uint8)
+    release_ns = np.full(n, -1, np.int64)
+    drop_time_ns = np.full(n, -1, np.int64)
+    st = MitigationState()
+    events: list[MitigationEvent] = []
+    last_verdict_ns = None
+
+    def verdict_instant(window_end: int, window_len: int) -> int:
+        t = int(arrivals[window_end])
+        if test_pacing_ns > 0 and last_verdict_ns is not None:
+            t = max(t, last_verdict_ns + window_len * int(test_pacing_ns))
+        return t
+
+    def queue_estimate(now_ns: int, window_end: int) -> int:
+        arrived = int(np.searchsorted(arrivals, now_ns, side="right"))
+        return max(0, arrived - (window_end + 1))
+
+    def drop_span(first: int, last: int, now_ns: int) -> None:
+        outcomes[first : last + 1] = int(Outcome.DROPPED)
+        drop_time_ns[first : last + 1] = now_ns
+        k = trace.klass[first : last + 1]
+        n_att = int(np.count_nonzero(k == int(PacketClass.ATTACK)))
+        st.packets_dropped += last - first + 1
+        st.attack_dropped += n_att
+        st.benign_dropped += (last - first + 1) - n_att
+
+    def forward_span(first_pending: int, win_start: int, last: int, now_ns: int) -> None:
+        # untested packets released by the verdict leave at the verdict
+        # instant; tested ones were already flowing and keep their arrival
+        if win_start > first_pending:
+            outcomes[first_pending:win_start] = int(Outcome.FORWARDED)
+            release_ns[first_pending:win_start] = now_ns
+        outcomes[win_start : last + 1] = int(Outcome.TESTED_FORWARDED)
+        release_ns[win_start : last + 1] = arrivals[win_start : last + 1]
+        st.packets_forwarded += last - first_pending + 1
+
+    def handle_window(win_start: int, win_end: int) -> None:
+        nonlocal last_verdict_ns
+        win_len = win_end - win_start + 1
+        now = verdict_instant(win_end, win_len)
+        last_verdict_ns = now
+        if st.mode == Mode.UNDER_ATTACK:
+            st.mitigation_windows += 1
+        st.windows_tested += 1
+        is_attack = window_decision(labels[win_start : win_end + 1])
+        if is_attack:
+            if st.mode == Mode.MONITORING:
+                st.episodes += 1
+                st.mode = Mode.UNDER_ATTACK
+            events.append(MitigationEvent(now, EVENT_WINDOW_ATTACK, win_start, win_end, st.skip))
+            new_skip = policy.refresh(window, queue_estimate(now, win_end))
+            if new_skip < 1:
+                raise ValueError("skip policy must yield skip >= 1")
+            if new_skip != st.skip:
+                st.skip = new_skip
+                if getattr(policy, "adaptive", False):
+                    events.append(MitigationEvent(now, EVENT_RECALC_M, win_start, win_end, st.skip))
+            drop_span(st.pending_cursor, win_end, now)
+            events.append(
+                MitigationEvent(now, EVENT_DROP_RANGE, st.pending_cursor, win_end, st.skip)
+            )
+            st.pending_cursor = win_end + 1
+            st.test_cursor = win_end + st.skip
+        else:
+            st.mode = Mode.MONITORING
+            events.append(MitigationEvent(now, EVENT_WINDOW_CLEAR, win_start, win_end, st.skip))
+            events.append(
+                MitigationEvent(now, EVENT_FORWARD_RANGE, st.pending_cursor, win_end, st.skip)
+            )
+            forward_span(st.pending_cursor, win_start, win_end, now)
+            st.pending_cursor = win_end + 1
+            st.test_cursor = win_end + 1
+
+    if isinstance(policy, FixedSkip):
+        st.skip = policy.skip
+
+    while st.test_cursor + window <= n:
+        handle_window(st.test_cursor, st.test_cursor + window - 1)
+
+    # stream end: maybe one partial window, then flush leftovers untested
+    remaining = n - st.test_cursor
+    if remaining >= math.ceil(window / 2):
+        handle_window(st.test_cursor, n - 1)
+    if st.pending_cursor < n:
+        first = st.pending_cursor
+        end_ns = int(arrivals[n - 1])
+        events.append(MitigationEvent(end_ns, EVENT_FORWARD_RANGE, first, n - 1, st.skip))
+        outcomes[first:n] = int(Outcome.FORWARDED)
+        held = np.arange(first, n) < st.test_cursor
+        release_ns[first:n] = np.where(held, end_ns, arrivals[first:n])
+        st.packets_forwarded += n - first
+        st.pending_cursor = n
+
+    if n and np.any(outcomes == 255):
+        raise InvariantViolation("disposition partition violated")
+    return MitigationResult(outcomes, release_ns, drop_time_ns, st, events)
+
+
+def reference_simulate_server(
+    arrival_ns,
+    model: ServiceTimeModel,
+    schedule: RegimeSchedule,
+    rng: RngStream,
+    service_scale=None,
+    seq=None,
+) -> ServerTrace:
+    """Serve a stream FCFS, sampling each service time under the regime in
+    force at that packet's service start.
+
+    service_scale, if given, is a per-packet multiplier applied to the
+    sampled times (>= 1 ns enforced); it must be indexed like the arrivals.
+    One standard normal and one uniform are pre-drawn per packet, so the
+    consumed randomness does not depend on where regime boundaries fall.
+    """
+    a = np.asarray(arrival_ns, dtype=np.int64)
+    n = len(a)
+    if seq is None:
+        seq = np.arange(n, dtype=np.int64)
+    else:
+        seq = np.asarray(seq, dtype=np.int64)
+    if n and np.any(np.diff(a) < 0):
+        raise ValueError("arrivals must be sorted")
+    if service_scale is not None:
+        service_scale = np.asarray(service_scale, dtype=np.float64)
+        if service_scale.shape != a.shape:
+            raise ValueError("service_scale must align with arrivals")
+    waits = np.empty(n, np.int64)
+    services = np.empty(n, np.int64)
+    if n == 0:
+        return ServerTrace(seq, a, waits, services)
+
+    g = rng.generator
+    z = g.standard_normal(n)
+    u = g.random(n)
+
+    idx = 0
+    wait = 0
+    while idx < n:
+        start0 = int(a[idx]) + wait
+        regime = Regime.ATTACK if schedule.in_attack(start0) else Regime.NORMAL
+        bound = schedule.next_boundary(start0)
+        t_cand = model.draw_ns(regime, z[idx:], u[idx:])
+        if service_scale is not None:
+            t_cand = np.maximum(np.rint(t_cand * service_scale[idx:]).astype(np.int64), 1)
+        w_cand = _lindley_from(a[idx:], t_cand, wait)
+        if bound is None:
+            take = n - idx
+        else:
+            starts = a[idx:] + w_cand
+            take = int(np.searchsorted(starts, bound, side="left"))
+            if take < 1:
+                # the first packet's start defines the regime, so it must fit
+                raise InvariantViolation(f"regime chunk at {start0} ns is empty")
+        waits[idx : idx + take] = w_cand[:take]
+        services[idx : idx + take] = t_cand[:take]
+        if idx + take < n:
+            wait = int(w_cand[take])
+        idx += take
+    return ServerTrace(seq, a, waits, services)
+
+
+def reference_peak_occupancy(entry_ns, exit_ns) -> int:
+    """Exact maximum occupancy under the [entry, exit] closed convention
+    (no sampling grid involved)."""
+    entry = np.sort(np.asarray(entry_ns, dtype=np.int64))
+    exits = np.sort(np.asarray(exit_ns, dtype=np.int64))
+    if len(entry) == 0:
+        return 0
+    # +1 events sort before -1 events at equal times: the departing packet
+    # still counts at its exit instant.
+    times = np.concatenate([entry, exits])
+    deltas = np.concatenate([np.ones(len(entry), np.int64), -np.ones(len(exits), np.int64)])
+    order = np.lexsort((-deltas, times))
+    running = np.cumsum(deltas[order])
+    return int(running.max())

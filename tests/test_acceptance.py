@@ -112,7 +112,7 @@ def test_skip_machine_walk_matches_reference_and_count_formula():
         and res.state.windows_tested == ref["windows_tested"] == 15
         and res.state.packets_dropped == ref["dropped"] == 972
     )
-    attacks = sum(1 for ev in res.events if ev.kind == EVENT_WINDOW_ATTACK)
+    attacks = int(res.events.is_kind(EVENT_WINDOW_ATTACK).sum())
     n_formula = exact_window_count(1000, 20, 100)
     delta = float(exact_drop_count(n_formula, 20, 100))
     formula_ok = (
@@ -258,10 +258,11 @@ def test_shaper_absorbs_congestion_and_drains_linearly():
 
 def test_adaptive_skip_scales_with_flood_size():
     res = run_simulation(load_scenario(SCENARIOS / "dualflood.cfg"))
-    recalcs = [ev for ev in res.mitigation.events if ev.kind == EVENT_RECALC_M]
+    events = res.mitigation.events
+    recalcs = events[events.is_kind(EVENT_RECALC_M)]
     split = to_ns(25.0)
-    first = [ev.skip for ev in recalcs if ev.time_ns < split]
-    second = [ev.skip for ev in recalcs if ev.time_ns >= split]
+    first = recalcs.skip[recalcs.time_ns < split].tolist()
+    second = recalcs.skip[recalcs.time_ns >= split].tolist()
     ok = (
         bool(first)
         and bool(second)

@@ -1,6 +1,7 @@
 """Command line behavior, exercised in process through main(argv)."""
 import csv
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -120,17 +121,33 @@ def test_bad_key_reports_line(tmp_path, capsys):
         "run.sample_dt_ms = 1e-9",
         "cost.alpha = nan",
         "cost.tau_ms = inf",
+        "sqf.D_ms = 1e300",
+        "run.horizon_s = 1e12",
     ],
 )
 def test_non_finite_and_sub_ns_values_are_config_errors(tmp_path, capsys, line):
     path = tmp_path / "case.cfg"
     path.write_text(CFG + line + "\n")
-    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. numpy's overflowing int64 cast
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
     if "1e-9" not in line:
         assert f"line {len(CFG.splitlines()) + 1}:" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--ceiling", "nan"], ["--rate", "nan"], ["--duration", "inf"], ["--D", "1e300"]]
+)
+def test_result1_rejects_non_finite_flags(capsys, flags):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["result1", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
 
 
 def test_uncovered_flood_is_invariant_violation(tmp_path, capsys):

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from floodsim import ConfigError, RngStream
-from floodsim.detector import DetectorModel, classify_stream, window_decision
+from floodsim.detector import DetectorModel, classify_stream
 from floodsim.model import PacketClass
-from oracles import strict_majority_prob
+from oracles import strict_majority_prob, window_decision
 
 
 def test_model_validation():

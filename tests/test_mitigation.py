@@ -1,9 +1,11 @@
 """Drop/skip index machine, skip policies and the event log."""
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floodsim import RngStream, optimal_skip, to_ns
 from floodsim.analysis import exact_drop_count, exact_window_count
@@ -12,16 +14,19 @@ from floodsim.mitigation import (
     AdaptiveSkip,
     EVENT_DROP_RANGE,
     EVENT_FORWARD_RANGE,
+    EVENT_KINDS,
     EVENT_RECALC_M,
     EVENT_WINDOW_ATTACK,
     EVENT_WINDOW_CLEAR,
+    EventLog,
     FixedSkip,
+    MitigationEvent,
     Outcome,
     run_mitigation,
     write_events_csv,
 )
 from floodsim.model import Trace
-from oracles import step_through_machine
+from oracles import reference_run_mitigation, step_through_machine
 
 PERFECT = DetectorModel(tpr=1.0, tnr=1.0)
 FATE = {
@@ -100,26 +105,27 @@ def test_flood_with_benign_tail_event_log():
     trace = flood_with_tail()
     res = run_mitigation(trace, PERFECT, 20, FixedSkip(100), labels=trace.klass)
 
-    attacks = [ev for ev in res.events if ev.kind == EVENT_WINDOW_ATTACK]
+    events = res.events
+    attacks = events[events.is_kind(EVENT_WINDOW_ATTACK)]
     assert len(attacks) == 9
-    starts = np.array([ev.first for ev in attacks])
+    starts = attacks.first
     assert starts[0] == 0
     # consecutive alarm windows sit skip + window - 1 packets apart
     assert np.all(np.diff(starts) == 119)
 
-    drops = [ev for ev in res.events if ev.kind == EVENT_DROP_RANGE]
-    assert (drops[0].first, drops[0].last) == (0, 19)
-    assert (drops[1].first, drops[1].last) == (20, 138)
-    assert sum(ev.last - ev.first + 1 for ev in drops) == 972
+    drops = events[events.is_kind(EVENT_DROP_RANGE)]
+    assert (drops.first[0], drops.last[0]) == (0, 19)
+    assert (drops.first[1], drops.last[1]) == (20, 138)
+    assert int((drops.last - drops.first + 1).sum()) == 972
 
-    fwd = [ev for ev in res.events if ev.kind == EVENT_FORWARD_RANGE]
-    assert (fwd[0].first, fwd[0].last) == (972, 1090)
+    fwd = events[events.is_kind(EVENT_FORWARD_RANGE)]
+    assert (fwd.first[0], fwd.last[0]) == (972, 1090)
 
 
 def test_flood_walk_matches_count_formula():
     trace = flood_with_tail()
     res = run_mitigation(trace, PERFECT, 20, FixedSkip(100), labels=trace.klass)
-    attacks = sum(1 for ev in res.events if ev.kind == EVENT_WINDOW_ATTACK)
+    attacks = int(res.events.is_kind(EVENT_WINDOW_ATTACK).sum())
     assert exact_window_count(1000, 20, 100) == 9 == attacks
     # the machine stops condemning at the last verdict, so realized drops sit
     # at most one skip stride under the N*(m+W) figure
@@ -177,7 +183,8 @@ def test_quiet_stream_never_drops():
     assert st.mitigation_windows == 0
     assert np.all(res.outcomes == int(Outcome.TESTED_FORWARDED))
     np.testing.assert_array_equal(res.release_ns, trace.arrival_ns)
-    assert {ev.kind for ev in res.events} == {EVENT_WINDOW_CLEAR, EVENT_FORWARD_RANGE}
+    kinds = {EVENT_KINDS[k] for k in np.unique(res.events.kind)}
+    assert kinds == {EVENT_WINDOW_CLEAR, EVENT_FORWARD_RANGE}
 
 
 def test_short_burst_below_majority_passes():
@@ -262,15 +269,14 @@ def test_adaptive_skip_recalc_from_backlog():
     trace = Trace(arr, klass, np.zeros(5000, np.int32))
     res = run_mitigation(trace, PERFECT, 20, AdaptiveSkip(0.05), labels=klass)
 
-    recalcs = [ev for ev in res.events if ev.kind == EVENT_RECALC_M]
-    attacks = [ev for ev in res.events if ev.kind == EVENT_WINDOW_ATTACK]
+    recalcs = res.events[res.events.is_kind(EVENT_RECALC_M)]
+    attacks = res.events[res.events.is_kind(EVENT_WINDOW_ATTACK)]
     assert len(recalcs) >= 2
     assert len(recalcs) <= len(attacks)
     # backlog at the first alarm: 2500 arrived, one window disposed
-    assert recalcs[0].skip == optimal_skip(20, 0.05, 2480) == 50
-    assert recalcs[0].skip < optimal_skip(20, 0.05, 5000) == 80
-    skips = [ev.skip for ev in recalcs]
-    assert all(a != b for a, b in zip(skips, skips[1:]))
+    assert recalcs.skip[0] == optimal_skip(20, 0.05, 2480) == 50
+    assert recalcs.skip[0] < optimal_skip(20, 0.05, 5000) == 80
+    assert np.all(np.diff(recalcs.skip) != 0)
 
 
 def test_fixed_policy_never_recalcs():
@@ -280,8 +286,8 @@ def test_fixed_policy_never_recalcs():
     klass = np.ones(5000, np.uint8)
     trace = Trace(arr, klass, np.zeros(5000, np.int32))
     res = run_mitigation(trace, PERFECT, 20, FixedSkip(100), labels=klass)
-    assert not any(ev.kind == EVENT_RECALC_M for ev in res.events)
-    assert all(ev.skip == 100 for ev in res.events)
+    assert not res.events.is_kind(EVENT_RECALC_M).any()
+    assert np.all(res.events.skip == 100)
 
 
 def test_verdict_pacing_spaces_decisions():
@@ -293,12 +299,10 @@ def test_verdict_pacing_spaces_decisions():
     res = run_mitigation(
         trace, PERFECT, 5, FixedSkip(1), labels=labels, test_pacing_ns=pace
     )
-    clears = [ev for ev in res.events if ev.kind == EVENT_WINDOW_CLEAR]
+    clears = res.events[res.events.is_kind(EVENT_WINDOW_CLEAR)]
     assert len(clears) == 10
-    times = np.array([ev.time_ns for ev in clears])
-    assert np.all(np.diff(times) >= 5 * pace)
-    for ev in clears:
-        assert ev.time_ns >= trace.arrival_ns[ev.last]
+    assert np.all(np.diff(clears.time_ns) >= 5 * pace)
+    assert np.all(clears.time_ns >= trace.arrival_ns[clears.last])
 
 
 def test_events_csv_uses_one_based_positions(tmp_path):
@@ -312,3 +316,70 @@ def test_events_csv_uses_one_based_positions(tmp_path):
     assert rows[1] == ["0.019000000", "WINDOW_ATTACK", "1", "20", "100"]
     assert rows[2] == ["0.019000000", "DROP_RANGE", "1", "20", "100"]
     assert len(rows) == 1 + len(res.events)
+
+
+def test_event_log_rows_and_slices():
+    trace = flood_with_tail()
+    events = run_mitigation(trace, PERFECT, 20, FixedSkip(100), labels=trace.klass).events
+    assert events.time_ns.dtype == np.int64 and events.kind.dtype == np.uint8
+    assert events[0] == MitigationEvent(19_000_000, EVENT_WINDOW_ATTACK, 0, 19, 100)
+    rows = list(events)
+    assert len(rows) == len(events)
+    assert rows[-1] == events[-1] == events[len(events) - 1]
+    part = events[2:5]
+    assert isinstance(part, EventLog)
+    assert list(part) == rows[2:5]
+    drops = events[events.is_kind(EVENT_DROP_RANGE)]
+    assert list(drops) == [ev for ev in rows if ev.kind == EVENT_DROP_RANGE]
+
+
+@st.composite
+def machine_cases(draw):
+    """A stream with bursty labels, ties and gaps in its arrivals, and a
+    window machine configuration to run over it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 400) | st.integers(400, 3000))
+    labels = np.empty(n, np.uint8)
+    at = 0
+    while at < n:  # bursts of random length, each with its own attack share
+        run = int(rng.integers(1, 200))
+        labels[at : at + run] = rng.random(min(run, n - at)) < rng.choice([0.0, 0.3, 0.6, 1.0])
+        at += run
+    klass = np.where(rng.random(n) < 0.1, 1 - labels, labels).astype(np.uint8)
+    gaps = rng.choice([0, 1, 1_000, 1_000_000, 50_000_000], n, p=[0.3, 0.1, 0.2, 0.3, 0.1])
+    trace = Trace(np.cumsum(gaps).astype(np.int64), klass, np.zeros(n, np.int32))
+    window = draw(st.integers(1, 25))
+    policy = draw(
+        st.builds(FixedSkip, st.integers(1, 80))
+        | st.builds(AdaptiveSkip, st.floats(0.001, 2.0))
+    )
+    pace = draw(st.sampled_from([0, 1, 1_000, 1_000_000]))
+    return trace, labels, window, policy, pace
+
+
+@settings(max_examples=150, deadline=None)
+@given(machine_cases())
+def test_machine_matches_reference_loop(case):
+    trace, labels, window, policy, pace = case
+    got = run_mitigation(trace, PERFECT, window, policy, labels=labels, test_pacing_ns=pace)
+    want = reference_run_mitigation(
+        trace, PERFECT, window, policy, labels=labels, test_pacing_ns=pace
+    )
+    np.testing.assert_array_equal(got.outcomes, want.outcomes)
+    np.testing.assert_array_equal(got.release_ns, want.release_ns)
+    np.testing.assert_array_equal(got.drop_time_ns, want.drop_time_ns)
+    assert dataclasses.asdict(got.state) == dataclasses.asdict(want.state)
+    ev = got.events
+    assert ev.time_ns.tolist() == [e.time_ns for e in want.events]
+    assert [EVENT_KINDS[k] for k in ev.kind] == [e.kind for e in want.events]
+    assert ev.first.tolist() == [e.first for e in want.events]
+    assert ev.last.tolist() == [e.last for e in want.events]
+    assert ev.skip.tolist() == [e.skip for e in want.events]
+    if isinstance(policy, FixedSkip):
+        ref = step_through_machine(list(labels), window, policy.skip, klass=list(trace.klass))
+        assert [FATE[int(o)] for o in got.outcomes] == ref["fate"]
+        assert got.state.windows_tested == ref["windows_tested"]
+        assert got.state.mitigation_windows == ref["mitigation_windows"]
+        assert got.state.episodes == ref["episodes"]
+        assert got.state.benign_dropped == ref["benign_dropped"]
+        assert got.state.attack_dropped == ref["attack_dropped"]

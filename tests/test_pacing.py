@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from floodsim import RngStream, forward_times, peak_occupancy, to_ns
 from floodsim.pacing import queue_timeline, shaping_queue_timeline
 from floodsim.traffic import FloodSpec, gen_flood
-from oracles import occupancy_at, pacing_delays
+from oracles import occupancy_at, pacing_delays, reference_peak_occupancy
 
 MS = 1_000_000
 
@@ -135,6 +135,18 @@ def test_peak_occupancy_brute_force():
         peak = peak_occupancy(entry, exits)
         brute = max(occupancy_at(list(entry), list(exits), int(t)) for t in entry)
         assert peak == brute
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 200), st.integers(0, 60)), max_size=60))
+def test_peak_occupancy_matches_reference(stays):
+    # packets in any order, each leaving no earlier than it entered; ties
+    # between entries, exits and each other are frequent on this range
+    entry = [e for e, _ in stays]
+    exits = [e + d for e, d in stays]
+    peak = peak_occupancy(entry, exits)
+    assert peak == reference_peak_occupancy(entry, exits)
+    assert peak == max((occupancy_at(entry, exits, t) for t in entry), default=0)
 
 
 def test_peak_occupancy_counts_exit_instant():

@@ -13,9 +13,11 @@ from floodsim import (
     to_ns,
 )
 from floodsim.model import InvariantViolation, Regime
-from floodsim.server import RegimeSchedule, lindley_waits
+from floodsim.pipeline import run_simulation
+from floodsim.scenario import parse_scenario
+from floodsim.server import _FIRST_SPAN, RegimeSchedule, lindley_waits
 from floodsim.traffic import FloodSpec, gen_flood
-from oracles import fcfs_waits_event_driven
+from oracles import fcfs_waits_event_driven, reference_simulate_server
 
 MS = 1_000_000
 S = 1_000_000_000
@@ -134,9 +136,9 @@ def test_empty_regime_chunk_is_an_invariant_violation(monkeypatch):
     # a boundary at the chunk's own start instant leaves the chunk empty
     monkeypatch.setattr(RegimeSchedule, "next_boundary", lambda self, t_ns: t_ns)
     sched = RegimeSchedule([(10 * MS, 20 * MS)])
-    with pytest.raises(InvariantViolation, match="empty"):
-        simulate_server(np.arange(5, dtype=np.int64) * MS, ServiceTimeModel(), sched,
-                        RngStream(1, 0))
+    for serve in (simulate_server, reference_simulate_server):
+        with pytest.raises(InvariantViolation, match="empty"):
+            serve(np.arange(5, dtype=np.int64) * MS, ServiceTimeModel(), sched, RngStream(1, 0))
 
 
 def test_regime_switch_changes_service_means():
@@ -188,3 +190,89 @@ def test_unshaped_flood_backlog_and_slow_drain():
     peak = peak_occupancy(out.arrival_ns, out.departure_ns)
     assert abs(peak - len(tr)) / len(tr) < 0.02
     assert out.departure_ns.max() > 5 * to_ns(20.0)
+
+
+class CountingSchedule(RegimeSchedule):
+    """A RegimeSchedule that counts next_boundary calls: one per chunk."""
+
+    calls = 0
+
+    def next_boundary(self, t_ns):
+        self.calls += 1
+        return super().next_boundary(t_ns)
+
+
+def assert_same_as_reference(arrivals, model, windows, seed, scale):
+    got_sched, want_sched = CountingSchedule(windows), CountingSchedule(windows)
+    got = simulate_server(arrivals, model, got_sched, RngStream(seed, 0), service_scale=scale)
+    want = reference_simulate_server(arrivals, model, want_sched, RngStream(seed, 0),
+                                     service_scale=scale)
+    for field in ("seq", "arrival_ns", "wait_ns", "service_ns"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert got_sched.calls == want_sched.calls
+    return got_sched.calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 4000),
+    n_windows=st.integers(0, 8),
+    scaled=st.booleans(),
+)
+def test_simulate_server_matches_reference_loop(seed, n, n_windows, scaled):
+    # bursty arrivals under random attack windows: backlogs carry waits
+    # across regime boundaries
+    rng = np.random.default_rng(seed)
+    gaps = rng.choice([0, 100_000, MS, 5 * MS, 20 * MS], n)
+    a = np.cumsum(gaps).astype(np.int64)
+    end = int(a[-1]) + 1 if n else 1
+    cuts = np.sort(rng.integers(0, 2 * end, 2 * n_windows))
+    windows = [(s, e) for s, e in zip(cuts[0::2], cuts[1::2]) if e > s]
+    scale = rng.uniform(1.0, 3.0, n) if scaled else None
+    assert_same_as_reference(a, ServiceTimeModel(), windows, seed, scale)
+
+
+SPAN_EDGES = [1, 2] + [k * _FIRST_SPAN + d for k in (1, 2, 4) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lengths=st.lists(st.sampled_from(SPAN_EDGES) | st.integers(1, 5000), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    scaled=st.booleans(),
+)
+def test_chunk_lengths_around_span_doubling(lengths, seed, scaled):
+    # services stay under the 10 ms gap, so every start is its arrival and
+    # a boundary at packet k's arrival ends a chunk exactly before it
+    n = sum(lengths)
+    a = np.arange(n, dtype=np.int64) * 10 * MS
+    model = ServiceTimeModel(outlier_prob=0.0, ceiling_s=5e-3)
+    bounds = [int(b) for b in a[np.cumsum(lengths)[:-1]]]
+    if len(bounds) % 2:
+        bounds.append(n * 10 * MS)
+    windows = list(zip(bounds[0::2], bounds[1::2]))
+    scale = np.random.default_rng(seed).uniform(1.0, 2.0, n) if scaled else None
+    assert assert_same_as_reference(a, model, windows, seed, scale) == len(lengths)
+
+
+def test_server_work_is_linear_in_the_stream(monkeypatch):
+    # 100 short floods served raw: the regime switches ~150 times, and the
+    # service times drawn over all chunks must stay within a few per packet
+    drawn = []
+    draw_ns = ServiceTimeModel.draw_ns
+
+    def counting_draw(self, regime, z, u):
+        drawn.append(len(z))
+        return draw_ns(self, regime, z, u)
+
+    monkeypatch.setattr(ServiceTimeModel, "draw_ns", counting_draw)
+    lines = ["benign.period_s = 0.01", "sqf.enabled = false", "aam.enabled = false",
+             "run.seed = 1", "run.horizon_s = 101"]
+    for k in range(1, 101):
+        lines += [f"flood.{k}.start_s = {k}", f"flood.{k}.duration_s = 0.3",
+                  f"flood.{k}.rate_pps = 3000"]
+    res = run_simulation(parse_scenario("\n".join(lines)))
+    n = len(res.server)
+    assert len(drawn) > 100  # at least one draw per chunk
+    assert sum(drawn) <= 4 * n
