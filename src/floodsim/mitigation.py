@@ -22,15 +22,15 @@ packets count as gone, a documented desk-scale simplification.
 
 The machine runs in time linear in the stream. Prefix sums of the detector
 labels and of the packet classes give every window's vote and every drop
-span's benign/attack split in O(1). While MONITORING the windows tile the
-stream back to back, so a stretch of clear windows is decided as one numpy
-block: the first attack window is found from prefix-sum votes over a span
-of windows that doubles until it holds one, and the stretch's verdict
-instants follow the max-plus recursion v_j = max(a_end_j, v_{j-1} + W*D),
-which has the closed form v_j = j*W*D + max(max_{i<=j}(a_end_i - i*W*D),
-v_prev + W*D) (the form pacing.forward_times uses). Only the verdict that
-opens an episode, the verdicts tested under attack and the trailing partial
-window step one at a time.
+span's benign/attack split in O(1). Clear verdicts are decided in numpy
+blocks: from the test cursor the windows tile the stream back to back, the
+first attack window among them is found from prefix-sum votes over a span
+of windows that doubles until it holds one, and the block's verdict
+instants v_j = max(a_end_j, v_{j-1} + len_j*D) come from pacing.max_plus.
+One block covers a MONITORING stretch, led by the clear verdict that ends
+an episode if there is one (its untested prefix leaves at that verdict); a
+clear partial tail window is a block of its own. Attack verdicts step one
+at a time.
 
 The event log is an EventLog: parallel columns of verdict instants, kind
 codes, index ranges and skip lengths. Iterating it, or indexing it with an
@@ -48,6 +48,7 @@ import numpy as np
 from .csvio import Seconds, write_columns
 from .detector import DetectorModel, classify_stream
 from .model import InvariantViolation, PacketClass, RngStream, Trace
+from .pacing import max_plus
 
 EVENT_WINDOW_ATTACK = "WINDOW_ATTACK"
 EVENT_WINDOW_CLEAR = "WINDOW_CLEAR"
@@ -98,7 +99,6 @@ class FixedSkip:
     """Constant skip length; refreshes are no-ops."""
 
     skip: int
-    adaptive = False
 
     def __post_init__(self):
         if self.skip < 1:
@@ -114,7 +114,6 @@ class AdaptiveSkip:
     taken as the expected remaining attack volume."""
 
     beta_over_alpha: float
-    adaptive = True
 
     def refresh(self, window: int, queue_len: int) -> int:
         if queue_len <= window:
@@ -144,6 +143,7 @@ EVENT_KINDS = (
 )
 _ATTACK, _CLEAR, _RECALC, _DROP, _FORWARD = range(len(EVENT_KINDS))
 _KIND_BYTES = np.array([k.encode() for k in EVENT_KINDS])
+_CLEAR_FORWARD = np.array([_CLEAR, _FORWARD], np.uint8)
 
 
 @dataclass(eq=False)
@@ -166,13 +166,7 @@ class EventLog:
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            return MitigationEvent(
-                int(self.time_ns[key]),
-                EVENT_KINDS[self.kind[key]],
-                int(self.first[key]),
-                int(self.last[key]),
-                int(self.skip[key]),
-            )
+            return next(iter(self[[key]]))  # the one row of a one-row log
         return EventLog(self.time_ns[key], self.kind[key], self.first[key], self.last[key],
                         self.skip[key])
 
@@ -314,99 +308,87 @@ def run_mitigation(
     st = MitigationState()
     log = _EventColumns()
     pace = max(int(test_pacing_ns), 0)
+    min_tail = math.ceil(window / 2)  # a shorter partial window goes untested
 
-    def monitor(last_verdict_ns):
-        """Forward the clear windows from the cursor up to the next attack
-        window as one block; returns the last verdict instant."""
-        c = st.test_cursor
+    def clear(last_verdict_ns):
+        """Forward the clear windows from the test cursor up to the next
+        attack window, or the clear partial tail window, as one block;
+        returns the last verdict instant."""
+        c, first = st.test_cursor, st.pending_cursor
         k = _first_attack_window(votes, c, window, (n - c) // window)
-        if k == 0:
-            return last_verdict_ns
-        end = c + k * window
-        win_end = np.arange(c + window - 1, end, window, dtype=np.int64)
-        now = arrivals[win_end]
-        if pace:
-            offset = np.arange(k, dtype=np.int64) * (window * pace)
-            now = np.maximum.accumulate(now - offset)
-            if last_verdict_ns is not None:
-                np.maximum(now, last_verdict_ns + window * pace, out=now)
-            now += offset
+        if k:
+            ends = np.arange(c + window - 1, c + k * window, window, dtype=np.int64)
+        else:  # only the tail is left
+            ends = np.array([n - 1], np.int64)
+        end = int(ends[-1]) + 1
+        now = max_plus(arrivals[ends], (ends - (c - 1)) * pace, last_verdict_ns)
+        firsts = np.repeat(np.concatenate(([c], ends[:-1] + 1)), 2)
+        firsts[1] = first  # the first forward range also frees the untested prefix
         log.add_block(
             np.repeat(now, 2),
-            np.tile(np.array([_CLEAR, _FORWARD], np.uint8), k),
-            np.repeat(win_end - (window - 1), 2),
-            np.repeat(win_end, 2),
-            np.full(2 * k, st.skip, np.int64),
+            np.tile(_CLEAR_FORWARD, len(ends)),
+            firsts,
+            np.repeat(ends, 2),
+            np.full(2 * len(ends), st.skip, np.int64),
         )
+        # untested packets released by the verdict leave at the verdict
+        # instant; tested ones were already flowing and keep their arrival
+        outcomes[first:c] = int(Outcome.FORWARDED)
+        release_ns[first:c] = now[0]
         outcomes[c:end] = int(Outcome.TESTED_FORWARDED)
         release_ns[c:end] = arrivals[c:end]
-        st.windows_tested += k
-        st.packets_forwarded += end - c
+        st.mitigation_windows += st.mode == Mode.UNDER_ATTACK  # it ends an episode
+        st.mode = Mode.MONITORING
+        st.windows_tested += len(ends)
+        st.packets_forwarded += end - first
         st.test_cursor = st.pending_cursor = end
         return int(now[-1])
 
-    adaptive = getattr(policy, "adaptive", False)
-
-    def step(win_start: int, win_end: int, last_verdict_ns):
-        """Decide one window on its own; returns its verdict instant."""
-        win_len = win_end - win_start + 1
+    def attack(win_start: int, win_end: int, last_verdict_ns):
+        """Drop everything pending through an attack window; returns its
+        verdict instant."""
         now = arrivals.item(win_end)
         if pace and last_verdict_ns is not None:
-            now = max(now, last_verdict_ns + win_len * pace)
+            now = max(now, last_verdict_ns + (win_end - win_start + 1) * pace)
         if st.mode == Mode.UNDER_ATTACK:
             st.mitigation_windows += 1
-        st.windows_tested += 1
-        first = st.pending_cursor
-        if 2 * (votes.item(win_end + 1) - votes.item(win_start)) > win_len:
-            if st.mode == Mode.MONITORING:
-                st.episodes += 1
-                st.mode = Mode.UNDER_ATTACK
-            log.add((now, _ATTACK, win_start, win_end, st.skip))
-            arrived = int(arrivals.searchsorted(now, side="right"))
-            new_skip = policy.refresh(window, max(0, arrived - (win_end + 1)))
-            if new_skip < 1:
-                raise ValueError("skip policy must yield skip >= 1")
-            if new_skip != st.skip:
-                st.skip = new_skip
-                if adaptive:
-                    log.add((now, _RECALC, win_start, win_end, st.skip))
-            outcomes[first : win_end + 1] = int(Outcome.DROPPED)
-            drop_time_ns[first : win_end + 1] = now
-            n_att = attack_packets.item(win_end + 1) - attack_packets.item(first)
-            st.packets_dropped += win_end + 1 - first
-            st.attack_dropped += n_att
-            st.benign_dropped += win_end + 1 - first - n_att
-            log.add((now, _DROP, first, win_end, st.skip))
-            st.pending_cursor = win_end + 1
-            st.test_cursor = win_end + st.skip
         else:
-            st.mode = Mode.MONITORING
-            log.add((now, _CLEAR, win_start, win_end, st.skip))
-            log.add((now, _FORWARD, first, win_end, st.skip))
-            # untested packets released by the verdict leave at the verdict
-            # instant; tested ones were already flowing and keep their arrival
-            outcomes[first:win_start] = int(Outcome.FORWARDED)
-            release_ns[first:win_start] = now
-            outcomes[win_start : win_end + 1] = int(Outcome.TESTED_FORWARDED)
-            release_ns[win_start : win_end + 1] = arrivals[win_start : win_end + 1]
-            st.packets_forwarded += win_end + 1 - first
-            st.pending_cursor = st.test_cursor = win_end + 1
+            st.episodes += 1
+            st.mode = Mode.UNDER_ATTACK
+        st.windows_tested += 1
+        log.add((now, _ATTACK, win_start, win_end, st.skip))
+        arrived = int(arrivals.searchsorted(now, side="right"))
+        new_skip = policy.refresh(window, max(0, arrived - (win_end + 1)))
+        if new_skip < 1:
+            raise ValueError("skip policy must yield skip >= 1")
+        if new_skip != st.skip:
+            st.skip = new_skip
+            log.add((now, _RECALC, win_start, win_end, st.skip))
+        first = st.pending_cursor
+        outcomes[first : win_end + 1] = int(Outcome.DROPPED)
+        drop_time_ns[first : win_end + 1] = now
+        n_att = attack_packets.item(win_end + 1) - attack_packets.item(first)
+        st.packets_dropped += win_end + 1 - first
+        st.attack_dropped += n_att
+        st.benign_dropped += win_end + 1 - first - n_att
+        log.add((now, _DROP, first, win_end, st.skip))
+        st.pending_cursor = win_end + 1
+        st.test_cursor = win_end + st.skip
         return now
 
     if isinstance(policy, FixedSkip):
         st.skip = policy.skip
 
     last_verdict_ns = None
-    while st.test_cursor + window <= n:
-        if st.mode == Mode.MONITORING:
-            last_verdict_ns = monitor(last_verdict_ns)
-            if st.test_cursor + window > n:
-                break
-        last_verdict_ns = step(st.test_cursor, st.test_cursor + window - 1, last_verdict_ns)
+    while n - st.test_cursor >= min_tail:
+        c = st.test_cursor
+        end = min(c + window, n)
+        if 2 * (votes.item(end) - votes.item(c)) > end - c:  # strict majority
+            last_verdict_ns = attack(c, end - 1, last_verdict_ns)
+        else:
+            last_verdict_ns = clear(last_verdict_ns)
 
-    # stream end: maybe one partial window, then flush leftovers untested
-    if n - st.test_cursor >= math.ceil(window / 2):
-        step(st.test_cursor, n - 1, last_verdict_ns)
+    # stream end: flush leftovers untested
     if st.pending_cursor < n:
         first = st.pending_cursor
         end_ns = int(arrivals[n - 1])

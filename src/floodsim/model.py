@@ -156,14 +156,21 @@ class ServiceTimeModel:
 
     def draw_ns(self, regime: Regime, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Service times (int64 ns) under a regime, from pre-drawn standard
-        normals z and uniforms u (one of each per packet; u picks outliers)."""
+        normals z and uniforms u (one of each per packet; u picks outliers).
+        A draw that does not fit the nanosecond clock is a ConfigError."""
         draws = self.mean_s(regime) + self.std_s(regime) * z
         if regime == Regime.ATTACK and self.outlier_prob > 0:
-            draws = np.where(u < self.outlier_prob, draws * self.outlier_scale, draws)
+            with np.errstate(over="ignore"):  # inf is reported below
+                draws = np.where(u < self.outlier_prob, draws * self.outlier_scale, draws)
         np.maximum(draws, self.floor_s(regime), out=draws)
         if self.ceiling_s is not None:
             np.minimum(draws, self.ceiling_s, out=draws)
-        return to_ns(draws)
+        try:
+            return to_ns(draws)
+        except ValueError:
+            keys = ("mean_attack_ms, var_attack_ms2, outlier_scale" if regime == Regime.ATTACK
+                    else "mean_normal_ms, var_normal_ms2")
+            raise ConfigError(f"service.{{{keys}}} give times beyond the clock") from None
 
 
 @dataclass(eq=False)

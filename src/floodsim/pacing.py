@@ -1,10 +1,12 @@
 """The paced forwarder: spaces an arrival stream so consecutive departures
 are at least one gap apart, plus queue-length timelines for any FIFO stage.
 
-Forwarding recursion: t_0 = a_0, t_{n+1} = max(t_n + gap, a_{n+1}), solved
-in closed form over int64 nanoseconds. The shaping delay t_n - a_n is
-cross-checked in tests against a literal loop of its own reflected
-recursion q_{n+1} = max(0, q_n + gap - (a_{n+1} - a_n)).
+Forwarding recursion: t_0 = a_0, t_{n+1} = max(t_n + gap, a_{n+1}), one
+case of the max-plus recursion that max_plus solves in closed form over
+int64 nanoseconds for the forwarder, the mitigation verdict clock and the
+FCFS server alike. The shaping delay t_n - a_n is cross-checked in tests
+against a literal loop of its own reflected recursion
+q_{n+1} = max(0, q_n + gap - (a_{n+1} - a_n)).
 
 Queue-occupancy convention used throughout the library: a packet occupies a
 stage during the closed interval [entry, exit], i.e. a sample taken exactly
@@ -26,22 +28,28 @@ def _as_times(x) -> np.ndarray:
     return arr
 
 
-def forward_times(arrival_ns, gap_ns: int) -> np.ndarray:
-    """Departure instants of the paced forwarder (int64 ns).
+def max_plus(ready: np.ndarray, work_sum: np.ndarray, floor=None) -> np.ndarray:
+    """Solve s_k = max(ready_k, s_{k-1} + work_k) over int64 arrays (unchecked),
+    from s_{-1} = floor (-inf if None) and the partial sums W_k = work_0 + ...
+    + work_k: s_k = W_k + max(floor, max_{i<=k}(ready_i - W_i)), exact in integers."""
+    s = ready - work_sum
+    np.maximum.accumulate(s, out=s)
+    if floor is not None:
+        np.maximum(s, floor, out=s)
+    s += work_sum
+    return s
 
-    Closed form: t_n = n*gap + max_{k<=n}(a_k - k*gap), exact in integers.
-    """
+
+def forward_times(arrival_ns, gap_ns: int) -> np.ndarray:
+    """Departure instants of the paced forwarder (int64 ns): max_plus with
+    W_k = k*gap and no floor."""
     a = _as_times(arrival_ns)
     gap = int(gap_ns)
     if gap <= 0:
         raise ValueError("pacing gap must be positive")
-    if len(a) == 0:
-        return a.copy()
     if np.any(np.diff(a) < 0):
         raise ValueError("arrivals must be sorted")
-    k = np.arange(len(a), dtype=np.int64)
-    shifted = a - k * gap
-    return k * gap + np.maximum.accumulate(shifted)
+    return max_plus(a, np.arange(len(a), dtype=np.int64) * gap)
 
 
 def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int, t_start_ns: int = 0, t_end_ns=None):

@@ -60,6 +60,9 @@ def _clock_ns(seconds: float) -> int | None:
         return None
 
 
+MAX_ELEMENTS = 10**9  # cap on a scenario's expected packets and timeline samples
+
+
 def _at_least_1ns(seconds: float) -> bool:
     """A time that fits the nanosecond clock and stays nonzero on it."""
     ns = _clock_ns(seconds)
@@ -93,8 +96,8 @@ class Scenario:
             raise ConfigError("sqf.link_latency_ms must be >= 0")
         if self.skip_mode not in ("optimal", "fixed"):
             raise ConfigError("aam.m_mode must be 'optimal' or 'fixed'")
-        if self.fixed_skip < 1:
-            raise ConfigError("aam.m_fixed must be >= 1")
+        if not 1 <= self.fixed_skip < 2**63:
+            raise ConfigError("aam.m_fixed must be >= 1 and fit int64")
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError("cost.alpha and cost.beta must be positive")
         if self.tau_s <= 0:
@@ -105,8 +108,16 @@ class Scenario:
             raise ConfigError("run.sample_dt_ms must be at least 1 ns and fit the nanosecond clock")
         if self.drain_slowdown < 1:
             raise ConfigError("run.drain_slowdown_factor must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("run.seed must be >= 0")
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError("run.seed must be >= 0 and fit int64")
+        packets = sum(f.rate_pps * f.duration_s for f in self.floods)
+        if self.benign is not None:
+            per_source = math.ceil(min(self.horizon_s / self.benign.period_s, MAX_ELEMENTS + 1))
+            packets += min(self.benign.num_sources, MAX_ELEMENTS + 1) * per_source
+        if packets > MAX_ELEMENTS:
+            raise ConfigError(f"benign.* and flood.N.* ask for over {MAX_ELEMENTS:.0e} packets")
+        if self.horizon_s / self.sample_dt_s > MAX_ELEMENTS:
+            raise ConfigError(f"run.sample_dt_ms asks for over {MAX_ELEMENTS:.0e} timeline samples")
         if self.aam_enabled and not self.sqf_enabled:
             raise ConfigError(
                 "mitigation drops from the forwarder's input queue; "
@@ -117,6 +128,8 @@ class Scenario:
                 raise InvariantViolation(
                     f"horizon {self.horizon_s}s does not cover flood ending at {fl.end_s}s"
                 )
+            if to_ns(fl.end_s) == to_ns(fl.start_s):
+                raise ConfigError("flood.N.duration_s must come to at least 1 ns on the clock")
 
 
 _MS = 1e-3
@@ -132,6 +145,12 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _int64(raw: str) -> int:
+    if not -(2**63) <= (value := int(raw)) < 2**63:
+        raise ValueError(f"not a 64-bit integer: {raw!r}")
+    return value
+
+
 def _finite(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -144,7 +163,7 @@ _KEYS = {
     "benign.enabled": ("benign", "enabled", _parse_bool, None),
     "benign.period_s": ("benign", "period_s", _finite, None),
     "benign.jitter_fraction": ("benign", "jitter_fraction", _finite, None),
-    "benign.num_sources": ("benign", "num_sources", int, None),
+    "benign.num_sources": ("benign", "num_sources", _int64, None),
     "service.mean_normal_ms": ("service", "mean_normal_s", _finite, _MS),
     "service.var_normal_ms2": ("service", "var_normal_s2", _finite, _MS2),
     "service.mean_attack_ms": ("service", "mean_attack_s", _finite, _MS),
@@ -157,14 +176,14 @@ _KEYS = {
     "sqf.link_latency_ms": ("plain", "link_latency_s", _finite, _MS),
     "detector.tpr": ("detector", "tpr", _finite, None),
     "detector.tnr": ("detector", "tnr", _finite, None),
-    "detector.window": ("detector", "window", int, None),
+    "detector.window": ("detector", "window", _int64, None),
     "aam.enabled": ("plain", "aam_enabled", _parse_bool, None),
     "aam.m_mode": ("plain", "skip_mode", str, None),
-    "aam.m_fixed": ("plain", "fixed_skip", int, None),
+    "aam.m_fixed": ("plain", "fixed_skip", _int64, None),
     "cost.alpha": ("plain", "alpha", _finite, None),
     "cost.beta": ("plain", "beta", _finite, None),
     "cost.tau_ms": ("plain", "tau_s", _finite, _MS),
-    "run.seed": ("plain", "seed", int, None),
+    "run.seed": ("plain", "seed", _int64, None),
     "run.horizon_s": ("plain", "horizon_s", _finite, None),
     "run.sample_dt_ms": ("plain", "sample_dt_s", _finite, _MS),
     "run.drain_slowdown_factor": ("plain", "drain_slowdown", _finite, None),

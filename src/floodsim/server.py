@@ -3,7 +3,9 @@
 The waiting time obeys L_0 = 0, L_{n+1} = max(0, L_n + T_n - A_{n+1}) with
 A_{n+1} the interarrival gap. A direct consequence worth naming: if the
 arrival stream is paced at gap D and every service time satisfies T_n < D,
-the wait never leaves zero -- the shaping gap provisions the server.
+the wait never leaves zero -- the shaping gap provisions the server. The
+service start instants s_n = a_n + L_n follow s_n = max(a_n, s_{n-1} +
+T_{n-1}), which pacing.max_plus solves with W_n = T_0 + ... + T_{n-1}.
 
 simulate_server draws service times from a regime-dependent model where the
 regime is a function of wall-clock time (the load a real server sees while a
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import Seconds, write_columns
-from .model import InvariantViolation, Regime, RngStream, ServiceTimeModel, to_ns
-from .pacing import queue_timeline
+from .model import ConfigError, InvariantViolation, Regime, RngStream, ServiceTimeModel, to_ns
+from .pacing import max_plus, queue_timeline
 
 _FIRST_SPAN = 1024  # packets in a chunk's first candidate span
 
@@ -36,33 +38,11 @@ def lindley_waits(arrival_ns, service_ns) -> np.ndarray:
     t = np.asarray(service_ns, dtype=np.int64)
     if a.shape != t.shape:
         raise ValueError("arrivals and services must have equal length")
-    if len(a) == 0:
-        return a.copy()
     if np.any(np.diff(a) < 0):
         raise ValueError("arrivals must be sorted")
     if np.any(t < 0):
         raise ValueError("service times must be nonnegative")
-    return _lindley_from(a, t, 0)
-
-
-def _lindley_from(a: np.ndarray, t: np.ndarray, initial_wait: int) -> np.ndarray:
-    """Lindley waits over a nonempty stream fragment whose first packet
-    already waits initial_wait. Unchecked; the chunked simulation calls it
-    per chunk.
-
-    Reflection identity over the partial sums s_n of u_n = T_n - A_{n+1}:
-    L_n = max(s_n + initial_wait, s_n - min_{k<=n} s_k), exact in integers.
-    """
-    n = len(a)
-    out = np.empty(n, np.int64)
-    out[0] = initial_wait
-    if n == 1:
-        return out
-    u = t[:-1] - np.diff(a)
-    s = np.cumsum(u)
-    run_min = np.minimum.accumulate(s)
-    np.maximum(s + initial_wait, s - run_min, out=out[1:])
-    return out
+    return max_plus(a, np.cumsum(t) - t) - a
 
 
 @dataclass
@@ -159,23 +139,26 @@ def simulate_server(
     u = g.random(n)
 
     idx = 0
-    wait = 0
+    start = int(a[0])  # service start of the chunk's first packet
     span = _FIRST_SPAN
     while idx < n:
-        start0 = int(a[idx]) + wait
-        regime = Regime.ATTACK if schedule.in_attack(start0) else Regime.NORMAL
-        bound = schedule.next_boundary(start0)
+        regime = Regime.ATTACK if schedule.in_attack(start) else Regime.NORMAL
+        bound = schedule.next_boundary(start)
         while True:
             hi = n if bound is None else min(n, idx + span)
             t_cand = model.draw_ns(regime, z[idx:hi], u[idx:hi])
             if service_scale is not None:
-                t_cand = np.maximum(np.rint(t_cand * service_scale[idx:hi]).astype(np.int64), 1)
-            w_cand = _lindley_from(a[idx:hi], t_cand, wait)
+                with np.errstate(over="ignore"):  # inf is reported below
+                    scaled = np.rint(t_cand * service_scale[idx:hi])
+                if not scaled.max() < 2**63:
+                    raise ConfigError("run.drain_slowdown_factor scales services beyond the clock")
+                t_cand = np.maximum(scaled.astype(np.int64), 1)
+            starts = max_plus(a[idx:hi], np.cumsum(t_cand) - t_cand, start)
             take = hi - idx
             if bound is not None:
                 # the chunk ends at the first packet whose service starts at
                 # or after the boundary; it must fall inside the span
-                take = int(np.searchsorted(a[idx:hi] + w_cand, bound, side="left"))
+                take = int(np.searchsorted(starts, bound, side="left"))
             if take < hi - idx or hi == n:
                 break
             span *= 2
@@ -185,11 +168,11 @@ def simulate_server(
             span = max(_FIRST_SPAN, span // 2)
         if take < 1:
             # the first packet's start defines the regime, so it must fit
-            raise InvariantViolation(f"regime chunk at {start0} ns is empty")
-        waits[idx : idx + take] = w_cand[:take]
+            raise InvariantViolation(f"regime chunk at {start} ns is empty")
+        np.subtract(starts[:take], a[idx : idx + take], out=waits[idx : idx + take])
         services[idx : idx + take] = t_cand[:take]
         if idx + take < n:
-            wait = int(w_cand[take])
+            start = int(starts[take])
         idx += take
     return ServerTrace(seq, a, waits, services)
 

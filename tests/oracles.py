@@ -40,7 +40,7 @@ from floodsim.model import (
     ServiceTimeModel,
     Trace,
 )
-from floodsim.server import RegimeSchedule, ServerTrace, _lindley_from
+from floodsim.server import RegimeSchedule, ServerTrace
 
 
 def fcfs_waits_event_driven(arrival_ns, service_ns):
@@ -269,8 +269,7 @@ def reference_run_mitigation(
                 raise ValueError("skip policy must yield skip >= 1")
             if new_skip != st.skip:
                 st.skip = new_skip
-                if getattr(policy, "adaptive", False):
-                    events.append(MitigationEvent(now, EVENT_RECALC_M, win_start, win_end, st.skip))
+                events.append(MitigationEvent(now, EVENT_RECALC_M, win_start, win_end, st.skip))
             drop_span(st.pending_cursor, win_end, now)
             events.append(
                 MitigationEvent(now, EVENT_DROP_RANGE, st.pending_cursor, win_end, st.skip)
@@ -310,6 +309,26 @@ def reference_run_mitigation(
     if n and np.any(outcomes == 255):
         raise InvariantViolation("disposition partition violated")
     return MitigationResult(outcomes, release_ns, drop_time_ns, st, events)
+
+
+def _lindley_from(a: np.ndarray, t: np.ndarray, initial_wait: int) -> np.ndarray:
+    """Lindley waits over a nonempty stream fragment whose first packet
+    already waits initial_wait. Unchecked; the chunked simulation calls it
+    per chunk.
+
+    Reflection identity over the partial sums s_n of u_n = T_n - A_{n+1}:
+    L_n = max(s_n + initial_wait, s_n - min_{k<=n} s_k), exact in integers.
+    """
+    n = len(a)
+    out = np.empty(n, np.int64)
+    out[0] = initial_wait
+    if n == 1:
+        return out
+    u = t[:-1] - np.diff(a)
+    s = np.cumsum(u)
+    run_min = np.minimum.accumulate(s)
+    np.maximum(s + initial_wait, s - run_min, out=out[1:])
+    return out
 
 
 def reference_simulate_server(

@@ -1,13 +1,18 @@
 """Command line behavior, exercised in process through main(argv)."""
+import contextlib
 import csv
+import io
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floodsim import read_trace_csv
 from floodsim.cli import main
+from floodsim.scenario import _FLOOD_FIELDS, _KEYS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -123,6 +128,7 @@ def test_bad_key_reports_line(tmp_path, capsys):
         "cost.tau_ms = inf",
         "sqf.D_ms = 1e300",
         "run.horizon_s = 1e12",
+        "aam.m_fixed = 1000000000000000000000000000000",
     ],
 )
 def test_non_finite_and_sub_ns_values_are_config_errors(tmp_path, capsys, line):
@@ -139,7 +145,9 @@ def test_non_finite_and_sub_ns_values_are_config_errors(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--ceiling", "nan"], ["--rate", "nan"], ["--duration", "inf"], ["--D", "1e300"]]
+    "flags",
+    [["--ceiling", "nan"], ["--rate", "nan"], ["--duration", "inf"], ["--D", "1e300"],
+     ["--rate", "1e300"]],
 )
 def test_result1_rejects_non_finite_flags(capsys, flags):
     with warnings.catch_warnings():
@@ -148,6 +156,87 @@ def test_result1_rejects_non_finite_flags(capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "service.var_normal_ms2 = 1e300\n",  # behind the shaper: normal-regime draws
+        "sqf.enabled = false\naam.enabled = false\nservice.var_attack_ms2 = 1e300\n",
+        "aam.enabled = false\nrun.drain_slowdown_factor = 1e300\n",
+        "benign.period_s = 1e-300\n",
+        "flood.1.rate_pps = 1e300\n",
+        "benign.num_sources = 100000000000000000000\n",
+        "benign.num_sources = 1000000000000\n",
+        "run.sample_dt_ms = 0.000001\nrun.horizon_s = 1000\n",
+    ],
+)
+def test_runs_too_large_for_the_clock_or_memory_are_config_errors(tmp_path, capsys, lines):
+    path = tmp_path / "case.cfg"
+    path.write_text(CFG + lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overridden_flags_must_fit_int64(cfg, tmp_path, capsys):
+    for flag in ("--m", "--seed"):
+        args = ["--scenario", str(cfg), "--out", str(tmp_path / "o"), flag, str(10**30)]
+        assert main(["simulate", *args]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+
+FUZZ_BASE = """\
+benign.period_s = 0.01
+flood.1.start_s = 0.2
+flood.1.duration_s = 0.5
+flood.1.rate_pps = 1000
+sqf.D_ms = 0.5
+run.horizon_s = 1
+"""
+FUZZ_KEYS = sorted(_KEYS) + [f"flood.{k}.{f}" for k in (1, 2) for f in _FLOOD_FIELDS]
+# none of these passes validation while asking for more than ~10^3 packets
+FUZZ_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", str(10**30), "x"]
+
+
+def simulate_exit(overrides) -> tuple[int, str]:
+    """Exit code and stderr of `floodsim simulate` on the fuzz base scenario
+    with (key, value) lines appended; numpy warnings raise."""
+    text = FUZZ_BASE + "".join(f"{key} = {value}\n" for key, value in overrides)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(text)
+        code = main(["simulate", "--scenario", str(path), "--out", str(Path(tmp) / "o")])
+    return code, err.getvalue()
+
+
+def exits_cleanly(code: int, err: str) -> bool:
+    """A documented exit code with its message; an exception escaping main
+    would be a traceback at the command line."""
+    if code == 0:
+        return True
+    return (code, err.split(":")[0]) in ((2, "configuration error"), (3, "invariant violated"))
+
+
+def test_simulate_survives_every_single_override():
+    assert simulate_exit([]) == (0, "")
+    bad = [(key, value) for key in FUZZ_KEYS for value in FUZZ_VALUES
+           if not exits_cleanly(*simulate_exit([(key, value)]))]
+    assert bad == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                min_size=2, max_size=2))
+def test_simulate_fuzz_exits_cleanly(overrides):
+    assert exits_cleanly(*simulate_exit(overrides))
 
 
 def test_uncovered_flood_is_invariant_violation(tmp_path, capsys):

@@ -250,8 +250,6 @@ def test_run_mitigation_argument_errors():
         run_mitigation(trace, PERFECT, 5, FixedSkip(5), labels=labels[:-1])
 
     class BadPolicy:
-        adaptive = True
-
         def refresh(self, window, queue_len):
             return 0
 

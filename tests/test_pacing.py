@@ -2,7 +2,8 @@
 
 forward_times is a closed form of the forwarding recursion; the tests hold
 it against a naive sequential evaluation, its delays against a literal loop
-of the reflected delay recursion (oracles.pacing_delays), and the timelines
+of the reflected delay recursion (oracles.pacing_delays), the max-plus
+kernel behind it against a literal per-element loop, and the timelines
 against brute-force occupancy counting.
 """
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floodsim import RngStream, forward_times, peak_occupancy, to_ns
-from floodsim.pacing import queue_timeline, shaping_queue_timeline
+from floodsim.pacing import max_plus, queue_timeline, shaping_queue_timeline
 from floodsim.traffic import FloodSpec, gen_flood
 from oracles import occupancy_at, pacing_delays, reference_peak_occupancy
 
@@ -164,3 +165,36 @@ def test_flood_backlog_matches_fluid_limit():
     peak = peak_occupancy(tr.arrival_ns, t)
     predicted = len(tr) - to_ns(60.0) // gap
     assert abs(peak - predicted) / predicted < 0.05
+
+
+def max_plus_loop(ready, work, floor):
+    """s_k = max(ready_k, s_{k-1} + work_k), one element at a time; the first
+    element waits for floor + work_0 when a floor is given."""
+    out = []
+    for k, r in enumerate(ready):
+        if k == 0:
+            s = r if floor is None else max(r, floor + work[0])
+        else:
+            s = max(r, s + work[k])
+        out.append(s)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 10**15),  # ready time; a small range below makes ties
+            st.one_of(st.just(0), st.integers(0, 20), st.integers(0, 10**15)),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    tied=st.booleans(),
+    floor=st.one_of(st.none(), st.integers(-(10**15), 10**15)),
+)
+def test_max_plus_matches_literal_loop(steps, tied, floor):
+    ready = np.array([r % 8 if tied else r for r, _ in steps], np.int64)
+    work = np.array([w for _, w in steps], np.int64)
+    got = max_plus(ready, np.cumsum(work), floor)
+    np.testing.assert_array_equal(got, max_plus_loop(ready.tolist(), work.tolist(), floor))
