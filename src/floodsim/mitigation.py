@@ -22,15 +22,20 @@ packets count as gone, a documented desk-scale simplification.
 
 The machine runs in time linear in the stream. Prefix sums of the detector
 labels and of the packet classes give every window's vote and every drop
-span's benign/attack split in O(1). Clear verdicts are decided in numpy
-blocks: from the test cursor the windows tile the stream back to back, the
-first attack window among them is found from prefix-sum votes over a span
-of windows that doubles until it holds one, and the block's verdict
-instants v_j = max(a_end_j, v_{j-1} + len_j*D) come from pacing.max_plus.
-One block covers a MONITORING stretch, led by the clear verdict that ends
-an episode if there is one (its untested prefix leaves at that verdict); a
-clear partial tail window is a block of its own. Attack verdicts step one
-at a time.
+span's benign/attack split in O(1). Verdicts are decided in numpy blocks,
+each a run of windows with one verdict. Clear windows tile the stream back
+to back from the test cursor; attack windows under FixedSkip start
+W - 1 + m apart, since the skip never changes. The first window of the
+other verdict is found from prefix-sum votes over a span of windows that
+doubles until it holds one (the same search for both kinds), and the
+block's verdict instants v_j = max(a_end_j, v_{j-1} + len_j*D) come from
+one verdict-clock helper over pacing.max_plus. A clear block covers a
+MONITORING stretch, led by the clear verdict that ends an episode if there
+is one (its untested prefix leaves at that verdict). An attack block drops
+the contiguous span from the pending cursor through its last window. A
+partial tail window is a block of its own. AdaptiveSkip refreshes the skip
+from the arrivals at each verdict, so its attack blocks are one window
+long.
 
 The event log is an EventLog: parallel columns of verdict instants, kind
 codes, index ranges and skip lengths. Iterating it, or indexing it with an
@@ -144,6 +149,8 @@ EVENT_KINDS = (
 _ATTACK, _CLEAR, _RECALC, _DROP, _FORWARD = range(len(EVENT_KINDS))
 _KIND_BYTES = np.array([k.encode() for k in EVENT_KINDS])
 _CLEAR_FORWARD = np.array([_CLEAR, _FORWARD], np.uint8)
+_ATTACK_DROP = np.array([_ATTACK, _DROP], np.uint8)
+_ATTACK_RECALC_DROP = np.array([_ATTACK, _RECALC, _DROP], np.uint8)
 
 
 @dataclass(eq=False)
@@ -236,7 +243,7 @@ class MitigationResult:
         return self.outcomes == int(Outcome.DROPPED)
 
 
-_FIRST_SPAN_WINDOWS = 64  # windows in the first span searched for an attack
+_FIRST_SPAN_WINDOWS = 64  # windows in the first span searched for a verdict
 
 
 def _prefix_count(values: np.ndarray, code: int) -> np.ndarray:
@@ -246,9 +253,12 @@ def _prefix_count(values: np.ndarray, code: int) -> np.ndarray:
     return out
 
 
-def _first_attack_window(votes: np.ndarray, start: int, window: int, count: int) -> int:
-    """Index of the first of `count` back-to-back windows from `start` whose
-    attack labels hold a strict majority, or `count` if none does.
+def _first_window(votes: np.ndarray, start: int, window: int, stride: int, count: int,
+                  attack: bool) -> int:
+    """Index of the first of `count` windows of `window` packets, starting
+    `stride` apart from `start`, whose verdict is attack (a strict majority
+    of attack labels) if `attack` is true and clear otherwise; `count` if
+    none is.
 
     The span of windows searched doubles until it holds one, so the cost
     follows the answer rather than `count`.
@@ -256,8 +266,9 @@ def _first_attack_window(votes: np.ndarray, start: int, window: int, count: int)
     lo, span = 0, _FIRST_SPAN_WINDOWS
     while lo < count:
         hi = min(count, lo + span)
-        bounds = votes[start + lo * window : start + hi * window + 1 : window]
-        hits = np.flatnonzero(2 * np.diff(bounds) > window)
+        first, last = start + lo * stride, start + (hi - 1) * stride
+        ayes = votes[first + window : last + window + 1 : stride] - votes[first : last + 1 : stride]
+        hits = np.flatnonzero((2 * ayes > window) == attack)
         if len(hits):
             return lo + int(hits[0])
         lo, span = hi, 2 * span
@@ -310,19 +321,37 @@ def run_mitigation(
     pace = max(int(test_pacing_ns), 0)
     min_tail = math.ceil(window / 2)  # a shorter partial window goes untested
 
+    fixed = isinstance(policy, FixedSkip)
+    if fixed:
+        st.skip = policy.skip
+
+    def run_of(stride: int, attack: bool):
+        """Starts and ends of the windows from the test cursor, `stride`
+        apart, up to the first whose verdict is not `attack`; the partial
+        tail window alone when no full window is left. The window at the
+        test cursor has the verdict `attack`."""
+        c = st.test_cursor
+        full = (n - c - window) // stride + 1 if n - c >= window else 0
+        k = _first_window(votes, c, window, stride, full, not attack)
+        if not k:
+            return np.array([c], np.int64), np.array([n - 1], np.int64)
+        starts = np.arange(c, c + k * stride, stride, dtype=np.int64)
+        return starts, starts + (window - 1)
+
+    def verdict_clock(starts, ends, last_verdict_ns):
+        """Verdict instants v_j = max(a_end_j, v_{j-1} + len_j*pace) of
+        windows tested in turn, from v_{-1} = the last verdict (None before
+        the first one)."""
+        return max_plus(arrivals[ends], np.cumsum(ends - starts + 1) * pace, last_verdict_ns)
+
     def clear(last_verdict_ns):
-        """Forward the clear windows from the test cursor up to the next
-        attack window, or the clear partial tail window, as one block;
-        returns the last verdict instant."""
-        c, first = st.test_cursor, st.pending_cursor
-        k = _first_attack_window(votes, c, window, (n - c) // window)
-        if k:
-            ends = np.arange(c + window - 1, c + k * window, window, dtype=np.int64)
-        else:  # only the tail is left
-            ends = np.array([n - 1], np.int64)
-        end = int(ends[-1]) + 1
-        now = max_plus(arrivals[ends], (ends - (c - 1)) * pace, last_verdict_ns)
-        firsts = np.repeat(np.concatenate(([c], ends[:-1] + 1)), 2)
+        """Forward the run of clear windows from the test cursor, back to
+        back, as one block; returns the last verdict instant."""
+        first = st.pending_cursor
+        starts, ends = run_of(window, False)
+        c, end = int(starts[0]), int(ends[-1]) + 1
+        now = verdict_clock(starts, ends, last_verdict_ns)
+        firsts = np.repeat(starts, 2)
         firsts[1] = first  # the first forward range also frees the untested prefix
         log.add_block(
             np.repeat(now, 2),
@@ -344,47 +373,58 @@ def run_mitigation(
         st.test_cursor = st.pending_cursor = end
         return int(now[-1])
 
-    def attack(win_start: int, win_end: int, last_verdict_ns):
-        """Drop everything pending through an attack window; returns its
-        verdict instant."""
-        now = arrivals.item(win_end)
-        if pace and last_verdict_ns is not None:
-            now = max(now, last_verdict_ns + (win_end - win_start + 1) * pace)
-        if st.mode == Mode.UNDER_ATTACK:
-            st.mitigation_windows += 1
-        else:
-            st.episodes += 1
-            st.mode = Mode.UNDER_ATTACK
-        st.windows_tested += 1
-        log.add((now, _ATTACK, win_start, win_end, st.skip))
-        arrived = int(arrivals.searchsorted(now, side="right"))
-        new_skip = policy.refresh(window, max(0, arrived - (win_end + 1)))
-        if new_skip < 1:
-            raise ValueError("skip policy must yield skip >= 1")
-        if new_skip != st.skip:
-            st.skip = new_skip
-            log.add((now, _RECALC, win_start, win_end, st.skip))
-        first = st.pending_cursor
-        outcomes[first : win_end + 1] = int(Outcome.DROPPED)
-        drop_time_ns[first : win_end + 1] = now
-        n_att = attack_packets.item(win_end + 1) - attack_packets.item(first)
-        st.packets_dropped += win_end + 1 - first
-        st.attack_dropped += n_att
-        st.benign_dropped += win_end + 1 - first - n_att
-        log.add((now, _DROP, first, win_end, st.skip))
-        st.pending_cursor = win_end + 1
-        st.test_cursor = win_end + st.skip
-        return now
+    def attack(last_verdict_ns):
+        """Drop everything pending through the run of attack windows from
+        the test cursor as one block; returns the last verdict instant.
 
-    if isinstance(policy, FixedSkip):
-        st.skip = policy.skip
+        Under FixedSkip the run's windows start window - 1 + skip apart, up
+        to the first clear one. Any other policy refreshes the skip from the
+        arrivals at each verdict, so its run is one window long.
+        """
+        first, c = st.pending_cursor, st.test_cursor
+        if fixed:
+            starts, ends = run_of(window - 1 + st.skip, True)
+        else:
+            starts, ends = np.array([c], np.int64), np.array([min(c + window, n) - 1], np.int64)
+        end, k = int(ends[-1]) + 1, len(ends)
+        now = verdict_clock(starts, ends, last_verdict_ns)
+        skip_before = st.skip
+        if not fixed:
+            arrived = int(arrivals.searchsorted(now[0], side="right"))
+            new_skip = policy.refresh(window, max(0, arrived - end))
+            if new_skip < 1:
+                raise ValueError("skip policy must yield skip >= 1")
+            st.skip = new_skip
+        # each window logs its verdict, the new skip if the refresh changed
+        # it (only in a one-window run), and its drop span
+        kinds = _ATTACK_DROP if st.skip == skip_before else _ATTACK_RECALC_DROP
+        r = len(kinds)
+        drop_firsts = np.concatenate(([first], ends[:-1] + 1))
+        firsts = np.repeat(starts, r)
+        firsts[r - 1 :: r] = drop_firsts
+        skips = np.full(k * r, st.skip, np.int64)
+        skips[0] = skip_before
+        log.add_block(np.repeat(now, r), np.tile(kinds, k), firsts, np.repeat(ends, r), skips)
+        outcomes[first:end] = int(Outcome.DROPPED)
+        drop_time_ns[first:end] = np.repeat(now, ends - drop_firsts + 1)
+        n_att = attack_packets.item(end) - attack_packets.item(first)
+        st.mitigation_windows += k - (st.mode == Mode.MONITORING)
+        st.episodes += st.mode == Mode.MONITORING
+        st.mode = Mode.UNDER_ATTACK
+        st.windows_tested += k
+        st.packets_dropped += end - first
+        st.attack_dropped += n_att
+        st.benign_dropped += end - first - n_att
+        st.pending_cursor = end
+        st.test_cursor = end - 1 + st.skip
+        return int(now[-1])
 
     last_verdict_ns = None
     while n - st.test_cursor >= min_tail:
         c = st.test_cursor
         end = min(c + window, n)
         if 2 * (votes.item(end) - votes.item(c)) > end - c:  # strict majority
-            last_verdict_ns = attack(c, end - 1, last_verdict_ns)
+            last_verdict_ns = attack(last_verdict_ns)
         else:
             last_verdict_ns = clear(last_verdict_ns)
 

@@ -82,17 +82,13 @@ def run_simulation(scenario: Scenario, run_key: int = 0) -> SimulationResult:
             substream(base, run_key + STREAM_DETECTOR),
             test_pacing_ns=gap_ns,
         )
-        released = ~mit.dropped_mask()
-        release_ns = mit.release_ns
-    else:
-        released = np.ones(n, bool)
-        release_ns = trace.arrival_ns
-
-    # pace the released stream in (release instant, seq) order
-    rel_idx = np.flatnonzero(released)
-    order = np.argsort(release_ns[rel_idx], kind="stable")
-    rel_idx = rel_idx[order]
-    rel_times = release_ns[rel_idx]
+        # pace the released stream in (release instant, seq) order
+        rel_idx = np.flatnonzero(~mit.dropped_mask())
+        rel_idx = rel_idx[np.argsort(mit.release_ns[rel_idx], kind="stable")]
+        rel_times = mit.release_ns[rel_idx]
+    else:  # every packet is released at its arrival, already in order
+        rel_idx = np.arange(n, dtype=np.int64)
+        rel_times = trace.arrival_ns
     if scenario.sqf_enabled:
         emitted = forward_times(rel_times, gap_ns)
     else:

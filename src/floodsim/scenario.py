@@ -30,6 +30,7 @@ from .detector import DetectorModel
 from .model import (
     STREAM_BENIGN,
     STREAM_FLOOD_BASE,
+    MAX_TIME_S,
     ConfigError,
     InvariantViolation,
     RngStream,
@@ -116,6 +117,14 @@ class Scenario:
             packets += min(self.benign.num_sources, MAX_ELEMENTS + 1) * per_source
         if packets > MAX_ELEMENTS:
             raise ConfigError(f"benign.* and flood.N.* ask for over {MAX_ELEMENTS:.0e} packets")
+        # the shaper emits, and the detector decides, the k-th packet within
+        # k gaps of the last arrival; a flood's Poisson count exceeds
+        # lam + 10*sqrt(lam) + 10 with odds under 1e-20
+        slack = sum(10 * math.sqrt(f.rate_pps * f.duration_s) + 10 for f in self.floods)
+        if self.sqf_enabled and (
+            self.horizon_s + self.link_latency_s + (packets + slack) * self.pacing_gap_s >= MAX_TIME_S
+        ):
+            raise ConfigError("sqf.D_ms spaces the expected packets beyond the nanosecond clock")
         if self.horizon_s / self.sample_dt_s > MAX_ELEMENTS:
             raise ConfigError(f"run.sample_dt_ms asks for over {MAX_ELEMENTS:.0e} timeline samples")
         if self.aam_enabled and not self.sqf_enabled:

@@ -22,6 +22,7 @@ stream length times the chunk count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,7 +93,7 @@ class ServerTrace:
     def __len__(self) -> int:
         return len(self.arrival_ns)
 
-    @property
+    @cached_property
     def departure_ns(self) -> np.ndarray:
         return self.arrival_ns + self.wait_ns + self.service_ns
 

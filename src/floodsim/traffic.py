@@ -122,11 +122,20 @@ def merge(traces: Sequence[Trace]) -> Trace:
     if not traces or all(len(t) == 0 for t in traces):
         return Trace.empty()
     arrival = np.concatenate([t.arrival_ns for t in traces])
-    klass = np.concatenate([t.klass for t in traces])
     source = np.concatenate([t.source_id for t in traces])
-    orig = np.concatenate([np.arange(len(t), dtype=np.int64) for t in traces])
-    order = np.lexsort((orig, source, arrival))
-    return Trace(arrival[order], klass[order], source[order])
+    # timsort merges the sorted runs in linear time; equal arrivals keep
+    # their input order, which the groups of them below then put right
+    order = np.argsort(arrival, kind="stable")
+    arrival = arrival[order]
+    tied = np.flatnonzero(arrival[1:] == arrival[:-1])
+    if len(tied):
+        at = np.union1d(tied, tied + 1)  # every member of a group of equal arrivals
+        idx = order[at]
+        offsets = np.cumsum([0] + [len(t) for t in traces[:-1]])
+        position = idx - offsets[np.searchsorted(offsets, idx, side="right") - 1]
+        order[at] = idx[np.lexsort((position, source[idx], arrival[at]))]
+    klass = np.concatenate([t.klass for t in traces])
+    return Trace(arrival, klass[order], source[order])
 
 
 def write_trace_csv(path, trace: Trace) -> None:

@@ -8,7 +8,8 @@ numbers.
 The functions from window_decision on are earlier library code kept
 verbatim: the per-window majority vote, the one-verdict-at-a-time window
 machine that called it, the server chunk loop that redraws the whole
-remaining stream per chunk, and the sort-based peak occupancy. They use
+remaining stream per chunk, the sort-based peak occupancy and the
+three-key lexsort merge. They use
 floodsim's types and primitives, and the faster versions must reproduce
 them exactly.
 """
@@ -408,3 +409,22 @@ def reference_peak_occupancy(entry_ns, exit_ns) -> int:
     order = np.lexsort((-deltas, times))
     running = np.cumsum(deltas[order])
     return int(running.max())
+
+
+def reference_merge(traces) -> Trace:
+    """Merge already-sorted traces into one stream with dense seq numbers.
+
+    Ties break by (source_id, position within the input trace), so the merge
+    is fully deterministic. Unsorted input is a precondition error.
+    """
+    for t in traces:
+        if len(t) and np.any(np.diff(t.arrival_ns) < 0):
+            raise ValueError("merge inputs must be sorted by arrival time")
+    if not traces or all(len(t) == 0 for t in traces):
+        return Trace.empty()
+    arrival = np.concatenate([t.arrival_ns for t in traces])
+    klass = np.concatenate([t.klass for t in traces])
+    source = np.concatenate([t.source_id for t in traces])
+    orig = np.concatenate([np.arange(len(t), dtype=np.int64) for t in traces])
+    order = np.lexsort((orig, source, arrival))
+    return Trace(arrival[order], klass[order], source[order])

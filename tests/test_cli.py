@@ -169,6 +169,9 @@ def test_result1_rejects_non_finite_flags(capsys, flags):
         "benign.num_sources = 100000000000000000000\n",
         "benign.num_sources = 1000000000000\n",
         "run.sample_dt_ms = 0.000001\nrun.horizon_s = 1000\n",
+        # 10 000 packets 10^6 s apart overrun the 9.2e9 s of int64 nanoseconds
+        "benign.period_s = 0.001\nflood.1.rate_pps = 1e-9\nrun.horizon_s = 10\n"
+        "aam.enabled = false\nsqf.D_ms = 1000000000\n",
     ],
 )
 def test_runs_too_large_for_the_clock_or_memory_are_config_errors(tmp_path, capsys, lines):

@@ -25,7 +25,9 @@ from floodsim.mitigation import (
     run_mitigation,
     write_events_csv,
 )
+from floodsim import mitigation
 from floodsim.model import Trace
+from floodsim.pacing import max_plus
 from oracles import reference_run_mitigation, step_through_machine
 
 PERFECT = DetectorModel(tpr=1.0, tnr=1.0)
@@ -331,34 +333,9 @@ def test_event_log_rows_and_slices():
     assert list(drops) == [ev for ev in rows if ev.kind == EVENT_DROP_RANGE]
 
 
-@st.composite
-def machine_cases(draw):
-    """A stream with bursty labels, ties and gaps in its arrivals, and a
-    window machine configuration to run over it."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(0, 400) | st.integers(400, 3000))
-    labels = np.empty(n, np.uint8)
-    at = 0
-    while at < n:  # bursts of random length, each with its own attack share
-        run = int(rng.integers(1, 200))
-        labels[at : at + run] = rng.random(min(run, n - at)) < rng.choice([0.0, 0.3, 0.6, 1.0])
-        at += run
-    klass = np.where(rng.random(n) < 0.1, 1 - labels, labels).astype(np.uint8)
-    gaps = rng.choice([0, 1, 1_000, 1_000_000, 50_000_000], n, p=[0.3, 0.1, 0.2, 0.3, 0.1])
-    trace = Trace(np.cumsum(gaps).astype(np.int64), klass, np.zeros(n, np.int32))
-    window = draw(st.integers(1, 25))
-    policy = draw(
-        st.builds(FixedSkip, st.integers(1, 80))
-        | st.builds(AdaptiveSkip, st.floats(0.001, 2.0))
-    )
-    pace = draw(st.sampled_from([0, 1, 1_000, 1_000_000]))
-    return trace, labels, window, policy, pace
-
-
-@settings(max_examples=150, deadline=None)
-@given(machine_cases())
-def test_machine_matches_reference_loop(case):
-    trace, labels, window, policy, pace = case
+def assert_matches_references(trace, labels, window, policy, pace):
+    """run_mitigation agrees with the one-verdict-at-a-time reference in
+    every output, and under FixedSkip with the literal cursor walk."""
     got = run_mitigation(trace, PERFECT, window, policy, labels=labels, test_pacing_ns=pace)
     want = reference_run_mitigation(
         trace, PERFECT, window, policy, labels=labels, test_pacing_ns=pace
@@ -381,3 +358,99 @@ def test_machine_matches_reference_loop(case):
         assert got.state.episodes == ref["episodes"]
         assert got.state.benign_dropped == ref["benign_dropped"]
         assert got.state.attack_dropped == ref["attack_dropped"]
+    return got
+
+
+def bursty_labels(rng, n):
+    """Labels in bursts of random length, each with its own attack share;
+    about one burst in three is a long flood of 1 000-5 000 packets."""
+    labels = np.empty(n, np.uint8)
+    at = 0
+    while at < n:
+        if rng.random() < 1 / 3:
+            run, share = int(rng.integers(1_000, 5_000)), rng.choice([1.0, 0.6])
+        else:
+            run, share = int(rng.integers(1, 200)), rng.choice([0.0, 0.3, 0.6, 1.0])
+        labels[at : at + run] = rng.random(min(run, n - at)) < share
+        at += run
+    return labels
+
+
+@st.composite
+def machine_cases(draw):
+    """A stream with bursty labels, ties and gaps in its arrivals, and a
+    window machine configuration to run over it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 400) | st.integers(400, 3000) | st.integers(3000, 6000))
+    labels = bursty_labels(rng, n)
+    klass = np.where(rng.random(n) < 0.1, 1 - labels, labels).astype(np.uint8)
+    gaps = rng.choice([0, 1, 1_000, 1_000_000, 50_000_000], n, p=[0.3, 0.1, 0.2, 0.3, 0.1])
+    trace = Trace(np.cumsum(gaps).astype(np.int64), klass, np.zeros(n, np.int32))
+    window = draw(st.integers(1, 25))
+    policy = draw(
+        st.builds(
+            FixedSkip,
+            st.integers(1, 8) | st.integers(1, 80) | st.integers(80, 10_000) | st.just(2**63 - 1),
+        )
+        | st.builds(AdaptiveSkip, st.floats(0.001, 2.0))
+    )
+    pace = draw(st.sampled_from([0, 1, 1_000, 1_000_000]))
+    return trace, labels, window, policy, pace
+
+
+@settings(max_examples=150, deadline=None)
+@given(machine_cases())
+def test_machine_matches_reference_loop(case):
+    assert_matches_references(*case)
+
+
+def flood(n, window, share=1.0, seed=0):
+    """A flood of n packets 1 us apart whose labels carry the given attack
+    share, with every packet's class equal to its label."""
+    labels = (np.random.default_rng(seed).random(n) < share).astype(np.uint8)
+    return make_trace(labels, np.arange(n, dtype=np.int64) * 1_000), labels
+
+
+@pytest.mark.parametrize(
+    "n, window, skip, share, pace, attack_windows, last_len",
+    [
+        # 714 windows 7 apart: the search goes past its first span of 64
+        (5_000, 5, 3, 1.0, 0, 714, 5),
+        # a 0.6 share: attack runs end on clear windows
+        (4_003, 4, 2, 0.6, 1_000, None, None),
+        # 91 full windows 11 apart, then a partial attack window of 6 packets
+        (1_007, 10, 2, 1.0, 1_000_000, 92, 6),
+        # the skip jumps past the end of the stream
+        (3_000, 20, 5_000, 1.0, 7, 1, 20),
+        (600, 8, 2**63 - 1, 1.0, 0, 1, 8),
+    ],
+)
+def test_strided_attack_runs_match_references(n, window, skip, share, pace, attack_windows,
+                                              last_len):
+    trace, labels = flood(n, window, share)
+    res = assert_matches_references(trace, labels, window, FixedSkip(skip), pace)
+    if attack_windows is not None:
+        attacks = res.events[res.events.is_kind(EVENT_WINDOW_ATTACK)]
+        assert len(attacks) == attack_windows
+        assert attacks.last[-1] - attacks.first[-1] + 1 == last_len
+    else:
+        assert res.state.episodes > 1
+
+
+def test_fixed_skip_decides_attack_runs_in_blocks(monkeypatch):
+    # every verdict instant comes from the verdict clock's max_plus call, one
+    # per block: a pure flood takes one block however many windows it has
+    calls = []
+
+    def counting_max_plus(ready, work_sum, floor=None):
+        calls.append(len(ready))
+        return max_plus(ready, work_sum, floor)
+
+    monkeypatch.setattr(mitigation, "max_plus", counting_max_plus)
+    trace, labels = flood(20_000, 4)
+    res = run_mitigation(trace, PERFECT, 4, FixedSkip(1), labels=labels, test_pacing_ns=10)
+    assert res.state.windows_tested == 5_000 == sum(calls)
+    assert len(calls) == 1
+    trace, labels = flood(20_002, 4)  # the partial tail window is a block of its own
+    run_mitigation(trace, PERFECT, 4, FixedSkip(1), labels=labels)
+    assert calls[1:] == [5_000, 1]

@@ -119,6 +119,9 @@ def test_simulate_server_spaced_arrivals_zero_waits():
     assert out.wait_ns.max() == 0
     np.testing.assert_array_equal(out.service_ns, np.full(200, to_ns(model.mean_normal_s)))
     assert np.all(np.diff(out.departure_ns) >= 0)
+    # built once, then shared by every reader
+    assert out.departure_ns is out.departure_ns
+    np.testing.assert_array_equal(out.departure_ns, out.arrival_ns + out.wait_ns + out.service_ns)
 
 
 def test_simulate_server_empty_and_validation():

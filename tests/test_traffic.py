@@ -1,11 +1,13 @@
 """Arrival generation, merging and the trace CSV format."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from floodsim import ConfigError, RngStream, read_trace_csv, to_ns
 from floodsim.model import NS_PER_S, PacketClass, Trace
 from floodsim.traffic import BenignSpec, FloodSpec, gen_benign, gen_flood, merge, write_trace_csv
+from oracles import reference_merge
 
 
 def test_benign_spec_validation():
@@ -113,6 +115,32 @@ def test_merge_rejects_unsorted_input():
 def test_merge_empty():
     assert len(merge([])) == 0
     assert len(merge([Trace.empty(), Trace.empty()])) == 0
+
+
+@st.composite
+def sorted_parts(draw):
+    """Sorted traces over a few arrival instants, so most arrivals tie, with
+    several sources per part and empty parts among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = int(rng.choice([0, 1, 3, 40, 500]))
+        arrival = np.sort(rng.integers(0, draw(st.sampled_from([1, 3, 50, 10**6])), n))
+        parts.append(Trace(
+            arrival.astype(np.int64),
+            rng.integers(0, 2, n).astype(np.uint8),
+            rng.integers(0, draw(st.integers(1, 5)), n).astype(np.int32),
+        ))
+    return parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_parts())
+def test_merge_matches_lexsort_reference(parts):
+    got, want = merge(parts), reference_merge(parts)
+    np.testing.assert_array_equal(got.arrival_ns, want.arrival_ns)
+    np.testing.assert_array_equal(got.klass, want.klass)
+    np.testing.assert_array_equal(got.source_id, want.source_id)
 
 
 def test_trace_csv_round_trip(tmp_path):
