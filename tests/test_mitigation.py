@@ -404,7 +404,7 @@ def test_machine_matches_reference_loop(case):
     assert_matches_references(*case)
 
 
-def flood(n, window, share=1.0, seed=0):
+def flood(n, share=1.0, seed=0):
     """A flood of n packets 1 us apart whose labels carry the given attack
     share, with every packet's class equal to its label."""
     labels = (np.random.default_rng(seed).random(n) < share).astype(np.uint8)
@@ -427,7 +427,7 @@ def flood(n, window, share=1.0, seed=0):
 )
 def test_strided_attack_runs_match_references(n, window, skip, share, pace, attack_windows,
                                               last_len):
-    trace, labels = flood(n, window, share)
+    trace, labels = flood(n, share)
     res = assert_matches_references(trace, labels, window, FixedSkip(skip), pace)
     if attack_windows is not None:
         attacks = res.events[res.events.is_kind(EVENT_WINDOW_ATTACK)]
@@ -447,10 +447,10 @@ def test_fixed_skip_decides_attack_runs_in_blocks(monkeypatch):
         return max_plus(ready, work_sum, floor)
 
     monkeypatch.setattr(mitigation, "max_plus", counting_max_plus)
-    trace, labels = flood(20_000, 4)
+    trace, labels = flood(20_000)
     res = run_mitigation(trace, PERFECT, 4, FixedSkip(1), labels=labels, test_pacing_ns=10)
     assert res.state.windows_tested == 5_000 == sum(calls)
     assert len(calls) == 1
-    trace, labels = flood(20_002, 4)  # the partial tail window is a block of its own
+    trace, labels = flood(20_002)  # the partial tail window is a block of its own
     run_mitigation(trace, PERFECT, 4, FixedSkip(1), labels=labels)
     assert calls[1:] == [5_000, 1]
