@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .csvio import write_columns
 from .detector import classify_stream
@@ -199,6 +198,28 @@ class McCost:
     ci95_halfwidth: float
 
 
+def _t_quantile_975(df: int) -> float:
+    """The 0.975 quantile of Student's t with integer df >= 1: Newton's method
+    from the normal quantile on P(|T| <= t) = 0.95, the finite series in
+    theta = atan(t/sqrt(df)) of Abramowitz & Stegun 26.7.3-4. That is concave
+    in t > 0, so the iterates rise monotonically to the root."""
+    log_norm = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - math.log(df * math.pi) / 2
+    t = 1.959963984540054
+    while True:
+        theta = math.atan(t / math.sqrt(df))
+        c2, term, terms = math.cos(theta) ** 2, 1.0, [1.0]
+        for k in range(1 + df % 2, df - 2, 2):  # the series' ratios k/(k+1) cos^2
+            term *= c2 * k / (k + 1)
+            terms.append(term)
+        p = math.sin(theta) * math.fsum(terms)
+        if df % 2:
+            p = 2 / math.pi * (theta + (math.cos(theta) * p if df > 1 else 0.0))
+        step = (0.95 - p) / (2 * math.exp(log_norm - (df + 1) / 2 * math.log1p(t * t / df)))
+        t += step
+        if abs(step) <= 1e-12 * t:
+            return t
+
+
 def monte_carlo_cost(scenario, skip: int, runs: int, rng: RngStream) -> McCost:
     """Realized mitigation cost over seeded runs of a one-flood scenario.
 
@@ -252,7 +273,7 @@ def monte_carlo_cost(scenario, skip: int, runs: int, rng: RngStream) -> McCost:
     if runs > 1:
         var = math.fsum((c - mean) ** 2 for c in costs) / (runs - 1)
         std = math.sqrt(var)
-        ci = float(stats.t.ppf(0.975, runs - 1)) * std / math.sqrt(runs)
+        ci = _t_quantile_975(runs - 1) * std / math.sqrt(runs)
     else:
         std = 0.0
         ci = float("inf")

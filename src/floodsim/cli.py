@@ -27,7 +27,7 @@ from .analysis import (
     write_sweep_csv,
 )
 from .mitigation import optimal_skip
-from .model import ConfigError, InvariantViolation, ServiceTimeModel
+from .model import ConfigError, InvariantViolation, RngStream, ServiceTimeModel
 from .pipeline import run_simulation, write_outputs
 from .scenario import (
     Scenario,
@@ -35,7 +35,6 @@ from .scenario import (
     expected_attack_packets,
     load_scenario,
 )
-from .model import RngStream
 from .traffic import FloodSpec
 
 

@@ -25,6 +25,8 @@ class InvariantViolation(RuntimeError):
 
 
 MAX_TIME_S = 9.2e9  # a little under 2**63 ns, so every smaller time fits int64
+MAX_ELEMENTS = 10**9  # cap on a scenario's expected packets
+MAX_SAMPLES = 10**7  # cap on a queue timeline's samples, ~40 bytes each while sampled
 
 
 def to_ns(seconds):

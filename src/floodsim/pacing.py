@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import to_ns
+from .model import MAX_SAMPLES, ConfigError, to_ns
 
 
 def _as_times(x) -> np.ndarray:
@@ -57,8 +57,9 @@ def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int, t_start_ns: int = 0, t_
 
     entry/exit need not pair up one-to-one (drops remove packets through a
     different exit array); both must be sorted. The grid runs from t_start to
-    at least one step past the last exit, so a drained stage ends at zero.
-    Returns (times_ns, counts) as int64 arrays.
+    at least one step past the last exit, so a drained stage ends at zero;
+    a grid of over MAX_SAMPLES samples is a ConfigError, raised before it
+    is allocated. Returns (times_ns, counts) as int64 arrays.
     """
     entry = _as_times(entry_ns)
     exits = _as_times(exit_ns)
@@ -73,6 +74,8 @@ def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int, t_start_ns: int = 0, t_
     if t_end_ns is not None:
         last = max(last, int(t_end_ns))
     n_steps = (last - int(t_start_ns)) // dt + 2
+    if n_steps > MAX_SAMPLES:
+        raise ConfigError(f"a queue timeline of {n_steps} samples is over {MAX_SAMPLES:.0e}")
     grid = int(t_start_ns) + dt * np.arange(n_steps, dtype=np.int64)
     n_in = np.searchsorted(entry, grid, side="right")
     n_out = np.searchsorted(exits, grid, side="left")

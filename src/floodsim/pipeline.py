@@ -124,7 +124,8 @@ def run_simulation(scenario: Scenario, run_key: int = 0) -> SimulationResult:
             f"packet conservation broken: {dropped} dropped + {forwarded} forwarded != {n}"
         )
 
-    sqf_timeline = None
+    sqf_timeline = _empty_timeline() if scenario.sqf_enabled else None
+    sqf_peak = sqf_max_delay_ns = 0
     if scenario.sqf_enabled and n:
         exit_ns = np.empty(n, np.int64)
         exit_ns[rel_idx] = emitted
@@ -134,23 +135,15 @@ def run_simulation(scenario: Scenario, run_key: int = 0) -> SimulationResult:
         sqf_timeline = shaping_queue_timeline(trace.arrival_ns, exit_ns, sample_dt_ns)
         sqf_peak = peak_occupancy(trace.arrival_ns, exit_ns)
         sqf_max_delay_ns = int((emitted - trace.arrival_ns[rel_idx]).max()) if len(rel_idx) else 0
-    elif scenario.sqf_enabled:
-        sqf_timeline = _empty_timeline()
-        sqf_peak = 0
-        sqf_max_delay_ns = 0
 
+    server_timeline = _empty_timeline()
+    server_peak = max_wait_ns = mean_wait_ns = makespan_ns = 0
     if n and len(server):
         server_timeline = server.queue_timeline(sample_dt_ns)
         server_peak = peak_occupancy(server.arrival_ns, server.departure_ns)
         max_wait_ns = int(server.wait_ns.max())
         mean_wait_ns = float(server.wait_ns.mean())
         makespan_ns = int(server.departure_ns.max())
-    else:
-        server_timeline = _empty_timeline()
-        server_peak = 0
-        max_wait_ns = 0
-        mean_wait_ns = 0.0
-        makespan_ns = 0
 
     summary = {
         "packets_total": n,

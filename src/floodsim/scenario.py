@@ -30,6 +30,8 @@ from .detector import DetectorModel
 from .model import (
     STREAM_BENIGN,
     STREAM_FLOOD_BASE,
+    MAX_ELEMENTS,
+    MAX_SAMPLES,
     MAX_TIME_S,
     ConfigError,
     InvariantViolation,
@@ -59,9 +61,6 @@ def _clock_ns(seconds: float) -> int | None:
         return to_ns(seconds)
     except ValueError:
         return None
-
-
-MAX_ELEMENTS = 10**9  # cap on a scenario's expected packets and timeline samples
 
 
 def _at_least_1ns(seconds: float) -> bool:
@@ -118,15 +117,16 @@ class Scenario:
         if packets > MAX_ELEMENTS:
             raise ConfigError(f"benign.* and flood.N.* ask for over {MAX_ELEMENTS:.0e} packets")
         # the shaper emits, and the detector decides, the k-th packet within
-        # k gaps of the last arrival; a flood's Poisson count exceeds
-        # lam + 10*sqrt(lam) + 10 with odds under 1e-20
+        # k gaps of the last arrival, and the server ends within the sum of
+        # the service times after that, nominally the normal-regime mean each;
+        # a flood's Poisson count exceeds lam + 10*sqrt(lam) + 10 with odds under 1e-20
         slack = sum(10 * math.sqrt(f.rate_pps * f.duration_s) + 10 for f in self.floods)
-        if self.sqf_enabled and (
-            self.horizon_s + self.link_latency_s + (packets + slack) * self.pacing_gap_s >= MAX_TIME_S
-        ):
-            raise ConfigError("sqf.D_ms spaces the expected packets beyond the nanosecond clock")
-        if self.horizon_s / self.sample_dt_s > MAX_ELEMENTS:
-            raise ConfigError(f"run.sample_dt_ms asks for over {MAX_ELEMENTS:.0e} timeline samples")
+        per_packet_s = min(self.service.mean_normal_s, self.service.ceiling_s or math.inf)
+        per_packet_s += self.pacing_gap_s if self.sqf_enabled else 0.0
+        if self.horizon_s + self.link_latency_s + (packets + slack) * per_packet_s >= MAX_TIME_S:
+            raise ConfigError("sqf.D_ms and service.mean_*_ms carry the packets past the clock")
+        if self.horizon_s / self.sample_dt_s > MAX_SAMPLES:
+            raise ConfigError(f"run.sample_dt_ms asks for over {MAX_SAMPLES:.0e} timeline samples")
         if self.aam_enabled and not self.sqf_enabled:
             raise ConfigError(
                 "mitigation drops from the forwarder's input queue; "

@@ -27,23 +27,12 @@ from functools import cached_property
 import numpy as np
 
 from .csvio import Seconds, write_columns
-from .model import ConfigError, InvariantViolation, Regime, RngStream, ServiceTimeModel, to_ns
+from .model import MAX_TIME_S, NS_PER_S, ConfigError, InvariantViolation, Regime, RngStream
+from .model import ServiceTimeModel, to_ns
 from .pacing import max_plus, queue_timeline
 
 _FIRST_SPAN = 1024  # packets in a chunk's first candidate span
-
-
-def lindley_waits(arrival_ns, service_ns) -> np.ndarray:
-    """Waiting times of an FCFS queue (int64 ns), one per packet."""
-    a = np.asarray(arrival_ns, dtype=np.int64)
-    t = np.asarray(service_ns, dtype=np.int64)
-    if a.shape != t.shape:
-        raise ValueError("arrivals and services must have equal length")
-    if np.any(np.diff(a) < 0):
-        raise ValueError("arrivals must be sorted")
-    if np.any(t < 0):
-        raise ValueError("service times must be nonnegative")
-    return max_plus(a, np.cumsum(t) - t) - a
+_CLOCK_NS = int(MAX_TIME_S * NS_PER_S)  # no start or departure may reach it
 
 
 @dataclass
@@ -120,10 +109,7 @@ def simulate_server(
     """
     a = np.asarray(arrival_ns, dtype=np.int64)
     n = len(a)
-    if seq is None:
-        seq = np.arange(n, dtype=np.int64)
-    else:
-        seq = np.asarray(seq, dtype=np.int64)
+    seq = np.arange(n, dtype=np.int64) if seq is None else np.asarray(seq, dtype=np.int64)
     if n and np.any(np.diff(a) < 0):
         raise ValueError("arrivals must be sorted")
     if service_scale is not None:
@@ -149,12 +135,15 @@ def simulate_server(
             hi = n if bound is None else min(n, idx + span)
             t_cand = model.draw_ns(regime, z[idx:hi], u[idx:hi])
             if service_scale is not None:
-                with np.errstate(over="ignore"):  # inf is reported below
+                with np.errstate(over="ignore"):  # inf clips to the clock, refused below
                     scaled = np.rint(t_cand * service_scale[idx:hi])
-                if not scaled.max() < 2**63:
-                    raise ConfigError("run.drain_slowdown_factor scales services beyond the clock")
-                t_cand = np.maximum(scaled.astype(np.int64), 1)
-            starts = max_plus(a[idx:hi], np.cumsum(t_cand) - t_cand, start)
+                t_cand = np.clip(scaled, 1, _CLOCK_NS).astype(np.int64)
+            # a wrapped sum of services (each below 2**63) turns negative first; the
+            # span's departures stay within its first start or last arrival plus the sum
+            done = np.cumsum(t_cand)
+            if done.item(done.argmin()) < 0 or max(start, a.item(hi - 1)) + done.item(-1) >= _CLOCK_NS:
+                raise ConfigError("service.* and run.drain_slowdown_factor sum beyond the clock")
+            starts = max_plus(a[idx:hi], done - t_cand, start)
             take = hi - idx
             if bound is not None:
                 # the chunk ends at the first packet whose service starts at

@@ -68,6 +68,11 @@ class FloodSpec:
         return self.start_s + self.duration_s
 
 
+def _one_source(arrival_ns, klass: PacketClass, source_id: int) -> Trace:
+    n = len(arrival_ns)
+    return Trace(arrival_ns, np.full(n, int(klass), np.uint8), np.full(n, source_id, np.int32))
+
+
 def gen_benign(
     spec: BenignSpec, horizon_s: float, rng: RngStream, first_source_id: int = 1
 ) -> Trace:
@@ -83,14 +88,7 @@ def gen_benign(
     parts = []
     for s in range(spec.num_sources):
         jitter = g.random(n_per) * (spec.jitter_fraction * spec.period_s)
-        t = to_ns(base + jitter)
-        parts.append(
-            Trace(
-                t,
-                np.full(n_per, int(PacketClass.BENIGN), np.uint8),
-                np.full(n_per, first_source_id + s, np.int32),
-            )
-        )
+        parts.append(_one_source(to_ns(base + jitter), PacketClass.BENIGN, first_source_id + s))
     return merge(parts)
 
 
@@ -102,12 +100,7 @@ def gen_flood(spec: FloodSpec, rng: RngStream, source_id: int = 0) -> Trace:
     if n == 0:
         return Trace.empty()
     offsets = np.sort(g.random(n)) * spec.duration_s
-    t = to_ns(spec.start_s + offsets)
-    return Trace(
-        t,
-        np.full(n, int(PacketClass.ATTACK), np.uint8),
-        np.full(n, source_id, np.int32),
-    )
+    return _one_source(to_ns(spec.start_s + offsets), PacketClass.ATTACK, source_id)
 
 
 def merge(traces: Sequence[Trace]) -> Trace:

@@ -7,11 +7,10 @@ numbers.
 
 The functions from window_decision on are earlier library code kept
 verbatim: the per-window majority vote, the one-verdict-at-a-time window
-machine that called it, the server chunk loop that redraws the whole
-remaining stream per chunk, the sort-based peak occupancy and the
-three-key lexsort merge. They use
-floodsim's types and primitives, and the faster versions must reproduce
-them exactly.
+machine that called it, the closed-form FCFS waits, the server chunk loop
+that redraws the whole remaining stream per chunk, the sort-based peak
+occupancy and the three-key lexsort merge. They use floodsim's types and
+primitives, and the faster versions must reproduce them exactly.
 """
 import heapq
 import math
@@ -41,6 +40,7 @@ from floodsim.model import (
     ServiceTimeModel,
     Trace,
 )
+from floodsim.pacing import max_plus
 from floodsim.server import RegimeSchedule, ServerTrace
 
 
@@ -330,6 +330,20 @@ def _lindley_from(a: np.ndarray, t: np.ndarray, initial_wait: int) -> np.ndarray
     run_min = np.minimum.accumulate(s)
     np.maximum(s + initial_wait, s - run_min, out=out[1:])
     return out
+
+
+def lindley_waits(arrival_ns, service_ns) -> np.ndarray:
+    """Waiting times of an FCFS queue (int64 ns), one per packet: the service
+    starts s_n = max(a_n, s_{n-1} + T_{n-1}) from pacing.max_plus, minus a_n."""
+    a = np.asarray(arrival_ns, dtype=np.int64)
+    t = np.asarray(service_ns, dtype=np.int64)
+    if a.shape != t.shape:
+        raise ValueError("arrivals and services must have equal length")
+    if np.any(np.diff(a) < 0):
+        raise ValueError("arrivals must be sorted")
+    if np.any(t < 0):
+        raise ValueError("service times must be nonnegative")
+    return max_plus(a, np.cumsum(t) - t) - a
 
 
 def reference_simulate_server(

@@ -34,7 +34,6 @@ from floodsim.analysis import (
 from floodsim.detector import DetectorModel
 from floodsim.mitigation import EVENT_RECALC_M, EVENT_WINDOW_ATTACK, FixedSkip, run_mitigation
 from floodsim.model import Trace
-from floodsim.server import lindley_waits
 from floodsim.traffic import BenignSpec, FloodSpec, gen_flood
 from oracles import fcfs_waits_event_driven, step_through_machine
 
@@ -80,6 +79,17 @@ def test_pacing_gap_above_service_ceiling_eliminates_waits():
     )
 
 
+def served_waits(arrival_ns, service_ns):
+    """Waits from simulate_server with each packet's service time given: a
+    zero-variance, outlier-free model draws exactly 1 ns, and service_scale
+    stretches that to the packet's time."""
+    one_ns = ServiceTimeModel(mean_normal_s=1e-9, var_normal_s2=0.0, outlier_prob=0.0)
+    out = simulate_server(arrival_ns, one_ns, NORMAL_ALWAYS, RngStream(7, 0),
+                          service_scale=service_ns)
+    assert np.array_equal(out.service_ns, service_ns)
+    return out.wait_ns
+
+
 def test_wait_recursion_matches_event_driven_simulation():
     rng = np.random.default_rng(7)
     bad = 0
@@ -87,10 +97,10 @@ def test_wait_recursion_matches_event_driven_simulation():
         n = int(rng.integers(1, 201))
         arr = np.cumsum(rng.integers(0, 5_000_000, n)).astype(np.int64)
         svc = rng.integers(1, 8_000_000, n).astype(np.int64)
-        if not np.array_equal(lindley_waits(arr, svc), np.array(fcfs_waits_event_driven(arr, svc))):
+        if not np.array_equal(served_waits(arr, svc), np.array(fcfs_waits_event_driven(arr, svc))):
             bad += 1
     report(
-        "closed-form FCFS waits equal an event-driven reference exactly",
+        "simulate_server's FCFS waits equal an event-driven reference exactly",
         bad == 0,
         f"mismatches={bad}/1000",
     )

@@ -17,6 +17,7 @@ from floodsim import (
     optimal_skip,
 )
 from floodsim.analysis import (
+    _t_quantile_975,
     exact_drop_count,
     exact_window_count,
     expected_drop_count,
@@ -262,6 +263,39 @@ def test_monte_carlo_cost_argument_errors():
     )
     with pytest.raises(ConfigError):
         monte_carlo_cost(two, 125, 2, RngStream(1, 0))
+
+
+# scipy.stats.t.ppf(0.975, df), recorded so the check holds without scipy
+T_975 = {
+    1: 12.706204736174694,
+    2: 4.302652729749462,
+    3: 3.1824463052837078,
+    10: 2.228138851986274,
+    30: 2.0422724563012378,
+    99: 1.9842169515864174,
+    1000: 1.9623390808264083,
+}
+
+
+@pytest.mark.parametrize("df", sorted(T_975))
+def test_t_quantile_matches_recorded_values(df):
+    assert _t_quantile_975(df) == pytest.approx(T_975[df], rel=1e-12, abs=0)
+
+
+def test_t_quantile_matches_scipy_over_df_1_to_10000():
+    stats = pytest.importorskip("scipy.stats")
+    # every df to 1000, then every 250th: the series has df/2 terms, so the
+    # whole range takes ~17 s on one core; df 1-10000 all agree within 6.4e-13
+    dfs = list(range(1, 1001)) + list(range(1250, 10001, 250))
+    want = stats.t.ppf(0.975, dfs)
+    got = np.array([_t_quantile_975(df) for df in dfs])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_monte_carlo_interval_is_the_t_interval():
+    scn = one_flood_scenario()
+    mc = monte_carlo_cost(scn, 125, 4, RngStream(1, 0))
+    assert mc.ci95_halfwidth == pytest.approx(T_975[3] * mc.std_cost / 2, rel=1e-12)
 
 
 def test_monte_carlo_interval_narrows_with_runs():

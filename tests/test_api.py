@@ -1,7 +1,10 @@
 """The package namespace: exactly the names the README and the demos use,
 plus the error types and the run/result/output entry points."""
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import floodsim
@@ -69,3 +72,24 @@ def test_readme_imports_are_public():
     assert blocks
     names = set().union(*(imported_from_floodsim(b) for b in blocks))
     assert names and not names - PUBLIC, sorted(names - PUBLIC)
+
+
+NO_SCIPY = """\
+import runpy, sys
+import floodsim
+sys.argv = ["floodsim", "--help"]
+try:
+    runpy.run_module("floodsim", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_import_and_cli_load_no_scipy():
+    # a fresh interpreter: `import floodsim`, then `python -m floodsim --help`
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

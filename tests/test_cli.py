@@ -172,6 +172,15 @@ def test_result1_rejects_non_finite_flags(capsys, flags):
         # 10 000 packets 10^6 s apart overrun the 9.2e9 s of int64 nanoseconds
         "benign.period_s = 0.001\nflood.1.rate_pps = 1e-9\nrun.horizon_s = 10\n"
         "aam.enabled = false\nsqf.D_ms = 1000000000\n",
+        # so do 10 000 service times of 10^6 s each, unshaped
+        "benign.period_s = 0.001\nflood.1.rate_pps = 1e-9\nrun.horizon_s = 10\n"
+        "sqf.enabled = false\naam.enabled = false\nservice.mean_normal_ms = 1000000000\n",
+        # and 1 600 flood services of ~3*10^9 s
+        "aam.enabled = false\nrun.drain_slowdown_factor = 1e12\n",
+        # ~600 services of 10^4 s (AAM drops most of the flood) fit the
+        # clock, but sampling the server queue to its last exit every 0.1 s
+        # takes ~6e7 samples
+        "service.mean_normal_ms = 10000000\n",
     ],
 )
 def test_runs_too_large_for_the_clock_or_memory_are_config_errors(tmp_path, capsys, lines):

@@ -13,6 +13,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0*.py"))
+# demo 05's Monte Carlo lines: the 95 % CI half-widths come from the
+# Student-t quantile, and read the same as when scipy computed it
+DEMO_05_CI = [
+    "  m =  62: mean cost 1.967 +- 0.029 (95% CI)",
+    "  m = 125: mean cost 1.879 +- 0.065 (95% CI)",
+    "  m = 250: mean cost 1.969 +- 0.104 (95% CI)",
+]
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +43,6 @@ def test_demo_runs(workdir, name):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    if name.startswith("05"):
+        lines = proc.stdout.splitlines()
+        assert [line for line in lines if line.endswith("(95% CI)")] == DEMO_05_CI

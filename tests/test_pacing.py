@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floodsim import RngStream, forward_times, peak_occupancy, to_ns
+from floodsim import ConfigError, RngStream, forward_times, peak_occupancy, to_ns
+from floodsim import pacing
 from floodsim.pacing import max_plus, queue_timeline, shaping_queue_timeline
 from floodsim.traffic import FloodSpec, gen_flood
 from oracles import occupancy_at, pacing_delays, reference_peak_occupancy
@@ -107,6 +108,19 @@ def test_timeline_counts_departing_packet_at_its_exit():
     times, counts = queue_timeline([0], [2 * MS], 2 * MS)
     # closed convention: the sample at the exit instant still sees the packet
     assert counts[0] == 1 and counts[1] == 1 and counts[-1] == 0
+
+
+def test_timeline_grid_is_capped_before_it_is_allocated(monkeypatch):
+    # the grid runs to the last exit, however far past the horizon that is
+    with pytest.raises(ConfigError, match="queue timeline of 1000000000000000002 samples"):
+        queue_timeline([0], [10**18], 1)
+    monkeypatch.setattr(pacing, "MAX_SAMPLES", 100)
+    times, counts = queue_timeline([0], [98], 1)  # 100 samples, the cap
+    assert len(times) == 100 and counts[-1] == 0
+    with pytest.raises(ConfigError, match="101 samples"):
+        queue_timeline([0], [99], 1)
+    with pytest.raises(ConfigError):
+        shaping_queue_timeline([0], [99], 1)
 
 
 def test_shaping_timeline_validates_inputs():

@@ -132,6 +132,23 @@ def test_flood_must_fit_horizon():
         )
 
 
+def test_gaps_and_service_times_must_fit_the_clock():
+    # one packet a ms: 9 000 service times of 10^6 s end within the 9.2e9 s
+    # of int64 nanoseconds, 10 000 do not
+    unshaped = ("benign.period_s = 0.001\nsqf.enabled = false\naam.enabled = false\n"
+                "service.mean_normal_ms = 1000000000\n")
+    parse_scenario(unshaped + "run.horizon_s = 9\n")
+    with pytest.raises(ConfigError, match="past the clock"):
+        parse_scenario(unshaped + "run.horizon_s = 10\n")
+    parse_scenario(unshaped + "run.horizon_s = 10\nservice.ceiling_ms = 1000\n")
+    # behind the shaper each packet adds its gap and its service time
+    shaped = "benign.period_s = 0.001\nrun.horizon_s = 10\naam.enabled = false\n"
+    parse_scenario(shaped + "sqf.D_ms = 500000000\n")
+    parse_scenario(shaped + "service.mean_normal_ms = 500000000\n")
+    with pytest.raises(ConfigError, match="past the clock"):
+        parse_scenario(shaped + "sqf.D_ms = 500000000\nservice.mean_normal_ms = 500000000\n")
+
+
 def test_bad_skip_mode():
     with pytest.raises(ConfigError, match="m_mode"):
         parse_scenario("aam.m_mode = magic\n")

@@ -1,4 +1,6 @@
 """FCFS waiting times and the regime-switching server simulation."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +14,12 @@ from floodsim import (
     simulate_server,
     to_ns,
 )
-from floodsim.model import InvariantViolation, Regime
+from floodsim.model import ConfigError, InvariantViolation, Regime
 from floodsim.pipeline import run_simulation
 from floodsim.scenario import parse_scenario
-from floodsim.server import _FIRST_SPAN, RegimeSchedule, lindley_waits
+from floodsim.server import _FIRST_SPAN, RegimeSchedule
 from floodsim.traffic import FloodSpec, gen_flood
-from oracles import fcfs_waits_event_driven, reference_simulate_server
+from oracles import fcfs_waits_event_driven, lindley_waits, reference_simulate_server
 
 MS = 1_000_000
 S = 1_000_000_000
@@ -133,6 +135,33 @@ def test_simulate_server_empty_and_validation():
     with pytest.raises(ValueError):
         simulate_server(np.array([1, 5]), model, NORMAL_ALWAYS, RngStream(1, 0),
                         service_scale=np.ones(3))
+
+
+def test_summed_service_beyond_the_clock_is_a_config_error():
+    # 10^6 s per packet: 9 000 packets end before the 9.2e9 s clock limit,
+    # 9 210 pass it within int64, and 10 000 pass 2**63 ns, which int64 sums
+    # used to wrap silently
+    model = ServiceTimeModel(mean_normal_s=1e6, var_normal_s2=0.0)
+    fits = simulate_server(np.zeros(9_000, np.int64), model, NORMAL_ALWAYS, RngStream(1, 0))
+    assert np.all(np.diff(fits.departure_ns) > 0)
+    assert fits.departure_ns[-1] == 9_000 * 10**15
+    for n in (9_210, 10_000):
+        with pytest.raises(ConfigError, match="beyond the clock"):
+            simulate_server(np.zeros(n, np.int64), model, NORMAL_ALWAYS, RngStream(1, 0))
+    # a late arrival counts too: last departures at 9.185e18 and 9.205e18 ns
+    late = ServiceTimeModel(mean_normal_s=1e7, var_normal_s2=0.0)
+    simulate_server(np.array([0, 9_175 * 10**15]), late, NORMAL_ALWAYS, RngStream(1, 0))
+    with pytest.raises(ConfigError, match="beyond the clock"):
+        simulate_server(np.array([0, 9_195 * 10**15]), late, NORMAL_ALWAYS, RngStream(1, 0))
+    # the same through service_scale on packets past the first regime chunk,
+    # with no numpy warning on the way
+    sched = RegimeSchedule([(5 * S, 6 * S)])
+    a = np.arange(3_000, dtype=np.int64) * 10 * MS
+    for factor in (1e12, 1e300, np.inf):
+        scale = np.where(np.arange(3_000) < 1_500, 1.0, factor)
+        with pytest.raises(ConfigError, match="beyond the clock"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_server(a, ServiceTimeModel(), sched, RngStream(1, 0), service_scale=scale)
 
 
 def test_empty_regime_chunk_is_an_invariant_violation(monkeypatch):
