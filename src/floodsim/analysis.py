@@ -148,9 +148,12 @@ def cost_report(params: CostParams, skip: int) -> CostReport:
     )
 
 
-def brute_force_optimal(params: CostParams, max_skip: int = 4096) -> int:
-    """Integer argmin of total_cost over 1..max_skip, by enumeration."""
-    skips = np.arange(1, max_skip + 1, dtype=np.float64)
+BRUTE_FORCE_SKIPS = 4096  # brute_force_optimal enumerates m = 1..BRUTE_FORCE_SKIPS
+
+
+def brute_force_optimal(params: CostParams) -> int:
+    """Integer argmin of total_cost over 1..BRUTE_FORCE_SKIPS, by enumeration."""
+    skips = np.arange(1, BRUTE_FORCE_SKIPS + 1, dtype=np.float64)
     costs = total_cost(params, skips)
     return int(skips[np.argmin(costs)])
 
@@ -256,9 +259,7 @@ def monte_carlo_cost(scenario, skip: int, runs: int, rng: RngStream) -> McCost:
         trace = build_trace(scenario, rng, run_key)
         det_rng = substream(rng, run_key + STREAM_DETECTOR)
         labels = classify_stream(trace.klass, scenario.detector, det_rng)
-        res = run_mitigation(
-            trace, scenario.detector, w, FixedSkip(int(skip)), labels=labels
-        )
+        res = run_mitigation(trace, scenario.detector, FixedSkip(int(skip)), labels=labels)
         b = res.state.benign_dropped
         mwin = res.state.mitigation_windows
         x_flood = int(np.searchsorted(trace.arrival_ns, hi, side="left")

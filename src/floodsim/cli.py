@@ -27,7 +27,8 @@ from .analysis import (
     write_sweep_csv,
 )
 from .mitigation import optimal_skip
-from .model import ConfigError, InvariantViolation, RngStream, ServiceTimeModel
+from .model import MAX_ELEMENTS, ConfigError, InvariantViolation, RngStream, ServiceTimeModel
+from .model import check_skip
 from .pipeline import run_simulation, write_outputs
 from .scenario import (
     Scenario,
@@ -43,9 +44,9 @@ def _parse_skip_list(raw: str) -> list[int]:
         skips = sorted({int(part) for part in raw.split(",") if part.strip()})
     except ValueError as exc:
         raise ConfigError(f"--m expects integers separated by commas: {raw!r}") from exc
-    if not skips or min(skips) < 1:
-        raise ConfigError("--m values must be >= 1")
-    return skips
+    if not skips:
+        raise ConfigError("--m needs at least one skip length")
+    return [check_skip(m, "--m") for m in skips]
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
@@ -79,8 +80,7 @@ def _cost_params(scn: Scenario) -> CostParams:
 def _cmd_simulate(args) -> int:
     scn = _apply_overrides(load_scenario(args.scenario), args)
     if args.m is not None:
-        scn = dataclasses.replace(scn, skip_mode="fixed", fixed_skip=args.m)
-        scn.validate()
+        scn = dataclasses.replace(scn, skip_mode="fixed", fixed_skip=check_skip(args.m, "--m"))
     result = run_simulation(scn)
     files = write_outputs(result, args.out, gnuplot=args.gnuplot)
     for key, val in result.summary.items():
@@ -97,6 +97,11 @@ def _cmd_sweep(args) -> int:
         skips = _parse_skip_list(args.m)
     else:
         skips = sorted({max(1, round(best * f)) for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)})
+    # a trial costs at least one packet's work; huge counts clamp before the float product
+    trial_packets = max(scn.expected_run_packets(), 1.0) * len(skips)
+    if args.runs > 0 and min(args.runs, MAX_ELEMENTS + 1) * trial_packets > MAX_ELEMENTS:
+        raise ConfigError(f"--runs {args.runs} over {len(skips)} skips asks for over "
+                          f"{MAX_ELEMENTS:.0e} packets")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -146,13 +151,15 @@ def _cmd_result1(args) -> int:
 
 def _cmd_optimal_m(args) -> int:
     scn = _apply_overrides(load_scenario(args.scenario), args)
+    if args.m is not None:
+        check_skip(args.m, "--m")
     params = _cost_params(scn)
     best = optimal_skip(params.window, params.beta_over_alpha, params.expected_packets)
     print(f"window            = {params.window}")
     print(f"beta/alpha        = {params.beta_over_alpha:.6g}")
     print(f"expected packets  = {params.expected_packets:.6g}")
     print(f"optimal m         = {best}")
-    for label, m in (("m*", best),) + ((("--m", args.m),) if args.m else ()):
+    for label, m in (("m*", best),) + ((("--m", args.m),) if args.m is not None else ()):
         rep = cost_report(params, m)
         print(
             f"cost at {label}={m}: total {rep.total:.6f} "
@@ -169,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--scenario", required=True, help="scenario file (key = value lines)")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
 
     p_sim = sub.add_parser("simulate", help="run one scenario")

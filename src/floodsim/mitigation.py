@@ -1,14 +1,14 @@
 """Adaptive batch-drop mitigation: the window/skip index machine.
 
 Two cursors walk the stream. ``test_cursor`` (the paper-style i, kept
-0-based internally) marks the next window of ``window`` packets handed to
-the detector; ``pending_cursor`` (j) marks the first packet whose fate is
-still open. On an ATTACK verdict everything from the pending cursor through
-the window end is dropped and the test cursor leaps ahead by the current
-skip length; on a clear verdict the same span is forwarded and testing
-continues back-to-back. In quiet periods the two cursors coincide and every
-packet is tested, so the skip only ever sacrifices packets while an attack
-is in progress.
+0-based internally) marks the next window of ``detector.window`` packets
+handed to the detector; ``pending_cursor`` (j) marks the first packet whose
+fate is still open. On an ATTACK verdict everything from the pending cursor
+through the window end is dropped and the test cursor leaps ahead by the
+current skip length; on a clear verdict the same span is forwarded and
+testing continues back-to-back. In quiet periods the two cursors coincide
+and every packet is tested, so the skip only ever sacrifices packets while
+an attack is in progress.
 
 Index updates follow the published machine verbatim (1-based form:
 ATTACK -> j := i+W, i := i+W-1+m; clear -> both := i+W). Note the machine
@@ -52,7 +52,7 @@ import numpy as np
 
 from .csvio import Seconds, write_columns
 from .detector import DetectorModel, classify_stream
-from .model import InvariantViolation, PacketClass, RngStream, Trace
+from .model import InvariantViolation, PacketClass, RngStream, Trace, check_skip
 from .pacing import max_plus
 
 EVENT_WINDOW_ATTACK = "WINDOW_ATTACK"
@@ -106,8 +106,7 @@ class FixedSkip:
     skip: int
 
     def __post_init__(self):
-        if self.skip < 1:
-            raise ValueError("skip must be >= 1")
+        check_skip(self.skip, "skip")
 
     def refresh(self, window: int, queue_len: int) -> int:
         return self.skip
@@ -188,32 +187,14 @@ class EventLog:
         return self.kind == EVENT_KINDS.index(kind)
 
 
-class _EventColumns:
-    """Collects event rows in log order: single (time, kind, first, last,
-    skip) tuples through ``add``, or whole column blocks."""
-
-    def __init__(self):
-        self.blocks: list = []
-        self.rows: list[tuple] = []  # single rows added since the last block
-        self.add = self.rows.append
-
-    def add_block(self, *columns: np.ndarray) -> None:
-        self._flush()
-        self.blocks.append(columns)
-
-    def _flush(self) -> None:
-        if self.rows:
-            self.blocks.append(np.array(self.rows, np.int64).T)
-            self.rows.clear()
-
-    def build(self) -> EventLog:
-        self._flush()
-        dtypes = (np.int64, np.uint8, np.int64, np.int64, np.int64)
-        return EventLog(*(
-            np.concatenate([b[c] for b in self.blocks]).astype(dt, copy=False) if self.blocks
-            else np.empty(0, dt)
-            for c, dt in enumerate(dtypes)
-        ))
+def _event_log(blocks: list) -> EventLog:
+    """The EventLog of (time, kind, first, last, skip) column blocks, in order."""
+    dtypes = (np.int64, np.uint8, np.int64, np.int64, np.int64)
+    return EventLog(*(
+        np.concatenate([b[c] for b in blocks]).astype(dt, copy=False) if blocks
+        else np.empty(0, dt)
+        for c, dt in enumerate(dtypes)
+    ))
 
 
 @dataclass
@@ -278,7 +259,6 @@ def _first_window(votes: np.ndarray, start: int, window: int, stride: int, count
 def run_mitigation(
     trace: Trace,
     detector: DetectorModel,
-    window: int,
     policy,
     rng: RngStream | None = None,
     *,
@@ -286,7 +266,8 @@ def run_mitigation(
     labels: np.ndarray | None = None,
 ) -> MitigationResult:
     """Run the index machine over a stream and return per-packet outcomes,
-    an event log and final counters.
+    an event log and final counters, testing windows of detector.window
+    packets.
 
     labels may be precomputed; otherwise the whole stream is classified up
     front from rng (one draw per packet, so outcomes are reproducible no
@@ -298,6 +279,7 @@ def run_mitigation(
     ceil(window/2) packets remain, otherwise the leftovers are forwarded
     untested.
     """
+    window = detector.window
     if window < 1:
         raise ValueError("window must be >= 1")
     n = len(trace)
@@ -317,7 +299,7 @@ def run_mitigation(
     release_ns = np.full(n, -1, np.int64)
     drop_time_ns = np.full(n, -1, np.int64)
     st = MitigationState()
-    log = _EventColumns()
+    log: list = []  # event column blocks, in log order
     pace = max(int(test_pacing_ns), 0)
     min_tail = math.ceil(window / 2)  # a shorter partial window goes untested
 
@@ -353,13 +335,13 @@ def run_mitigation(
         now = verdict_clock(starts, ends, last_verdict_ns)
         firsts = np.repeat(starts, 2)
         firsts[1] = first  # the first forward range also frees the untested prefix
-        log.add_block(
+        log.append((
             np.repeat(now, 2),
             np.tile(_CLEAR_FORWARD, len(ends)),
             firsts,
             np.repeat(ends, 2),
             np.full(2 * len(ends), st.skip, np.int64),
-        )
+        ))
         # untested packets released by the verdict leave at the verdict
         # instant; tested ones were already flowing and keep their arrival
         outcomes[first:c] = int(Outcome.FORWARDED)
@@ -404,7 +386,7 @@ def run_mitigation(
         firsts[r - 1 :: r] = drop_firsts
         skips = np.full(k * r, st.skip, np.int64)
         skips[0] = skip_before
-        log.add_block(np.repeat(now, r), np.tile(kinds, k), firsts, np.repeat(ends, r), skips)
+        log.append((np.repeat(now, r), np.tile(kinds, k), firsts, np.repeat(ends, r), skips))
         outcomes[first:end] = int(Outcome.DROPPED)
         drop_time_ns[first:end] = np.repeat(now, ends - drop_firsts + 1)
         n_att = attack_packets.item(end) - attack_packets.item(first)
@@ -432,7 +414,7 @@ def run_mitigation(
     if st.pending_cursor < n:
         first = st.pending_cursor
         end_ns = int(arrivals[n - 1])
-        log.add((end_ns, _FORWARD, first, n - 1, st.skip))
+        log.append(np.array([[end_ns], [_FORWARD], [first], [n - 1], [st.skip]], np.int64))
         outcomes[first:n] = int(Outcome.FORWARDED)
         held = np.arange(first, n) < st.test_cursor
         release_ns[first:n] = np.where(held, end_ns, arrivals[first:n])
@@ -441,7 +423,7 @@ def run_mitigation(
 
     if n and np.any(outcomes == 255):
         raise InvariantViolation("disposition partition violated")
-    return MitigationResult(outcomes, release_ns, drop_time_ns, st, log.build())
+    return MitigationResult(outcomes, release_ns, drop_time_ns, st, _event_log(log))
 
 
 def write_events_csv(path, events: EventLog) -> None:

@@ -29,6 +29,14 @@ MAX_ELEMENTS = 10**9  # cap on a scenario's expected packets
 MAX_SAMPLES = 10**7  # cap on a queue timeline's samples, ~40 bytes each while sampled
 
 
+def check_skip(skip, name: str) -> int:
+    """The one rule for a skip length m, wherever it comes from: 1 <= m < 2**63,
+    so the window cursors stay int64. Returns m; raises ConfigError naming it."""
+    if not 1 <= skip < 2**63:
+        raise ConfigError(f"{name} must be >= 1 and fit int64")
+    return skip
+
+
 def to_ns(seconds):
     """Convert seconds (scalar or array-like) to integer nanoseconds.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import MAX_SAMPLES, ConfigError, to_ns
+from .model import MAX_SAMPLES, ConfigError
 
 
 def _as_times(x) -> np.ndarray:
@@ -52,12 +52,12 @@ def forward_times(arrival_ns, gap_ns: int) -> np.ndarray:
     return max_plus(a, np.arange(len(a), dtype=np.int64) * gap)
 
 
-def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int, t_start_ns: int = 0, t_end_ns=None):
+def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int):
     """Sampled occupancy of a FIFO stage: count(entry <= t) - count(exit < t).
 
     entry/exit need not pair up one-to-one (drops remove packets through a
-    different exit array); both must be sorted. The grid runs from t_start to
-    at least one step past the last exit, so a drained stage ends at zero;
+    different exit array); both must be sorted. The grid runs from 0 to at
+    least one step past the last entry or exit, so a drained stage ends at zero;
     a grid of over MAX_SAMPLES samples is a ConfigError, raised before it
     is allocated. Returns (times_ns, counts) as int64 arrays.
     """
@@ -66,23 +66,17 @@ def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int, t_start_ns: int = 0, t_
     dt = int(sample_dt_ns)
     if dt <= 0:
         raise ValueError("sample_dt must be positive")
-    last = int(t_start_ns)
-    if len(entry):
-        last = max(last, int(entry[-1]))
-    if len(exits):
-        last = max(last, int(exits[-1]))
-    if t_end_ns is not None:
-        last = max(last, int(t_end_ns))
-    n_steps = (last - int(t_start_ns)) // dt + 2
+    last = max([0] + [int(times[-1]) for times in (entry, exits) if len(times)])
+    n_steps = last // dt + 2
     if n_steps > MAX_SAMPLES:
         raise ConfigError(f"a queue timeline of {n_steps} samples is over {MAX_SAMPLES:.0e}")
-    grid = int(t_start_ns) + dt * np.arange(n_steps, dtype=np.int64)
+    grid = dt * np.arange(n_steps, dtype=np.int64)
     n_in = np.searchsorted(entry, grid, side="right")
     n_out = np.searchsorted(exits, grid, side="left")
     return grid, (n_in - n_out).astype(np.int64)
 
 
-def shaping_queue_timeline(arrival_ns, forward_ns, sample_dt_ns: int = to_ns(0.1)):
+def shaping_queue_timeline(arrival_ns, forward_ns, sample_dt_ns: int):
     """Queue length at the forwarder entrance, sampled every sample_dt.
 
     arrival and forward arrays must pair elementwise (same packets), so

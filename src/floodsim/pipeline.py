@@ -59,10 +59,10 @@ def _empty_timeline():
     return np.zeros(1, np.int64), np.zeros(1, np.int64)
 
 
-def run_simulation(scenario: Scenario, run_key: int = 0) -> SimulationResult:
+def run_simulation(scenario: Scenario) -> SimulationResult:
     scenario.validate()
     base = RngStream(scenario.seed, 0)
-    trace = build_trace(scenario, base, run_key)
+    trace = build_trace(scenario, base)
     n = len(trace)
     gap_ns = to_ns(scenario.pacing_gap_s)
     latency_ns = to_ns(scenario.link_latency_s)
@@ -77,9 +77,8 @@ def run_simulation(scenario: Scenario, run_key: int = 0) -> SimulationResult:
         mit = run_mitigation(
             trace,
             scenario.detector,
-            scenario.detector.window,
             policy,
-            substream(base, run_key + STREAM_DETECTOR),
+            substream(base, STREAM_DETECTOR),
             test_pacing_ns=gap_ns,
         )
         # pace the released stream in (release instant, seq) order
@@ -110,7 +109,7 @@ def run_simulation(scenario: Scenario, run_key: int = 0) -> SimulationResult:
         emitted + latency_ns,
         scenario.service,
         serve_sched,
-        substream(base, run_key + STREAM_SERVICE),
+        substream(base, STREAM_SERVICE),
         service_scale=scale,
         seq=rel_idx,
     )
@@ -127,11 +126,8 @@ def run_simulation(scenario: Scenario, run_key: int = 0) -> SimulationResult:
     sqf_timeline = _empty_timeline() if scenario.sqf_enabled else None
     sqf_peak = sqf_max_delay_ns = 0
     if scenario.sqf_enabled and n:
-        exit_ns = np.empty(n, np.int64)
-        exit_ns[rel_idx] = emitted
-        if mit is not None:
-            dm = mit.dropped_mask()
-            exit_ns[dm] = mit.drop_time_ns[dm]
+        # a packet leaves the shaper at its emission, or at the verdict that dropped it
+        exit_ns = emit_ns if mit is None else np.where(emit_ns < 0, mit.drop_time_ns, emit_ns)
         sqf_timeline = shaping_queue_timeline(trace.arrival_ns, exit_ns, sample_dt_ns)
         sqf_peak = peak_occupancy(trace.arrival_ns, exit_ns)
         sqf_max_delay_ns = int((emitted - trace.arrival_ns[rel_idx]).max()) if len(rel_idx) else 0

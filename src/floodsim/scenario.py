@@ -38,6 +38,7 @@ from .model import (
     RngStream,
     ServiceTimeModel,
     Trace,
+    check_skip,
     substream,
     to_ns,
 )
@@ -89,6 +90,15 @@ class Scenario:
     sample_dt_s: float = 0.1
     drain_slowdown: float = 1.0
 
+    def expected_run_packets(self) -> float:
+        """Expected packets of one run, each benign factor clamped just above
+        MAX_ELEMENTS so that an oversized scenario still sums to a finite excess."""
+        packets = sum(f.rate_pps * f.duration_s for f in self.floods)
+        if self.benign is not None:
+            per_source = math.ceil(min(self.horizon_s / self.benign.period_s, MAX_ELEMENTS + 1))
+            packets += min(self.benign.num_sources, MAX_ELEMENTS + 1) * per_source
+        return packets
+
     def validate(self) -> None:
         if not _at_least_1ns(self.pacing_gap_s):
             raise ConfigError("sqf.D_ms must be at least 1 ns and fit the nanosecond clock")
@@ -96,8 +106,7 @@ class Scenario:
             raise ConfigError("sqf.link_latency_ms must be >= 0")
         if self.skip_mode not in ("optimal", "fixed"):
             raise ConfigError("aam.m_mode must be 'optimal' or 'fixed'")
-        if not 1 <= self.fixed_skip < 2**63:
-            raise ConfigError("aam.m_fixed must be >= 1 and fit int64")
+        check_skip(self.fixed_skip, "aam.m_fixed")
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError("cost.alpha and cost.beta must be positive")
         if self.tau_s <= 0:
@@ -110,10 +119,7 @@ class Scenario:
             raise ConfigError("run.drain_slowdown_factor must be >= 1")
         if not 0 <= self.seed < 2**63:
             raise ConfigError("run.seed must be >= 0 and fit int64")
-        packets = sum(f.rate_pps * f.duration_s for f in self.floods)
-        if self.benign is not None:
-            per_source = math.ceil(min(self.horizon_s / self.benign.period_s, MAX_ELEMENTS + 1))
-            packets += min(self.benign.num_sources, MAX_ELEMENTS + 1) * per_source
+        packets = self.expected_run_packets()
         if packets > MAX_ELEMENTS:
             raise ConfigError(f"benign.* and flood.N.* ask for over {MAX_ELEMENTS:.0e} packets")
         # the shaper emits, and the detector decides, the k-th packet within
@@ -274,7 +280,11 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read the scenario file: {exc}") from exc
+    return parse_scenario(text)
 
 
 def build_trace(scenario: Scenario, rng: RngStream, run_key: int = 0) -> Trace:
@@ -286,7 +296,7 @@ def build_trace(scenario: Scenario, rng: RngStream, run_key: int = 0) -> Trace:
         parts.append(gen_benign(scenario.benign, scenario.horizon_s, benign_rng))
     for k, flood in enumerate(scenario.floods):
         flood_rng = substream(rng, run_key + STREAM_FLOOD_BASE + k)
-        parts.append(gen_flood(flood, flood_rng, source_id=0))
+        parts.append(gen_flood(flood, flood_rng))
     if not parts:
         return Trace.empty()
     return merge(parts)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .csvio import Seconds, write_columns
 from .model import MAX_TIME_S, NS_PER_S, ConfigError, InvariantViolation, Regime, RngStream
-from .model import ServiceTimeModel, to_ns
+from .model import ServiceTimeModel
 from .pacing import max_plus, queue_timeline
 
 _FIRST_SPAN = 1024  # packets in a chunk's first candidate span
@@ -86,9 +86,10 @@ class ServerTrace:
     def departure_ns(self) -> np.ndarray:
         return self.arrival_ns + self.wait_ns + self.service_ns
 
-    def queue_timeline(self, sample_dt_ns: int = to_ns(0.1), t_start_ns: int = 0, t_end_ns=None):
-        """Sampled queue length, counting waiting plus in-service packets."""
-        return queue_timeline(self.arrival_ns, self.departure_ns, sample_dt_ns, t_start_ns, t_end_ns)
+    def queue_timeline(self, sample_dt_ns: int):
+        """Queue length sampled every sample_dt from 0, counting waiting plus
+        in-service packets."""
+        return queue_timeline(self.arrival_ns, self.departure_ns, sample_dt_ns)
 
 
 def simulate_server(

@@ -1,9 +1,9 @@
 """Arrival-stream generation: periodic benign sources, Poisson flood bursts,
 stream merging, and the trace CSV format.
 
-Conventions: the flood source gets source_id 0 by default and benign sources
-number upward from 1, so equal-timestamp ties resolve flood-first, then by
-ascending benign source. Within one source, ties keep generation order.
+Conventions: every flood has source_id 0 and benign sources number upward
+from 1, so equal-timestamp ties resolve flood-first, then by ascending benign
+source. Within one source, ties keep generation order.
 """
 from __future__ import annotations
 
@@ -73,11 +73,9 @@ def _one_source(arrival_ns, klass: PacketClass, source_id: int) -> Trace:
     return Trace(arrival_ns, np.full(n, int(klass), np.uint8), np.full(n, source_id, np.int32))
 
 
-def gen_benign(
-    spec: BenignSpec, horizon_s: float, rng: RngStream, first_source_id: int = 1
-) -> Trace:
-    """Generate benign traffic on [0, horizon). Arrival k of a source sits at
-    k*period + U[0, jitter_fraction*period)."""
+def gen_benign(spec: BenignSpec, horizon_s: float, rng: RngStream) -> Trace:
+    """Generate benign traffic on [0, horizon) from sources 1..num_sources.
+    Arrival k of a source sits at k*period + U[0, jitter_fraction*period)."""
     if horizon_s < 0:
         raise ValueError("horizon must be >= 0")
     n_per = math.ceil(horizon_s / spec.period_s)
@@ -86,21 +84,22 @@ def gen_benign(
     g = rng.generator
     base = np.arange(n_per, dtype=np.float64) * spec.period_s
     parts = []
-    for s in range(spec.num_sources):
+    for source in range(1, spec.num_sources + 1):
         jitter = g.random(n_per) * (spec.jitter_fraction * spec.period_s)
-        parts.append(_one_source(to_ns(base + jitter), PacketClass.BENIGN, first_source_id + s))
+        parts.append(_one_source(to_ns(base + jitter), PacketClass.BENIGN, source))
     return merge(parts)
 
 
-def gen_flood(spec: FloodSpec, rng: RngStream, source_id: int = 0) -> Trace:
-    """Generate one flood burst. The realized packet count is Poisson with
-    mean rate*duration; arrival instants are iid uniform over the window."""
+def gen_flood(spec: FloodSpec, rng: RngStream) -> Trace:
+    """Generate one flood burst from source 0. The realized packet count is
+    Poisson with mean rate*duration; arrival instants are iid uniform over
+    the window."""
     g = rng.generator
     n = int(g.poisson(spec.rate_pps * spec.duration_s))
     if n == 0:
         return Trace.empty()
     offsets = np.sort(g.random(n)) * spec.duration_s
-    return _one_source(to_ns(spec.start_s + offsets), PacketClass.ATTACK, source_id)
+    return _one_source(to_ns(spec.start_s + offsets), PacketClass.ATTACK, 0)
 
 
 def merge(traces: Sequence[Trace]) -> Trace:

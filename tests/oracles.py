@@ -182,7 +182,6 @@ def window_decision(labels, expected_len: int | None = None) -> bool:
 def reference_run_mitigation(
     trace: Trace,
     detector: DetectorModel,
-    window: int,
     policy,
     rng: RngStream | None = None,
     *,
@@ -190,7 +189,8 @@ def reference_run_mitigation(
     labels: np.ndarray | None = None,
 ) -> MitigationResult:
     """Run the index machine over a stream and return per-packet outcomes,
-    an event log and final counters.
+    an event log and final counters, testing windows of detector.window
+    packets.
 
     labels may be precomputed; otherwise the whole stream is classified up
     front from rng (one draw per packet, so outcomes are reproducible no
@@ -202,6 +202,7 @@ def reference_run_mitigation(
     ceil(window/2) packets remain, otherwise the leftovers are forwarded
     untested.
     """
+    window = detector.window
     if window < 1:
         raise ValueError("window must be >= 1")
     n = len(trace)

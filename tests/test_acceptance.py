@@ -112,7 +112,7 @@ def test_skip_machine_walk_matches_reference_and_count_formula():
         np.arange(1200, dtype=np.int64) * 1_000_000, klass, np.zeros(1200, np.int32)
     )
     res = run_mitigation(
-        trace, DetectorModel(tpr=1.0, tnr=1.0), 20, FixedSkip(100), labels=klass
+        trace, DetectorModel(tpr=1.0, tnr=1.0, window=20), FixedSkip(100), labels=klass
     )
     ref = step_through_machine(list(klass), 20, 100, klass=list(klass))
 
@@ -153,7 +153,7 @@ def test_grid_search_confirms_closed_form_optimum_everywhere():
                     window=w,
                     expected_packets=ex,
                 )
-                brute = brute_force_optimal(params, max_skip=4096)
+                brute = brute_force_optimal(params)
                 closed = optimal_skip(w, ratio, ex)
                 gap = abs(brute - closed)
                 if gap > worst:

@@ -17,6 +17,7 @@ from floodsim import (
     optimal_skip,
 )
 from floodsim.analysis import (
+    BRUTE_FORCE_SKIPS,
     _t_quantile_975,
     exact_drop_count,
     exact_window_count,
@@ -136,8 +137,11 @@ def test_cost_report_carries_optimum():
 
 
 def test_brute_force_agrees_with_closed_form():
-    got = brute_force_optimal(params_for(), max_skip=2000)
+    got = brute_force_optimal(params_for())
     assert abs(got - 127) <= 2
+    # an optimum past the grid ends the search at its last point
+    assert optimal_skip(20, 0.05, 1e9) > BRUTE_FORCE_SKIPS
+    assert brute_force_optimal(params_for(ex=1e9)) == BRUTE_FORCE_SKIPS
 
 
 def test_cost_stationary_at_continuous_optimum():
@@ -208,7 +212,7 @@ def test_reprocessing_formula_tracks_simulated_benign_drops():
     runs = 1000
     for r in range(runs):
         trace = build_trace(scn, rng, (r + 1) * 1000)
-        res = run_mitigation(trace, scn.detector, w, FixedSkip(m), labels=trace.klass)
+        res = run_mitigation(trace, scn.detector, FixedSkip(m), labels=trace.klass)
         tot += tau * w * math.ceil(res.state.benign_dropped / w)
     mean = tot / runs
     assert abs(mean - formula) / formula < 0.05

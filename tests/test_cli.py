@@ -4,6 +4,7 @@ import csv
 import io
 import re
 import tempfile
+import traceback
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floodsim import read_trace_csv
-from floodsim.cli import main
+from floodsim.cli import build_parser, main
 from floodsim.scenario import _FLOOD_FIELDS, _KEYS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -230,9 +231,12 @@ def simulate_exit(overrides) -> tuple[int, str]:
 
 
 def exits_cleanly(code: int, err: str) -> bool:
-    """A documented exit code with its message; an exception escaping main
-    would be a traceback at the command line."""
+    """A documented exit code with its message (argparse's usage error is an
+    exit 2 too); an exception escaping main would be a traceback at the
+    command line."""
     if code == 0:
+        return True
+    if code == 2 and err.startswith("usage:") and ": error: argument " in err:
         return True
     return (code, err.split(":")[0]) in ((2, "configuration error"), (3, "invariant violated"))
 
@@ -249,6 +253,91 @@ def test_simulate_survives_every_single_override():
                 min_size=2, max_size=2))
 def test_simulate_fuzz_exits_cleanly(overrides):
     assert exits_cleanly(*simulate_exit(overrides))
+
+
+# each subcommand's argv on the fuzz base scenario; a fuzzed flag is appended,
+# and argparse keeps the last value of a repeated flag
+FLAG_BASE = {
+    "simulate": ["--scenario", "fuzz.cfg", "--out", "o"],
+    "sweep": ["--scenario", "fuzz.cfg", "--out", "o", "--runs", "2"],
+    "result1": ["--duration", "1", "--rate", "200"],
+    "optimal-m": ["--scenario", "fuzz.cfg"],
+}
+
+
+def flag_args(command: str) -> list[list[str]]:
+    """Every flag of one subcommand, as read from its parser: a flag that
+    takes a value once with each fuzz value, any other flag alone."""
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    flags = [(a.option_strings[0], a.nargs != 0) for a in sub._actions
+             if a.option_strings and a.dest != "help"]
+    return [[flag, value] for flag, takes_value in flags if takes_value
+            for value in FUZZ_VALUES] + [[flag] for flag, takes_value in flags if not takes_value]
+
+
+FLAG_ARGS = {command: flag_args(command) for command in FLAG_BASE}
+
+
+def cli_exit(command: str, extra: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of `floodsim <command>` on the fuzz base scenario,
+    run in a fresh directory with extra arguments appended; numpy warnings
+    raise, and an exception escaping main comes back as exit 1 with its
+    traceback."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+            warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        Path("fuzz.cfg").write_text(FUZZ_BASE)
+        try:
+            code = main([command, *FLAG_BASE[command], *extra])
+        except SystemExit as exc:  # argparse refused an argument
+            code = exc.code
+        except Exception:
+            return 1, traceback.format_exc()
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_BASE))
+def test_every_flag_survives_every_single_value(command):
+    assert cli_exit(command, []) == (0, "")
+    bad = [(args, result) for args in FLAG_ARGS[command]
+           if not exits_cleanly(*(result := cli_exit(command, args)))]
+    assert bad == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FLAG_BASE)).flatmap(
+    lambda command: st.tuples(st.just(command),
+                              st.lists(st.sampled_from(FLAG_ARGS[command]), min_size=2,
+                                       max_size=2))))
+def test_flag_fuzz_exits_cleanly(case):
+    command, args = case
+    assert exits_cleanly(*cli_exit(command, [a for pair in args for a in pair]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--m", str(10**23), "--runs", "2"],
+        ["sweep", "--runs", str(10**30)],
+        ["optimal-m", "--m", "0"],
+        ["optimal-m", "--m", "-20"],  # m + W = 0 in the window count
+        ["optimal-m", "--m", str(10**23)],
+        ["simulate", "--m", "0"],
+        ["simulate", "--scenario", "missing.cfg"],
+    ],
+)
+def test_out_of_range_flags_and_missing_scenarios_are_config_errors(tmp_path, capsys, argv):
+    out = [] if argv[0] == "optimal-m" else ["--out", str(tmp_path / "o")]
+    cfg = ["--scenario", str(SCENARIOS / "costsweep.cfg")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], *cfg, *out, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_uncovered_flood_is_invariant_violation(tmp_path, capsys):

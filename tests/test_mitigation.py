@@ -30,7 +30,12 @@ from floodsim.model import Trace
 from floodsim.pacing import max_plus
 from oracles import reference_run_mitigation, step_through_machine
 
-PERFECT = DetectorModel(tpr=1.0, tnr=1.0)
+
+def perfect(window):
+    """An error-free detector deciding windows of `window` packets."""
+    return DetectorModel(tpr=1.0, tnr=1.0, window=window)
+
+
 FATE = {
     int(Outcome.TESTED_FORWARDED): "tested",
     int(Outcome.FORWARDED): "fwd",
@@ -66,7 +71,7 @@ def flood_with_tail():
 
 def test_flood_with_benign_tail_frozen_walk():
     trace = flood_with_tail()
-    res = run_mitigation(trace, PERFECT, 20, FixedSkip(100), labels=trace.klass)
+    res = run_mitigation(trace, perfect(20), FixedSkip(100), labels=trace.klass)
     st = res.state
 
     assert st.windows_tested == 15
@@ -88,7 +93,7 @@ def test_flood_with_benign_tail_frozen_walk():
 
 def test_flood_with_benign_tail_release_semantics():
     trace = flood_with_tail()
-    res = run_mitigation(trace, PERFECT, 20, FixedSkip(100), labels=trace.klass)
+    res = run_mitigation(trace, perfect(20), FixedSkip(100), labels=trace.klass)
 
     # dropped packets never release; their drop instant is the verdict
     assert np.all(res.release_ns[:972] == -1)
@@ -105,7 +110,7 @@ def test_flood_with_benign_tail_release_semantics():
 
 def test_flood_with_benign_tail_event_log():
     trace = flood_with_tail()
-    res = run_mitigation(trace, PERFECT, 20, FixedSkip(100), labels=trace.klass)
+    res = run_mitigation(trace, perfect(20), FixedSkip(100), labels=trace.klass)
 
     events = res.events
     attacks = events[events.is_kind(EVENT_WINDOW_ATTACK)]
@@ -126,7 +131,7 @@ def test_flood_with_benign_tail_event_log():
 
 def test_flood_walk_matches_count_formula():
     trace = flood_with_tail()
-    res = run_mitigation(trace, PERFECT, 20, FixedSkip(100), labels=trace.klass)
+    res = run_mitigation(trace, perfect(20), FixedSkip(100), labels=trace.klass)
     attacks = int(res.events.is_kind(EVENT_WINDOW_ATTACK).sum())
     assert exact_window_count(1000, 20, 100) == 9 == attacks
     # the machine stops condemning at the last verdict, so realized drops sit
@@ -139,7 +144,7 @@ def test_flood_walk_matches_count_formula():
 def test_pure_attack_stream_frozen_walk():
     klass = np.ones(1000, np.uint8)
     trace = make_trace(klass)
-    res = run_mitigation(trace, PERFECT, 20, FixedSkip(100), labels=klass)
+    res = run_mitigation(trace, perfect(20), FixedSkip(100), labels=klass)
     st = res.state
     assert st.windows_tested == 9
     assert st.mitigation_windows == 8
@@ -159,7 +164,7 @@ def test_random_streams_match_reference_machine():
         skip = int(rng.choice([1, 2, 5, 17, 100]))
         p = float(rng.choice([0.1, 0.5, 0.9]))
         labels = (rng.random(n) < p).astype(np.uint8)
-        res = run_mitigation(make_trace(labels), PERFECT, window, FixedSkip(skip), labels=labels)
+        res = run_mitigation(make_trace(labels), perfect(window), FixedSkip(skip), labels=labels)
         check_against_reference(res, labels, window, skip)
 
 
@@ -168,7 +173,7 @@ def test_trailing_partial_window_threshold(window):
     half = math.ceil(window / 2)
     for extra, want in [(half, 2), (half - 1, 1)]:
         labels = np.zeros(window + extra, np.uint8)
-        res = run_mitigation(make_trace(labels), PERFECT, window, FixedSkip(5), labels=labels)
+        res = run_mitigation(make_trace(labels), perfect(window), FixedSkip(5), labels=labels)
         assert res.state.windows_tested == want
         untested = int(np.count_nonzero(res.outcomes == int(Outcome.FORWARDED)))
         assert untested == (0 if want == 2 else half - 1)
@@ -177,7 +182,7 @@ def test_trailing_partial_window_threshold(window):
 def test_quiet_stream_never_drops():
     labels = np.zeros(500, np.uint8)
     trace = make_trace(labels)
-    res = run_mitigation(trace, PERFECT, 20, FixedSkip(7), labels=labels)
+    res = run_mitigation(trace, perfect(20), FixedSkip(7), labels=labels)
     st = res.state
     assert st.packets_dropped == 0
     assert st.episodes == 0
@@ -194,7 +199,7 @@ def test_short_burst_below_majority_passes():
     for off in range(0, 87):
         labels = np.zeros(90, np.uint8)
         labels[off : off + 4] = 1
-        res = run_mitigation(make_trace(labels), PERFECT, 9, FixedSkip(50), labels=labels)
+        res = run_mitigation(make_trace(labels), perfect(9), FixedSkip(50), labels=labels)
         assert res.state.packets_dropped == 0
         assert res.state.episodes == 0
 
@@ -202,8 +207,8 @@ def test_short_burst_below_majority_passes():
 def test_perfect_detector_with_rng_matches_prelabeled():
     klass = np.array([1] * 200 + [0] * 50, np.uint8)
     trace = make_trace(klass)
-    a = run_mitigation(trace, PERFECT, 10, FixedSkip(30), rng=RngStream(9, 1))
-    b = run_mitigation(trace, PERFECT, 10, FixedSkip(30), labels=klass)
+    a = run_mitigation(trace, perfect(10), FixedSkip(30), rng=RngStream(9, 1))
+    b = run_mitigation(trace, perfect(10), FixedSkip(30), labels=klass)
     np.testing.assert_array_equal(a.outcomes, b.outcomes)
     np.testing.assert_array_equal(a.release_ns, b.release_ns)
 
@@ -244,12 +249,14 @@ def test_skip_policies():
 def test_run_mitigation_argument_errors():
     labels = np.zeros(30, np.uint8)
     trace = make_trace(labels)
-    with pytest.raises(ValueError):
-        run_mitigation(trace, PERFECT, 0, FixedSkip(5), labels=labels)
+    zero = perfect(5)
+    zero.window = 0  # past DetectorModel's own check
+    with pytest.raises(ValueError, match="window"):
+        run_mitigation(trace, zero, FixedSkip(5), labels=labels)
     with pytest.raises(ValueError, match="rng"):
-        run_mitigation(trace, PERFECT, 5, FixedSkip(5))
+        run_mitigation(trace, perfect(5), FixedSkip(5))
     with pytest.raises(ValueError, match="align"):
-        run_mitigation(trace, PERFECT, 5, FixedSkip(5), labels=labels[:-1])
+        run_mitigation(trace, perfect(5), FixedSkip(5), labels=labels[:-1])
 
     class BadPolicy:
         def refresh(self, window, queue_len):
@@ -257,7 +264,7 @@ def test_run_mitigation_argument_errors():
 
     hot = np.ones(30, np.uint8)
     with pytest.raises(ValueError, match="skip policy"):
-        run_mitigation(make_trace(hot), PERFECT, 5, BadPolicy(), labels=hot)
+        run_mitigation(make_trace(hot), perfect(5), BadPolicy(), labels=hot)
 
 
 def test_adaptive_skip_recalc_from_backlog():
@@ -267,7 +274,7 @@ def test_adaptive_skip_recalc_from_backlog():
     )
     klass = np.ones(5000, np.uint8)
     trace = Trace(arr, klass, np.zeros(5000, np.int32))
-    res = run_mitigation(trace, PERFECT, 20, AdaptiveSkip(0.05), labels=klass)
+    res = run_mitigation(trace, perfect(20), AdaptiveSkip(0.05), labels=klass)
 
     recalcs = res.events[res.events.is_kind(EVENT_RECALC_M)]
     attacks = res.events[res.events.is_kind(EVENT_WINDOW_ATTACK)]
@@ -285,7 +292,7 @@ def test_fixed_policy_never_recalcs():
     )
     klass = np.ones(5000, np.uint8)
     trace = Trace(arr, klass, np.zeros(5000, np.int32))
-    res = run_mitigation(trace, PERFECT, 20, FixedSkip(100), labels=klass)
+    res = run_mitigation(trace, perfect(20), FixedSkip(100), labels=klass)
     assert not res.events.is_kind(EVENT_RECALC_M).any()
     assert np.all(res.events.skip == 100)
 
@@ -297,7 +304,7 @@ def test_verdict_pacing_spaces_decisions():
     trace = Trace(np.arange(n, dtype=np.int64), labels, np.zeros(n, np.int32))
     pace = to_ns(0.003)
     res = run_mitigation(
-        trace, PERFECT, 5, FixedSkip(1), labels=labels, test_pacing_ns=pace
+        trace, perfect(5), FixedSkip(1), labels=labels, test_pacing_ns=pace
     )
     clears = res.events[res.events.is_kind(EVENT_WINDOW_CLEAR)]
     assert len(clears) == 10
@@ -307,7 +314,7 @@ def test_verdict_pacing_spaces_decisions():
 
 def test_events_csv_uses_one_based_positions(tmp_path):
     trace = flood_with_tail()
-    res = run_mitigation(trace, PERFECT, 20, FixedSkip(100), labels=trace.klass)
+    res = run_mitigation(trace, perfect(20), FixedSkip(100), labels=trace.klass)
     path = tmp_path / "events.csv"
     write_events_csv(path, res.events)
     with open(path, newline="") as fh:
@@ -320,7 +327,7 @@ def test_events_csv_uses_one_based_positions(tmp_path):
 
 def test_event_log_rows_and_slices():
     trace = flood_with_tail()
-    events = run_mitigation(trace, PERFECT, 20, FixedSkip(100), labels=trace.klass).events
+    events = run_mitigation(trace, perfect(20), FixedSkip(100), labels=trace.klass).events
     assert events.time_ns.dtype == np.int64 and events.kind.dtype == np.uint8
     assert events[0] == MitigationEvent(19_000_000, EVENT_WINDOW_ATTACK, 0, 19, 100)
     rows = list(events)
@@ -336,9 +343,9 @@ def test_event_log_rows_and_slices():
 def assert_matches_references(trace, labels, window, policy, pace):
     """run_mitigation agrees with the one-verdict-at-a-time reference in
     every output, and under FixedSkip with the literal cursor walk."""
-    got = run_mitigation(trace, PERFECT, window, policy, labels=labels, test_pacing_ns=pace)
+    got = run_mitigation(trace, perfect(window), policy, labels=labels, test_pacing_ns=pace)
     want = reference_run_mitigation(
-        trace, PERFECT, window, policy, labels=labels, test_pacing_ns=pace
+        trace, perfect(window), policy, labels=labels, test_pacing_ns=pace
     )
     np.testing.assert_array_equal(got.outcomes, want.outcomes)
     np.testing.assert_array_equal(got.release_ns, want.release_ns)
@@ -448,9 +455,9 @@ def test_fixed_skip_decides_attack_runs_in_blocks(monkeypatch):
 
     monkeypatch.setattr(mitigation, "max_plus", counting_max_plus)
     trace, labels = flood(20_000)
-    res = run_mitigation(trace, PERFECT, 4, FixedSkip(1), labels=labels, test_pacing_ns=10)
+    res = run_mitigation(trace, perfect(4), FixedSkip(1), labels=labels, test_pacing_ns=10)
     assert res.state.windows_tested == 5_000 == sum(calls)
     assert len(calls) == 1
     trace, labels = flood(20_002)  # the partial tail window is a block of its own
-    run_mitigation(trace, PERFECT, 4, FixedSkip(1), labels=labels)
+    run_mitigation(trace, perfect(4), FixedSkip(1), labels=labels)
     assert calls[1:] == [5_000, 1]

@@ -47,9 +47,9 @@ def test_benign_jitter_bounds():
 
 def test_benign_multiple_sources():
     spec = BenignSpec(period_s=0.5, num_sources=3)
-    tr = gen_benign(spec, 1.0, RngStream(3, 0), first_source_id=5)
+    tr = gen_benign(spec, 1.0, RngStream(3, 0))
     assert len(tr) == 6
-    assert sorted(set(tr.source_id)) == [5, 6, 7]
+    assert sorted(set(tr.source_id)) == [1, 2, 3]
     tr.validate()
 
 
@@ -59,12 +59,12 @@ def test_benign_zero_horizon():
 
 def test_flood_window_and_class():
     spec = FloodSpec(start_s=2.0, duration_s=3.0, rate_pps=500.0)
-    tr = gen_flood(spec, RngStream(4, 0), source_id=9)
+    tr = gen_flood(spec, RngStream(4, 0))
     assert tr.arrival_ns.min() >= to_ns(2.0)
     assert tr.arrival_ns.max() < to_ns(5.0)
     assert np.all(np.diff(tr.arrival_ns) >= 0)
     assert np.all(tr.klass == int(PacketClass.ATTACK))
-    assert np.all(tr.source_id == 9)
+    assert np.all(tr.source_id == 0)
     # seeded, but the count should sit well inside the Poisson bulk
     assert abs(len(tr) - 1500) < 4 * np.sqrt(1500)
 
