@@ -49,6 +49,16 @@ def _parse_skip_list(raw: str) -> list[int]:
     return [check_skip(m, "--m") for m in skips]
 
 
+def _out_dir(raw: str) -> Path:
+    """The --out directory, refused up front if it, or the nearest part of
+    its path that exists, is not a directory."""
+    out = Path(raw)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"--out {raw}: {found} is not a directory")
+    return out
+
+
 def _apply_overrides(scn: Scenario, args) -> Scenario:
     changes = {}
     if args.seed is not None:
@@ -81,11 +91,12 @@ def _cmd_simulate(args) -> int:
     scn = _apply_overrides(load_scenario(args.scenario), args)
     if args.m is not None:
         scn = dataclasses.replace(scn, skip_mode="fixed", fixed_skip=check_skip(args.m, "--m"))
+    out = _out_dir(args.out)
     result = run_simulation(scn)
-    files = write_outputs(result, args.out, gnuplot=args.gnuplot)
+    files = write_outputs(result, out, gnuplot=args.gnuplot)
     for key, val in result.summary.items():
         print(f"{key} = {val}")
-    print(f"wrote {len(files)} files to {Path(args.out).resolve()}")
+    print(f"wrote {len(files)} files to {out.resolve()}")
     return 0
 
 
@@ -102,7 +113,7 @@ def _cmd_sweep(args) -> int:
     if args.runs > 0 and min(args.runs, MAX_ELEMENTS + 1) * trial_packets > MAX_ELEMENTS:
         raise ConfigError(f"--runs {args.runs} over {len(skips)} skips asks for over "
                           f"{MAX_ELEMENTS:.0e} packets")
-    out = Path(args.out)
+    out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     reports = sweep_skip(params, skips)
@@ -125,6 +136,7 @@ def _cmd_result1(args) -> int:
     for flag in ("D", "ceiling", "rate", "duration"):
         if not math.isfinite(getattr(args, flag)):
             raise ConfigError(f"--{flag} must be a finite number")
+    out = _out_dir(args.out) if args.out else None
     gap_s = args.D * 1e-3
     scn = Scenario(
         benign=None,
@@ -143,9 +155,9 @@ def _cmd_result1(args) -> int:
     print(f"service ceiling= {args.ceiling:.3f} ms")
     print(f"max wait       = {max_wait:.9f} s")
     print(f"all waits zero = {bool((result.server.wait_ns == 0).all())}")
-    if args.out:
-        write_outputs(result, args.out, gnuplot=args.gnuplot)
-        print(f"outputs in {Path(args.out).resolve()}")
+    if out:
+        write_outputs(result, out, gnuplot=args.gnuplot)
+        print(f"outputs in {out.resolve()}")
     return 0
 
 

@@ -11,13 +11,16 @@ Every table floodsim writes goes through write_columns. A column is one of
 
 Rows end in CRLF and nothing is quoted, which is byte for byte what the
 stdlib csv module's default writer produces for these fields. A string it
-would quote (one holding a comma, a double quote, CR or LF) is rejected
-with ValueError instead.
+would quote (one holding a comma, a double quote, CR or LF) or one holding
+NUL is rejected with ValueError instead.
 
-The digits are assembled with numpy into a uint8 matrix per block of rows,
-one left-padded slot per field, and the padding is compacted away with a
-validity mask. Blocks are capped at BLOCK_ROWS so the scratch memory stays
-flat however long the table is.
+Each block of at most BLOCK_ROWS rows is encoded in one column-major
+(width, rows) uint8 buffer: every field owns a few contiguous buffer rows,
+one per character slot, and writes its digits straight into them,
+right-aligned. The slots before a value's first digit hold NUL, with '-'
+just before the first digit of a negative value, so one
+``buf.T.tobytes().translate(None, b"\\0")`` turns the buffer into the rows'
+bytes. The scratch memory stays flat however long the table is.
 """
 from __future__ import annotations
 
@@ -27,11 +30,10 @@ import numpy as np
 
 BLOCK_ROWS = 65536
 
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 1 .. 10**19, all of uint64's decades
 _NS_PER_S = np.uint64(10**9)
-_MUST_QUOTE = np.frombuffer(b',"\r\n', np.uint8)
-_COMMA, _DOT, _MINUS = ord(","), ord("."), ord("-")
-_CRLF = np.frombuffer(b"\r\n", np.uint8)
+_REFUSED = np.frombuffer(b',"\r\n', np.uint8)  # csv.writer would quote these
+_REFUSED_MSG = "CSV field needs quoting (holds ',', '\"', CR or LF) or holds NUL; not supported"
+_COMMA, _DOT, _MINUS, _ZERO, _CR, _LF = b",.-0\r\n"
 
 
 class Seconds:
@@ -43,74 +45,70 @@ class Seconds:
         self.ns = np.asarray(ns, dtype=np.int64)
 
 
-def _digits(mag: np.ndarray, width: int | None = None):
-    """Right-aligned decimal digits of uint64 values: (uint8 matrix, mask).
-
-    With width given, every value is zero-padded to exactly that width."""
-    n = len(mag)
-    if width is None:
-        ndig = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1)
-        w = int(ndig.max())
-    else:
-        ndig, w = None, width
-    mat = np.empty((n, w), np.uint8)
-    q = mag
-    for j in range(w - 1, -1, -1):
-        q, r = np.divmod(q, 10)
-        mat[:, j] = r
-    mat += ord("0")
-    if ndig is None:
-        return mat, np.ones((n, w), bool)
-    return mat, np.arange(w) >= (w - ndig)[:, None]
-
-
 def _magnitude(v: np.ndarray):
-    """(|v| as uint64, v < 0) of an integer array; exact for the int64 minimum."""
+    """(|v| as uint64, indices of the negative values); exact for the int64 minimum."""
     if v.dtype.kind == "u":
-        return v.astype(np.uint64, copy=False), np.zeros(len(v), bool)
-    v = v.astype(np.int64, copy=False)
-    neg = v < 0
-    u = v.view(np.uint64)
-    return np.where(neg, np.uint64(0) - u, u), neg
+        return v.astype(np.uint64, copy=False), np.flatnonzero(v < 0)
+    return np.abs(v.astype(np.int64, copy=False)).view(np.uint64), np.flatnonzero(v < 0)
 
 
-def _with_sign(mat, mask, neg):
-    """Put '-' in the slot just before the first digit of negative rows."""
-    if not neg.any():
-        return mat, mask
-    n, w = mat.shape
-    out = np.zeros((n, w + 1), np.uint8)
-    out_mask = np.zeros((n, w + 1), bool)
-    out[:, 1:] = mat
-    out_mask[:, 1:] = mask
-    rows = np.flatnonzero(neg)
-    first = mask[rows].argmax(axis=1)
-    out[rows, first] = _MINUS
-    out_mask[rows, first] = True
-    return out, out_mask
+def _put_digits(out: np.ndarray, mag: np.ndarray, zero_fill: bool = False) -> None:
+    """Write mag's decimal digits right-aligned into out, a (width, n) uint8
+    view of NULs. The slots before a value's first digit stay NUL, or hold
+    '0' with zero_fill."""
+    width = out.shape[0]
+    q = mag.astype(np.uint32) if width <= 9 else mag  # uint32 division is ~4x faster
+    every = width if zero_fill else len(str(int(q.min())))  # slots that every value fills
+    for k in range(width):
+        row = out[width - 1 - k]
+        rest = q // 10
+        np.subtract(q, rest * 10, out=row, casting="unsafe")
+        if k >= every:
+            row += _ZERO
+            row *= q != 0
+        q = rest
+    out[width - every :] += _ZERO
+
+
+def _put_int(out: np.ndarray, mag: np.ndarray, neg: np.ndarray) -> None:
+    """Digits of mag right-aligned in out, NUL before them, and '-' in the
+    slot just before the first digit of the neg columns."""
+    _put_digits(out[len(neg) > 0 :], mag)
+    if len(neg):
+        first = (out[:, neg] != 0).argmax(axis=0)
+        out[first - 1, neg] = _MINUS
 
 
 def _render_ints(values: np.ndarray):
     mag, neg = _magnitude(values)
-    return _with_sign(*_digits(mag), neg)
+    return len(str(int(mag.max()))) + (len(neg) > 0), lambda out: _put_int(out, mag, neg)
 
 
 def _render_seconds(ns: np.ndarray):
     mag, neg = _magnitude(ns)
     whole, frac = np.divmod(mag, _NS_PER_S)
-    wmat, wmask = _digits(whole)
-    fmat, _ = _digits(frac.astype(np.uint32), width=9)
-    n = len(ns)
-    mat = np.concatenate([wmat, np.full((n, 1), _DOT, np.uint8), fmat], axis=1)
-    mask = np.concatenate([wmask, np.ones((n, 10), bool)], axis=1)
-    return _with_sign(mat, mask, neg)
+    point = len(str(int(whole.max()))) + (len(neg) > 0)
+
+    def fill(out):
+        _put_int(out[:point], whole, neg)
+        out[point] = _DOT
+        _put_digits(out[point + 1 :], frac, zero_fill=True)
+
+    return point + 10, fill
 
 
-def _render_strings(col: np.ndarray):
+def _render_strings(mat: np.ndarray):
+    return mat.shape[1], lambda out: np.copyto(out, mat.T)
+
+
+def _byte_matrix(col: np.ndarray) -> np.ndarray:
+    """The (rows, itemsize) uint8 view of a bytes array, NUL-padded on the
+    right; raises ValueError on a byte csv.writer would quote or an inner NUL."""
     mat = np.ascontiguousarray(col).view(np.uint8).reshape(len(col), col.dtype.itemsize)
-    if np.isin(mat, _MUST_QUOTE).any():
-        raise ValueError("CSV field needs quoting (holds ',', '\"', CR or LF); not supported")
-    return mat, mat != 0
+    filled = mat != 0
+    if np.isin(mat, _REFUSED).any() or (filled[:, 1:] > filled[:, :-1]).any():
+        raise ValueError(_REFUSED_MSG)
+    return mat
 
 
 def _as_column(col):
@@ -119,9 +117,12 @@ def _as_column(col):
         return _render_seconds, col.ns
     arr = np.asarray(col)
     if arr.dtype.kind == "U":
+        # numpy drops a str's trailing NULs, so look for NUL before it does
+        if not isinstance(col, np.ndarray) and any("\0" in str(s) for s in col):
+            raise ValueError(_REFUSED_MSG)
         arr = np.char.encode(arr, "utf-8")
     if arr.dtype.kind == "S":
-        return _render_strings, arr
+        return _render_strings, _byte_matrix(arr)
     if arr.dtype.kind in "iu" or arr.size == 0:
         return _render_ints, arr
     raise TypeError(f"unsupported CSV column dtype {arr.dtype}; format floats as str first")
@@ -131,31 +132,28 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
     """Write a CSV table column-wise; see the module docstring for the rules."""
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header fields for {len(columns)} columns")
-    head = np.array([h.encode() for h in header], dtype=np.bytes_)
-    _render_strings(head)  # the header obeys the same no-quoting rule
+    head = _as_column(header)  # the header obeys the same rules
     cols = [_as_column(c) for c in columns]
     n = len(cols[0][1]) if cols else 0
     if any(len(arr) != n for _, arr in cols):
         raise ValueError("CSV columns differ in length")
+    # csv.writer quotes the field of a one-field row that is empty
+    if len(cols) == 1 and any(r is _render_strings and not m[:, :1].all() for r, m in (head, *cols)):
+        raise ValueError(_REFUSED_MSG)
     with open(path, "wb") as fh:
-        fh.write(b",".join(head.tolist()) + b"\r\n")
+        fh.write(b",".join(h.encode() for h in header) + b"\r\n")
         for lo in range(0, n, BLOCK_ROWS):
-            fh.write(_encode_block([render(arr[lo : lo + BLOCK_ROWS]) for render, arr in cols]))
+            rows = min(BLOCK_ROWS, n - lo)
+            fh.write(_encode_block(rows, [render(arr[lo : lo + rows]) for render, arr in cols]))
 
 
-def _encode_block(parts) -> bytes:
-    """One block of rendered columns -> the bytes of its CSV rows."""
-    n = parts[0][0].shape[0]
-    width = sum(m.shape[1] for m, _ in parts) + len(parts) + 1
-    mat = np.empty((n, width), np.uint8)
-    mask = np.ones((n, width), bool)
+def _encode_block(rows: int, fields) -> bytes:
+    """One block of rendered (width, fill) fields -> the bytes of its CSV rows."""
+    buf = np.zeros((sum(w for w, _ in fields) + len(fields) + 1, rows), np.uint8)
     at = 0
-    for i, (m, k) in enumerate(parts):
-        if i:
-            mat[:, at] = _COMMA
-            at += 1
-        mat[:, at : at + m.shape[1]] = m
-        mask[:, at : at + m.shape[1]] = k
-        at += m.shape[1]
-    mat[:, at:] = _CRLF
-    return mat[mask].tobytes()
+    for width, fill in fields:
+        fill(buf[at : at + width])
+        buf[at + width] = _COMMA  # the last one becomes the CR
+        at += width + 1
+    buf[-2:] = [[_CR], [_LF]]
+    return buf.T.tobytes().translate(None, b"\0")

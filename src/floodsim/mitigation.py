@@ -87,7 +87,7 @@ def optimal_skip(window: int, beta_over_alpha: float, expected_packets: float) -
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if beta_over_alpha <= 0:
+    if not beta_over_alpha > 0:
         raise ValueError("beta_over_alpha must be positive")
     if expected_packets <= window:
         warnings.warn(
@@ -96,7 +96,9 @@ def optimal_skip(window: int, beta_over_alpha: float, expected_packets: float) -
         )
         return 1
     raw = math.sqrt(2.0 * beta_over_alpha * window * (expected_packets - window)) - window
-    return max(1, math.floor(raw + 0.5))
+    # an infinite ratio rounds to 2**63 as well, so the one skip rule refuses both
+    m = max(1, math.floor(min(raw, 2.0**63) + 0.5))
+    return check_skip(m, "the cost-optimal skip for cost.beta / cost.alpha")
 
 
 @dataclass

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .detector import DetectorModel
+from .mitigation import optimal_skip
 from .model import (
     STREAM_BENIGN,
     STREAM_FLOOD_BASE,
@@ -131,6 +132,10 @@ class Scenario:
         per_packet_s += self.pacing_gap_s if self.sqf_enabled else 0.0
         if self.horizon_s + self.link_latency_s + (packets + slack) * per_packet_s >= MAX_TIME_S:
             raise ConfigError("sqf.D_ms and service.mean_*_ms carry the packets past the clock")
+        # no backlog exceeds the run's packets, so every skip the cost model
+        # picks at run time is at most this one and obeys the skip rule too
+        if packets + slack > self.detector.window:
+            optimal_skip(self.detector.window, self.beta / self.alpha, packets + slack)
         if self.horizon_s / self.sample_dt_s > MAX_SAMPLES:
             raise ConfigError(f"run.sample_dt_ms asks for over {MAX_SAMPLES:.0e} timeline samples")
         if self.aam_enabled and not self.sqf_enabled:

@@ -340,6 +340,42 @@ def test_out_of_range_flags_and_missing_scenarios_are_config_errors(tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "result1"])
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, command, target):
+    (tmp_path / "file").write_text("keep")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("--out is checked before the simulation runs")
+
+    for name in ("run_simulation", "monte_carlo_cost"):
+        monkeypatch.setattr(f"floodsim.cli.{name}", must_not_run)
+    cfg = [] if command == "result1" else ["--scenario", str(SCENARIOS / "costsweep.cfg")]
+    runs = ["--runs", "2"] if command == "sweep" else []
+    assert main([command, *cfg, *runs, "--out", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --out")
+    assert "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "optimal-m"])
+@pytest.mark.parametrize("cost", ["cost.alpha = 1e-300\ncost.beta = 1e300\n",
+                                  "cost.alpha = 1\ncost.beta = 1e200\n"])
+def test_cost_ratio_past_the_skip_rule_is_a_config_error(tmp_path, capsys, command, cost):
+    # beta/alpha = inf, and 1e200 whose skip is ~1e101 packets: neither fits int64
+    path = tmp_path / "case.cfg"
+    path.write_text(FUZZ_BASE + cost)
+    out = [] if command == "optimal-m" else ["--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--scenario", str(path), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: the cost-optimal skip")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_uncovered_flood_is_invariant_violation(tmp_path, capsys):
     path = tmp_path / "late.cfg"
     path.write_text(

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floodsim import csvio
 from floodsim.csvio import BLOCK_ROWS, Seconds, write_columns
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
+# the extremes and the decade edges, where a field's width changes
+INT64_EDGES = st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 1, -1, 0, 1, -(10**9), 10**9 - 1])
 
 
 def exact_seconds(ns: int) -> str:
@@ -61,6 +64,39 @@ def test_bytes_match_csv_writer(rows):
     assert got == buf.getvalue().encode()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.lists(
+        st.tuples(
+            INT64_EDGES | INT64,
+            st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+            INT64_EDGES | INT64 | st.integers(-(10**12), 10**12),
+            st.text("AB_xyz09.- é", max_size=6),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_many_small_blocks_match_csv_writer(block, rows):
+    """Every block sizes its fields afresh, so widths and signs change from
+    one block to the next."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["i", "u", "t", "s"])
+    w.writerows((i, u, exact_seconds(t), s) for i, u, t, s in rows)
+    columns = [
+        np.array([r[0] for r in rows], np.int64),
+        np.array([r[1] for r in rows], np.uint64),
+        Seconds(np.array([r[2] for r in rows], np.int64)),
+        [r[3] for r in rows],
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "BLOCK_ROWS", block)
+        got = written(["i", "u", "t", "s"], columns)
+    assert got == buf.getvalue().encode()
+
+
 @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
 def test_block_boundary_does_not_change_bytes(n):
     assert BLOCK_ROWS == 65536
@@ -77,6 +113,28 @@ def test_field_that_needs_quoting_is_rejected(bad):
         written(["k", "v"], [["ok", bad], np.array([1, 2])])
     with pytest.raises(ValueError, match="quoting"):
         written(["k", bad], [["ok"], np.array([1])])
+
+
+@pytest.mark.parametrize("bad", ["a\0b", "\0", "a\0", "\0a"])
+def test_field_holding_nul_is_rejected(bad):
+    # csv.writer writes the NUL; the encoder uses NUL as padding
+    for column in ([bad, "ok"], np.array([bad.encode(), b"ok"])):
+        if bad.endswith("\0") and isinstance(column, np.ndarray):
+            continue  # numpy itself drops a trailing NUL from its strings
+        with pytest.raises(ValueError, match="quoting"):
+            written(["k", "v"], [column, np.array([1, 2])])
+    with pytest.raises(ValueError, match="quoting"):
+        written(["k", bad], [["ok"], np.array([1])])
+
+
+def test_lone_empty_field_is_rejected():
+    # csv.writer writes a one-field row holding "" as '""'
+    with pytest.raises(ValueError, match="quoting"):
+        written(["k"], [["a", ""]])
+    with pytest.raises(ValueError, match="quoting"):
+        written([""], [np.array([1])])
+    assert written(["k", "v"], [["", "a"], ["b", ""]]) == b"k,v\r\n,b\r\na,\r\n"
+    assert written(["k"], [np.array([0, -5])]) == b"k\r\n0\r\n-5\r\n"
 
 
 def test_column_checks():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floodsim import RngStream, optimal_skip, to_ns
+from floodsim import ConfigError, RngStream, optimal_skip, to_ns
 from floodsim.analysis import exact_drop_count, exact_window_count
 from floodsim.detector import DetectorModel
 from floodsim.mitigation import (
@@ -234,6 +234,25 @@ def test_optimal_skip_edge_cases():
         optimal_skip(0, 0.05, 100)
     with pytest.raises(ValueError):
         optimal_skip(20, 0.0, 100)
+
+
+def test_cost_ratio_past_the_skip_rule_is_a_config_error():
+    # sqrt(2 * ratio) - 1 at window 1 and two packets, which floats round to
+    # 2**62 and 2**63: the first fits int64, the second does not
+    assert optimal_skip(1, 2.0**123, 2) == 2**62
+    for ratio in (2.0**125, 1e200, math.inf):
+        with pytest.raises(ConfigError, match="cost-optimal skip"):
+            optimal_skip(1, ratio, 2)
+        with pytest.raises(ConfigError, match="cost-optimal skip"):
+            AdaptiveSkip(ratio).refresh(20, 100)
+    with pytest.raises(ValueError, match="positive"):
+        optimal_skip(20, math.nan, 100)
+    # run_mitigation refreshes the skip at the first alarm, over a backlog
+    # of 99 packets that all arrived at once
+    hot = np.ones(100, np.uint8)
+    trace = make_trace(hot, np.zeros(100, np.int64))
+    with pytest.raises(ConfigError, match="cost-optimal skip"):
+        run_mitigation(trace, perfect(1), AdaptiveSkip(1e200), labels=hot)
 
 
 def test_skip_policies():

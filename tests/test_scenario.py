@@ -149,6 +149,15 @@ def test_gaps_and_service_times_must_fit_the_clock():
         parse_scenario(shaped + "sqf.D_ms = 500000000\nservice.mean_normal_ms = 500000000\n")
 
 
+def test_cost_ratio_must_keep_every_optimal_skip_in_int64():
+    # the run's whole volume bounds every backlog the adaptive skip sees
+    flood = "flood.1.start_s = 1\nflood.1.duration_s = 1\nflood.1.rate_pps = 1000\n"
+    parse_scenario(flood + "cost.alpha = 1\ncost.beta = 1e20\n")
+    for cost in ("cost.alpha = 1e-300\ncost.beta = 1e300\n", "cost.alpha = 1\ncost.beta = 1e200\n"):
+        with pytest.raises(ConfigError, match="cost-optimal skip"):
+            parse_scenario(flood + cost)
+
+
 def test_bad_skip_mode():
     with pytest.raises(ConfigError, match="m_mode"):
         parse_scenario("aam.m_mode = magic\n")
