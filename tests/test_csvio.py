@@ -107,7 +107,8 @@ def test_block_boundary_does_not_change_bytes(n):
     assert written(["seq", "t"], [seq, Seconds(ns)]) == expected.encode()
 
 
-@pytest.mark.parametrize("bad", ["a,b", 'say "x"', "cr\r", "lf\n"])
+# csv.writer quotes the first four and writes the NUL, which the encoder pads with
+@pytest.mark.parametrize("bad", ["a,b", 'say "x"', "cr\r", "lf\n", "a\0b", "\0", "a\0", "\0a"])
 def test_field_that_needs_quoting_is_rejected(bad):
     with pytest.raises(ValueError, match="quoting"):
         written(["k", "v"], [["ok", bad], np.array([1, 2])])
@@ -115,16 +116,11 @@ def test_field_that_needs_quoting_is_rejected(bad):
         written(["k", bad], [["ok"], np.array([1])])
 
 
-@pytest.mark.parametrize("bad", ["a\0b", "\0", "a\0", "\0a"])
-def test_field_holding_nul_is_rejected(bad):
-    # csv.writer writes the NUL; the encoder uses NUL as padding
-    for column in ([bad, "ok"], np.array([bad.encode(), b"ok"])):
-        if bad.endswith("\0") and isinstance(column, np.ndarray):
-            continue  # numpy itself drops a trailing NUL from its strings
+def test_inner_nul_in_a_bytes_array_is_rejected():
+    # numpy keeps a NUL that a non-NUL byte follows, and drops a trailing one itself
+    for bad in (b"a\0b", b"\0a"):
         with pytest.raises(ValueError, match="quoting"):
-            written(["k", "v"], [column, np.array([1, 2])])
-    with pytest.raises(ValueError, match="quoting"):
-        written(["k", bad], [["ok"], np.array([1])])
+            written(["k", "v"], [np.array([bad, b"ok"]), np.array([1, 2])])
 
 
 def test_lone_empty_field_is_rejected():
