@@ -22,20 +22,18 @@ packets count as gone, a documented desk-scale simplification.
 
 The machine runs in time linear in the stream. Prefix sums of the detector
 labels and of the packet classes give every window's vote and every drop
-span's benign/attack split in O(1). Verdicts are decided in numpy blocks,
-each a run of windows with one verdict. Clear windows tile the stream back
-to back from the test cursor; attack windows under FixedSkip start
-W - 1 + m apart, since the skip never changes. The first window of the
-other verdict is found from prefix-sum votes over a span of windows that
-doubles until it holds one (the same search for both kinds), and the
-block's verdict instants v_j = max(a_end_j, v_{j-1} + len_j*D) come from
-one verdict-clock helper over pacing.max_plus. A clear block covers a
-MONITORING stretch, led by the clear verdict that ends an episode if there
-is one (its untested prefix leaves at that verdict). An attack block drops
-the contiguous span from the pending cursor through its last window. A
-partial tail window is a block of its own. AdaptiveSkip refreshes the skip
-from the arrivals at each verdict, so its attack blocks are one window
-long.
+span's benign/attack split in O(1). One block step decides a run of
+windows with one verdict, the same way for both verdicts. Clear windows
+tile the stream back to back from the test cursor; attack windows under
+FixedSkip start W - 1 + m apart, since the skip never changes, and
+AdaptiveSkip refreshes the skip at each verdict, so its attack runs are one
+window long. A doubling search over prefix-sum votes finds the run's end,
+one pacing.max_plus call gives its verdict instants
+v_j = max(a_end_j, v_{j-1} + len_j*D), and each window logs its verdict, a
+RECALC_M row if the skip changed, and the range from the pending cursor
+through its end. Only the effect on that range depends on the verdict: an
+attack drops it, a clear verdict forwards it and releases its untested
+prefix at the verdict. A partial tail window is a run of its own.
 
 The event log is an EventLog: parallel columns of verdict instants, kind
 codes, index ranges and skip lengths. Iterating it, or indexing it with an
@@ -149,9 +147,13 @@ EVENT_KINDS = (
 )
 _ATTACK, _CLEAR, _RECALC, _DROP, _FORWARD = range(len(EVENT_KINDS))
 _KIND_BYTES = np.array([k.encode() for k in EVENT_KINDS])
-_CLEAR_FORWARD = np.array([_CLEAR, _FORWARD], np.uint8)
-_ATTACK_DROP = np.array([_ATTACK, _DROP], np.uint8)
-_ATTACK_RECALC_DROP = np.array([_ATTACK, _RECALC, _DROP], np.uint8)
+# the log rows of one window by (attack verdict, skip changed): the verdict,
+# RECALC_M if the skip changed, and the range the verdict drops or forwards
+_WINDOW_ROWS = {
+    (False, False): np.array([_CLEAR, _FORWARD], np.uint8),
+    (True, False): np.array([_ATTACK, _DROP], np.uint8),
+    (True, True): np.array([_ATTACK, _RECALC, _DROP], np.uint8),
+}
 
 
 @dataclass(eq=False)
@@ -241,12 +243,13 @@ def _first_window(votes: np.ndarray, start: int, window: int, stride: int, count
     """Index of the first of `count` windows of `window` packets, starting
     `stride` apart from `start`, whose verdict is attack (a strict majority
     of attack labels) if `attack` is true and clear otherwise; `count` if
-    none is.
+    none is. The window at `start` is not searched, since its verdict is
+    already known to be the other one.
 
     The span of windows searched doubles until it holds one, so the cost
     follows the answer rather than `count`.
     """
-    lo, span = 0, _FIRST_SPAN_WINDOWS
+    lo, span = 1, _FIRST_SPAN_WINDOWS
     while lo < count:
         hi = min(count, lo + span)
         first, last = start + lo * stride, start + (hi - 1) * stride
@@ -309,108 +312,75 @@ def run_mitigation(
     if fixed:
         st.skip = policy.skip
 
-    def run_of(stride: int, attack: bool):
-        """Starts and ends of the windows from the test cursor, `stride`
-        apart, up to the first whose verdict is not `attack`; the partial
-        tail window alone when no full window is left. The window at the
-        test cursor has the verdict `attack`."""
-        c = st.test_cursor
-        full = (n - c - window) // stride + 1 if n - c >= window else 0
-        k = _first_window(votes, c, window, stride, full, not attack)
-        if not k:
-            return np.array([c], np.int64), np.array([n - 1], np.int64)
-        starts = np.arange(c, c + k * stride, stride, dtype=np.int64)
-        return starts, starts + (window - 1)
+    def block(attack: bool, last_verdict_ns):
+        """Decide the run of windows from the test cursor up to the first
+        whose verdict is not `attack` as one block, then drop (attack) or
+        forward (clear) everything pending through its end. Returns the last
+        verdict instant.
 
-    def verdict_clock(starts, ends, last_verdict_ns):
-        """Verdict instants v_j = max(a_end_j, v_{j-1} + len_j*pace) of
-        windows tested in turn, from v_{-1} = the last verdict (None before
-        the first one)."""
-        return max_plus(arrivals[ends], np.cumsum(ends - starts + 1) * pace, last_verdict_ns)
-
-    def clear(last_verdict_ns):
-        """Forward the run of clear windows from the test cursor, back to
-        back, as one block; returns the last verdict instant."""
-        first = st.pending_cursor
-        starts, ends = run_of(window, False)
-        c, end = int(starts[0]), int(ends[-1]) + 1
-        now = verdict_clock(starts, ends, last_verdict_ns)
-        firsts = np.repeat(starts, 2)
-        firsts[1] = first  # the first forward range also frees the untested prefix
-        log.append((
-            np.repeat(now, 2),
-            np.tile(_CLEAR_FORWARD, len(ends)),
-            firsts,
-            np.repeat(ends, 2),
-            np.full(2 * len(ends), st.skip, np.int64),
-        ))
-        # untested packets released by the verdict leave at the verdict
-        # instant; tested ones were already flowing and keep their arrival
-        outcomes[first:c] = int(Outcome.FORWARDED)
-        release_ns[first:c] = now[0]
-        outcomes[c:end] = int(Outcome.TESTED_FORWARDED)
-        release_ns[c:end] = arrivals[c:end]
-        st.mitigation_windows += st.mode == Mode.UNDER_ATTACK  # it ends an episode
-        st.mode = Mode.MONITORING
-        st.windows_tested += len(ends)
-        st.packets_forwarded += end - first
-        st.test_cursor = st.pending_cursor = end
-        return int(now[-1])
-
-    def attack(last_verdict_ns):
-        """Drop everything pending through the run of attack windows from
-        the test cursor as one block; returns the last verdict instant.
-
-        Under FixedSkip the run's windows start window - 1 + skip apart, up
-        to the first clear one. Any other policy refreshes the skip from the
-        arrivals at each verdict, so its run is one window long.
+        Clear windows tile the stream back to back. Attack windows under
+        FixedSkip start window - 1 + skip apart; any other policy refreshes
+        the skip from the arrivals at each verdict, so its attack run is one
+        window long. The partial tail window is a run of its own.
         """
         first, c = st.pending_cursor, st.test_cursor
-        if fixed:
-            starts, ends = run_of(window - 1 + st.skip, True)
+        refresh = attack and not fixed  # the skip may change at this verdict
+        # an adaptive skip is 0 until its first refresh, so it never sets a stride
+        stride = window - 1 + st.skip if attack and fixed else window
+        full = (n - c - window) // stride + 1 if n - c >= window else 0
+        k = _first_window(votes, c, window, stride, min(full, 1) if refresh else full, not attack)
+        if k:
+            starts = np.arange(c, c + k * stride, stride, dtype=np.int64)
+            ends = starts + (window - 1)
         else:
-            starts, ends = np.array([c], np.int64), np.array([min(c + window, n) - 1], np.int64)
-        end, k = int(ends[-1]) + 1, len(ends)
-        now = verdict_clock(starts, ends, last_verdict_ns)
+            starts, ends, k = np.array([c], np.int64), np.array([n - 1], np.int64), 1
+        end = int(ends[-1]) + 1
+        now = max_plus(arrivals[ends], np.cumsum(ends - starts + 1) * pace, last_verdict_ns)
         skip_before = st.skip
-        if not fixed:
+        if refresh:
             arrived = int(arrivals.searchsorted(now[0], side="right"))
-            new_skip = policy.refresh(window, max(0, arrived - end))
-            if new_skip < 1:
-                raise ValueError("skip policy must yield skip >= 1")
-            st.skip = new_skip
-        # each window logs its verdict, the new skip if the refresh changed
-        # it (only in a one-window run), and its drop span
-        kinds = _ATTACK_DROP if st.skip == skip_before else _ATTACK_RECALC_DROP
+            st.skip = check_skip(policy.refresh(window, max(0, arrived - end)),
+                                 "the skip policy's skip")
+        # only a one-window run changes the skip; its verdict row keeps the old one
+        kinds = _WINDOW_ROWS[attack, st.skip != skip_before]
         r = len(kinds)
-        drop_firsts = np.concatenate(([first], ends[:-1] + 1))
-        firsts = np.repeat(starts, r)
-        firsts[r - 1 :: r] = drop_firsts
+        ranges = np.concatenate(([first], ends[:-1] + 1))
+        firsts = starts.repeat(r)
+        firsts[r - 1 :: r] = ranges
         skips = np.full(k * r, st.skip, np.int64)
         skips[0] = skip_before
-        log.append((np.repeat(now, r), np.tile(kinds, k), firsts, np.repeat(ends, r), skips))
-        outcomes[first:end] = int(Outcome.DROPPED)
-        drop_time_ns[first:end] = np.repeat(now, ends - drop_firsts + 1)
-        n_att = attack_packets.item(end) - attack_packets.item(first)
-        st.mitigation_windows += k - (st.mode == Mode.MONITORING)
-        st.episodes += st.mode == Mode.MONITORING
-        st.mode = Mode.UNDER_ATTACK
+        log.append((now.repeat(r), np.tile(kinds, k), firsts, ends.repeat(r), skips))
+        if attack:
+            outcomes[first:end] = int(Outcome.DROPPED)
+            drop_time_ns[first:end] = now.repeat(ends - ranges + 1)
+            n_att = attack_packets.item(end) - attack_packets.item(first)
+            st.packets_dropped += end - first
+            st.attack_dropped += n_att
+            st.benign_dropped += end - first - n_att
+            st.test_cursor = end - 1 + st.skip
+        else:
+            # untested packets released by the verdict leave at the verdict
+            # instant; tested ones were already flowing and keep their arrival
+            outcomes[first:c] = int(Outcome.FORWARDED)
+            release_ns[first:c] = now[0]
+            outcomes[c:end] = int(Outcome.TESTED_FORWARDED)
+            release_ns[c:end] = arrivals[c:end]
+            st.packets_forwarded += end - first
+            st.test_cursor = end
+        # a window counts as mitigation when the verdict before it was an attack
+        st.mitigation_windows += attack * (k - 1) + (st.mode == Mode.UNDER_ATTACK)
+        st.episodes += attack and st.mode == Mode.MONITORING
+        st.mode = Mode.UNDER_ATTACK if attack else Mode.MONITORING
         st.windows_tested += k
-        st.packets_dropped += end - first
-        st.attack_dropped += n_att
-        st.benign_dropped += end - first - n_att
         st.pending_cursor = end
-        st.test_cursor = end - 1 + st.skip
         return int(now[-1])
 
     last_verdict_ns = None
     while n - st.test_cursor >= min_tail:
         c = st.test_cursor
         end = min(c + window, n)
-        if 2 * (votes.item(end) - votes.item(c)) > end - c:  # strict majority
-            last_verdict_ns = attack(last_verdict_ns)
-        else:
-            last_verdict_ns = clear(last_verdict_ns)
+        # a strict majority of attack labels
+        last_verdict_ns = block(2 * (votes.item(end) - votes.item(c)) > end - c, last_verdict_ns)
 
     # stream end: flush leftovers untested
     if st.pending_cursor < n:

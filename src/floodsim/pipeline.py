@@ -69,7 +69,7 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
     sample_dt_ns = to_ns(scenario.sample_dt_s)
 
     mit = None
-    if scenario.aam_enabled and n:
+    if scenario.aam_enabled:
         if scenario.skip_mode == "fixed":
             policy = FixedSkip(scenario.fixed_skip)
         else:

@@ -93,3 +93,25 @@ def test_import_and_cli_load_no_scipy():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_every_library_definition_is_used_outside_tests():
+    # each top-level function and class of the package is named somewhere
+    # in the package, the demos or perfbench beyond its own definition, so
+    # the library holds no code that only the tests call
+    sources = {
+        path: path.read_text()
+        for folder in ("src/floodsim", "demos", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    }
+    unused = []
+    for path in sorted((ROOT / "src" / "floodsim").glob("*.py")):
+        lines = sources[path].splitlines()
+        others = [text for other, text in sources.items() if other != path]
+        for node in ast.parse(sources[path]).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                rest = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+                word = re.compile(rf"\b{node.name}\b")
+                if not any(word.search(text) for text in [rest, *others]):
+                    unused.append(f"{path.name}:{node.name}")
+    assert not unused, unused

@@ -278,12 +278,16 @@ def test_run_mitigation_argument_errors():
         run_mitigation(trace, perfect(5), FixedSkip(5), labels=labels[:-1])
 
     class BadPolicy:
+        def __init__(self, skip):
+            self.skip = skip
+
         def refresh(self, window, queue_len):
-            return 0
+            return self.skip
 
     hot = np.ones(30, np.uint8)
-    with pytest.raises(ValueError, match="skip policy"):
-        run_mitigation(make_trace(hot), perfect(5), BadPolicy(), labels=hot)
+    for skip in (0, 2**63):
+        with pytest.raises(ValueError, match="skip policy"):
+            run_mitigation(make_trace(hot), perfect(5), BadPolicy(skip), labels=hot)
 
 
 def test_adaptive_skip_recalc_from_backlog():
@@ -461,6 +465,28 @@ def test_strided_attack_runs_match_references(n, window, skip, share, pace, atta
         assert attacks.last[-1] - attacks.first[-1] + 1 == last_len
     else:
         assert res.state.episodes > 1
+
+
+@pytest.mark.parametrize(
+    "arrival_ns, window, pace, attack_windows, last_len, first_skip",
+    [
+        # window 1 over a burst: the skip is 0 until the first refresh
+        (np.zeros(300, np.int64), 1, 1_000, 19, 1, 34),
+        # the last window tested is a partial attack window of 7 packets
+        (np.arange(230, dtype=np.int64) * 1_000, 10, 5_000, 8, 7, 1),
+    ],
+    ids=["window 1 burst", "partial last window"],
+)
+def test_adaptive_attack_runs_match_references(arrival_ns, window, pace, attack_windows, last_len,
+                                               first_skip):
+    labels = np.ones(len(arrival_ns), np.uint8)
+    trace = make_trace(labels, arrival_ns)
+    res = assert_matches_references(trace, labels, window, AdaptiveSkip(2.0), pace)
+    assert res.events.skip[:2].tolist() == [0, first_skip]
+    assert res.events[1].kind == EVENT_RECALC_M
+    attacks = res.events[res.events.is_kind(EVENT_WINDOW_ATTACK)]
+    assert len(attacks) == attack_windows
+    assert attacks.last[-1] - attacks.first[-1] + 1 == last_len
 
 
 def test_fixed_skip_decides_attack_runs_in_blocks(monkeypatch):

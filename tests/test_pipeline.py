@@ -184,3 +184,17 @@ def test_empty_scenario_runs():
     assert res.summary["makespan_s"] == 0.0
     assert res.summary["server_peak_queue"] == 0
     assert len(res.server) == 0
+
+
+def test_empty_aam_run_keeps_the_aam_outputs(tmp_path):
+    # one flood of 0.001 packets/s over 1 ms sends no packet at this seed
+    quiet = FloodSpec(start_s=1.0, duration_s=0.001, rate_pps=0.001)
+    empty = run_simulation(small_mix(benign=None, floods=[quiet]))
+    full = run_simulation(small_mix())
+    assert empty.summary["packets_total"] == 0 < full.summary["packets_total"]
+    assert list(empty.summary) == list(full.summary)
+    assert empty.summary["windows_tested"] == empty.summary["final_skip"] == 0
+    names = [p.name for p in write_outputs(empty, tmp_path / "empty")]
+    assert names == [p.name for p in write_outputs(full, tmp_path / "full")]
+    events = (tmp_path / "empty" / "aam_events.csv").read_bytes()
+    assert events == b"event_time_s,event,from_seq,to_seq,m_value\r\n"

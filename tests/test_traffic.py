@@ -180,6 +180,24 @@ def test_trace_csv_rejects_unknown_class(tmp_path):
         read_trace_csv(p)
 
 
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ("0,0.5,B,0\n\n1,0.6,B,0\n", "4 fields at row 1, got 0"),
+        ("0,0.5,B\n", "4 fields at row 0, got 3"),
+        ("0,0.5,B,0,7\n", "4 fields at row 0, got 5"),
+        ("0,0.5,B,2147483648\n", "source_id out of int32 range at row 0"),
+        ("0,0.5,B,2147483647\n1,0.6,B,-2147483649\n", "source_id out of int32 range at row 1"),
+    ],
+    ids=["blank line", "three fields", "five fields", "source above int32", "source below int32"],
+)
+def test_trace_csv_rejects_malformed_rows(tmp_path, rows, match):
+    p = tmp_path / "bad.csv"
+    p.write_text("seq,arrival_time_s,class,source_id\n" + rows)
+    with pytest.raises(ValueError, match=match):
+        read_trace_csv(p)
+
+
 def test_trace_csv_round_trip_is_exact_at_long_horizons(tmp_path):
     # Above ~8.4e15 ns a float64 of the seconds can no longer hold every
     # nanosecond; writer and reader must both stay in integer arithmetic.
