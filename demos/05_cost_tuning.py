@@ -43,17 +43,15 @@ print()
 
 skips = sorted({max(1, round(best * f)) for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)})
 print(f"{'m':>5} {'E[windows]':>11} {'overhead_s':>11} {'E[dropped]':>11} {'reproc_s':>10} {'total':>9}")
-reports = []
-for m in skips:
-    r = cost_report(params, m)
-    reports.append(r)
+r = cost_report(params, skips)  # one report, an array per column
+for i, m in enumerate(skips):
     tag = "  <- m*" if m == best else ""
-    print(f"{m:>5} {r.expected_windows:>11.1f} {r.overhead_s:>11.3f} "
-          f"{r.dropped:>11.0f} {r.reprocessing_s:>10.3f} {r.total:>9.3f}{tag}")
+    print(f"{m:>5} {r.expected_windows[i]:>11.1f} {r.overhead_s[i]:>11.3f} "
+          f"{r.dropped[i]:>11.0f} {r.reprocessing_s[i]:>10.3f} {r.total[i]:>9.3f}{tag}")
 
 out_dir = Path(__file__).resolve().parent / "out"
 out_dir.mkdir(exist_ok=True)
-write_sweep_csv(out_dir / "sweep.csv", skips, reports)
+write_sweep_csv(out_dir / "sweep.csv", skips, r)
 print(f"\nwrote {out_dir / 'sweep.csv'}")
 print()
 

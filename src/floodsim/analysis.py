@@ -14,7 +14,6 @@ mitigation.optimal_skip for the minimizer.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +54,9 @@ class CostParams:
 
 @dataclass
 class CostReport:
+    """The closed form at one skip (float fields) or an array of skips (array
+    fields of its shape); optimal is the closed-form minimizer either way."""
+
     expected_windows: float
     overhead_s: float
     dropped: float
@@ -75,110 +77,67 @@ def exact_window_count(packets, window: int, skip):
     return n
 
 
-def expected_window_count(expected_packets, window: int, skip):
-    """First-order expectation of exact_window_count under random X."""
-    ex = np.asarray(expected_packets, dtype=np.float64)
-    m = np.asarray(skip, dtype=np.float64)
-    if np.any(ex <= window):
-        warnings.warn(
-            "expected volume within one window; window count clamped at 0",
-            stacklevel=2,
-        )
-    n = (ex - window) / (m + window) + 0.5
-    n = np.maximum(n, 0.0)
-    return float(n) if n.ndim == 0 else n
-
-
-def expected_overhead_s(params: CostParams, skip):
-    """E[Omega]: detector time spent on mitigation windows."""
-    return params.test_time_s * params.window * expected_window_count(
-        params.expected_packets, params.window, skip
-    )
-
-
 def exact_drop_count(n_windows, window: int, skip):
     """delta = N*(m + W): total packets discarded over N mitigation windows."""
     return np.asarray(n_windows, dtype=np.float64) * (np.asarray(skip, dtype=np.float64) + window)
 
 
-def expected_drop_count(expected_packets, window: int, skip):
-    """E[delta] ~ E[X] + (m - W)/2, clamped at zero."""
-    d = np.asarray(expected_packets, dtype=np.float64) + (
-        np.asarray(skip, dtype=np.float64) - window
-    ) / 2.0
-    d = np.maximum(d, 0.0)
-    return float(d) if d.ndim == 0 else d
+def cost_report(params: CostParams, skip) -> CostReport:
+    """The closed form at skip m, a number or an array:
 
+        E[N]     = max((E[X] - W)/(m + W) + 1/2, 0)
+        E[Omega] = tau*W * E[N]
+        E[delta] = max(E[X] + (m - W)/2, 0)
+        E[K]     = tau*W * max((1-f)*E[X]/W - 1/2 + m/(2W), 0)
+        C        = alpha*E[K] + beta*E[Omega]
 
-def expected_reprocessing_s(params: CostParams, skip):
-    """E[K]: time to re-serve the benign packets caught in the drops.
-
-    tau*W * [(1-f)*E[X]/W - 1/2 + m/(2W)], floor-clamped at zero (the
-    bracket can go negative for tiny benign shares and small skips).
+    The clamps at zero cover bursts within one window and, for E[K], tiny
+    benign shares at small skips.
     """
     m = np.asarray(skip, dtype=np.float64)
-    w = params.window
-    bracket = (
-        (1.0 - params.attack_fraction) * params.expected_packets / w
-        - 0.5
-        + m / (2.0 * w)
-    )
-    k = params.test_time_s * w * np.maximum(bracket, 0.0)
-    return float(k) if k.ndim == 0 else k
-
-
-def total_cost(params: CostParams, skip):
-    """C = alpha*E[K] + beta*E[Omega]."""
-    c = params.alpha * expected_reprocessing_s(params, skip) + params.beta * expected_overhead_s(
-        params, skip
-    )
-    return float(c) if np.asarray(c).ndim == 0 else c
-
-
-def cost_report(params: CostParams, skip: int) -> CostReport:
-    return CostReport(
-        expected_windows=expected_window_count(params.expected_packets, params.window, skip),
-        overhead_s=expected_overhead_s(params, skip),
-        dropped=expected_drop_count(params.expected_packets, params.window, skip),
-        reprocessing_s=expected_reprocessing_s(params, skip),
-        total=total_cost(params, skip),
-        optimal=optimal_skip(params.window, params.beta_over_alpha, params.expected_packets)
-        if params.expected_packets > params.window
-        else 1,
-    )
+    w, ex, tau_w = params.window, params.expected_packets, params.test_time_s * params.window
+    windows = np.maximum((ex - w) / (m + w) + 0.5, 0.0)
+    overhead = tau_w * windows
+    dropped = np.maximum(ex + (m - w) / 2.0, 0.0)
+    bracket = (1.0 - params.attack_fraction) * ex / w - 0.5 + m / (2.0 * w)
+    reprocessing = tau_w * np.maximum(bracket, 0.0)
+    fields = [windows, overhead, dropped, reprocessing,
+              params.alpha * reprocessing + params.beta * overhead]
+    if m.ndim == 0:
+        fields = [float(v) for v in fields]
+    return CostReport(*fields, optimal_skip(w, params.beta_over_alpha, ex))
 
 
 BRUTE_FORCE_SKIPS = 4096  # brute_force_optimal enumerates m = 1..BRUTE_FORCE_SKIPS
 
 
 def brute_force_optimal(params: CostParams) -> int:
-    """Integer argmin of total_cost over 1..BRUTE_FORCE_SKIPS, by enumeration."""
+    """Integer argmin of the closed-form total over 1..BRUTE_FORCE_SKIPS, by enumeration."""
     skips = np.arange(1, BRUTE_FORCE_SKIPS + 1, dtype=np.float64)
-    costs = total_cost(params, skips)
-    return int(skips[np.argmin(costs)])
+    return int(skips[np.argmin(cost_report(params, skips).total)])
 
 
-def sweep_skip(params: CostParams, skips) -> list[CostReport]:
-    """Closed-form cost table over a list of skip values."""
+def sweep_skip(params: CostParams, skips) -> CostReport:
+    """Closed-form cost table over a list of skip values: one report of arrays."""
     skips = [int(m) for m in skips]
     if not skips:
         raise ValueError("skip sweep needs at least one value")
-    return [cost_report(params, m) for m in skips]
+    return cost_report(params, skips)
 
 
-def write_sweep_csv(path, skips, reports) -> None:
-    """Columns: m,EN,EOmega_s,Edelta,EK_s,total_cost."""
-    rows = list(zip(skips, reports))
+def write_sweep_csv(path, skips, report: CostReport) -> None:
+    """Columns: m,EN,EOmega_s,Edelta,EK_s,total_cost; one row per skip of the
+    report that sweep_skip returned for them."""
     write_columns(
         path,
         ["m", "EN", "EOmega_s", "Edelta", "EK_s", "total_cost"],
         [
-            [str(int(m)) for m, _ in rows],
-            [format(r.expected_windows, ".6f") for _, r in rows],
-            [format(r.overhead_s, ".9f") for _, r in rows],
-            [format(r.dropped, ".6f") for _, r in rows],
-            [format(r.reprocessing_s, ".9f") for _, r in rows],
-            [format(r.total, ".9f") for _, r in rows],
+            [str(int(m)) for m in skips],
+            [format(v, ".6f") for v in report.expected_windows],
+            [format(v, ".9f") for v in report.overhead_s],
+            [format(v, ".6f") for v in report.dropped],
+            [format(v, ".9f") for v in report.reprocessing_s],
+            [format(v, ".9f") for v in report.total],
         ],
     )
 

@@ -116,8 +116,7 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    reports = sweep_skip(params, skips)
-    write_sweep_csv(out / "sweep.csv", skips, reports)
+    write_sweep_csv(out / "sweep.csv", skips, sweep_skip(params, skips))
     print(f"analytic optimum m = {best}")
     print(f"grid optimum      m = {brute_force_optimal(params)}")
 

@@ -42,7 +42,6 @@ integer, yields MitigationEvent rows.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -79,19 +78,16 @@ def optimal_skip(window: int, beta_over_alpha: float, expected_packets: float) -
     Balances reprocessing of mistakenly dropped benign traffic (weight
     alpha) against detector overhead (weight beta): the total is minimized
     at sqrt(2*(beta/alpha)*window*(expected_packets - window)) - window,
-    rounded half-up and clamped to >= 1. Deliberately independent of the
-    benign fraction and of the per-packet test time: both cancel in the
-    optimality condition.
+    rounded half-up and clamped to >= 1. A burst that fits one window
+    (expected_packets <= window) gets 1 as well. Deliberately independent
+    of the benign fraction and of the per-packet test time: both cancel in
+    the optimality condition.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if not beta_over_alpha > 0:
         raise ValueError("beta_over_alpha must be positive")
     if expected_packets <= window:
-        warnings.warn(
-            "expected packet volume does not exceed one window; skip clamped to 1",
-            stacklevel=2,
-        )
         return 1
     raw = math.sqrt(2.0 * beta_over_alpha * window * (expected_packets - window)) - window
     # an infinite ratio rounds to 2**63 as well, so the one skip rule refuses both
@@ -120,9 +116,6 @@ class AdaptiveSkip:
     beta_over_alpha: float
 
     def refresh(self, window: int, queue_len: int) -> int:
-        if queue_len <= window:
-            # a tiny backlog never justifies skipping far
-            return 1
         return optimal_skip(window, self.beta_over_alpha, float(queue_len))
 
 

@@ -23,7 +23,7 @@ be omitted for flood-only scenarios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .detector import DetectorModel
@@ -134,8 +134,7 @@ class Scenario:
             raise ConfigError("sqf.D_ms and service.mean_*_ms carry the packets past the clock")
         # no backlog exceeds the run's packets, so every skip the cost model
         # picks at run time is at most this one and obeys the skip rule too
-        if packets + slack > self.detector.window:
-            optimal_skip(self.detector.window, self.beta / self.alpha, packets + slack)
+        optimal_skip(self.detector.window, self.beta / self.alpha, packets + slack)
         if self.horizon_s / self.sample_dt_s > MAX_SAMPLES:
             raise ConfigError(f"run.sample_dt_ms asks for over {MAX_SAMPLES:.0e} timeline samples")
         if self.aam_enabled and not self.sqf_enabled:
@@ -214,7 +213,6 @@ _FLOOD_FIELDS = ("start_s", "duration_s", "rate_pps")
 def parse_scenario(text: str) -> Scenario:
     state = {"benign": {}, "service": {}, "detector": {}, "plain": {}}
     floods: dict[int, dict] = {}
-    benign_mentioned = False
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -242,7 +240,6 @@ def parse_scenario(text: str) -> Scenario:
         if key not in _KEYS:
             raise ScenarioError(f"unknown key {key!r}", line_no)
         section, name, conv, scale = _KEYS[key]
-        benign_mentioned |= section == "benign"
         try:
             val = conv(raw_val)
             if scale:
@@ -254,14 +251,8 @@ def parse_scenario(text: str) -> Scenario:
         state[section][name] = val
 
     try:
-        benign_fields = dict(state["benign"])
-        benign_enabled = benign_fields.pop("enabled", True)
-        if benign_mentioned and benign_enabled:
-            benign = BenignSpec(**{"period_s": 0.01, **benign_fields})
-        elif benign_mentioned:
-            benign = None
-        else:
-            benign = Scenario().benign
+        enabled = state["benign"].pop("enabled", True)
+        benign = replace(Scenario().benign, **state["benign"]) if enabled else None
         flood_specs = []
         for idx in sorted(floods):
             f = floods[idx]

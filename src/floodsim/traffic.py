@@ -164,17 +164,20 @@ def read_trace_csv(path) -> Trace:
         if header != _TRACE_HEADER:
             raise ValueError(f"unexpected trace header: {header}")
         for k, row in enumerate(r):
-            if len(row) != 4:
-                raise ValueError(f"expected 4 fields at row {k}, got {len(row)}")
-            if int(row[0]) != k:
-                raise ValueError(f"non-dense seq at row {k}: {row[0]}")
-            if row[2] not in _LETTER_CLASS:
-                raise ValueError(f"unknown class letter {row[2]!r} at row {k}")
-            arrivals.append(_parse_ns(row[1]))
+            try:
+                if len(row) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(row)}")
+                if int(row[0]) != k:
+                    raise ValueError(f"non-dense seq: {row[0]}")
+                if row[2] not in _LETTER_CLASS:
+                    raise ValueError(f"unknown class letter {row[2]!r}")
+                arrival, source = _parse_ns(row[1]), int(row[3])
+                if not -2**31 <= source < 2**31:
+                    raise ValueError(f"source_id out of int32 range: {row[3]}")
+            except ValueError as exc:
+                raise ValueError(f"trace row {k}: {exc}") from exc
+            arrivals.append(arrival)
             klasses.append(_LETTER_CLASS[row[2]])
-            source = int(row[3])
-            if not -2**31 <= source < 2**31:
-                raise ValueError(f"source_id out of int32 range at row {k}: {row[3]}")
             sources.append(source)
     trace = Trace(
         np.array(arrivals, np.int64),

@@ -17,6 +17,7 @@ from floodsim import (
     Scenario,
     ServiceTimeModel,
     brute_force_optimal,
+    cost_report,
     forward_times,
     load_scenario,
     monte_carlo_cost,
@@ -29,7 +30,6 @@ from floodsim.analysis import (
     CostParams,
     exact_drop_count,
     exact_window_count,
-    expected_window_count,
 )
 from floodsim.detector import DetectorModel
 from floodsim.mitigation import EVENT_RECALC_M, EVENT_WINDOW_ATTACK, FixedSkip, run_mitigation
@@ -222,7 +222,9 @@ def test_window_count_expectation_under_random_volume():
     rng = np.random.default_rng(2024)
     draws = rng.poisson(1000.0, 10_000)
     mean_n = float(exact_window_count(draws, 20, 100).mean())
-    formula = expected_window_count(1000.0, 20, 100)
+    params = CostParams(alpha=1.0, beta=0.05, attack_fraction=0.9, test_time_s=3.0e-3,
+                        window=20, expected_packets=1000.0)
+    formula = cost_report(params, 100).expected_windows
     rel = abs(mean_n - formula) / formula
     report(
         "first-order window-count expectation holds under Poisson volume",

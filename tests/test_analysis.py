@@ -2,6 +2,7 @@
 import csv
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,12 +22,7 @@ from floodsim.analysis import (
     _t_quantile_975,
     exact_drop_count,
     exact_window_count,
-    expected_drop_count,
-    expected_overhead_s,
-    expected_reprocessing_s,
-    expected_window_count,
     sweep_skip,
-    total_cost,
     write_monte_carlo_csv,
     write_sweep_csv,
 )
@@ -85,53 +81,62 @@ def test_exact_window_count():
 
 
 def test_expected_window_count():
-    assert expected_window_count(1000.0, 20, 100) == pytest.approx(980 / 120 + 0.5)
-    assert expected_window_count(10805.0, 20, 127) == pytest.approx(10785 / 147 + 0.5)
+    def en(ex, m):
+        return cost_report(params_for(ex=ex), m).expected_windows
+
+    assert en(1000.0, 100) == pytest.approx(980 / 120 + 0.5)
+    assert en(10805.0, 127) == pytest.approx(10785 / 147 + 0.5)
     # the first-order term vanishes as the burst shrinks toward one window
-    assert expected_window_count(20.0 + 1e-9, 20, 100) == pytest.approx(0.5, abs=1e-9)
-    with pytest.warns(UserWarning):
-        assert expected_window_count(0.0, 20, 1) == 0.0
+    assert en(20.0 + 1e-9, 100) == pytest.approx(0.5, abs=1e-9)
+    # a burst within one window clamps the count at 0, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert en(0.0, 1) == 0.0
 
 
 def test_expected_overhead():
     p = params_for()
-    assert expected_overhead_s(p, 100) == pytest.approx(0.06 * (10785 / 120 + 0.5), rel=1e-12)
+    assert cost_report(p, 100).overhead_s == pytest.approx(0.06 * (10785 / 120 + 0.5), rel=1e-12)
     # strictly decreasing in the skip: longer leaps mean fewer tested windows
     ms = np.arange(1, 501, dtype=float)
-    vals = expected_overhead_s(p, ms)
+    vals = cost_report(p, ms).overhead_s
     assert np.all(np.diff(vals) < 0)
 
 
 def test_drop_counts():
     assert float(exact_drop_count(9, 20, 100)) == 1080.0
     np.testing.assert_array_equal(exact_drop_count(np.array([0, 2]), 20, 100), [0.0, 240.0])
-    assert expected_drop_count(1000.0, 20, 20) == 1000.0
-    assert expected_drop_count(5.0, 20, 1) == 0.0
+    assert cost_report(params_for(ex=1000.0), 20).dropped == 1000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cost_report(params_for(ex=5.0), 1).dropped == 0.0
 
 
 def test_expected_reprocessing():
     p = params_for(ex=1000.0)
-    assert expected_reprocessing_s(p, 100) == pytest.approx(0.42, rel=1e-12)
+    assert cost_report(p, 100).reprocessing_s == pytest.approx(0.42, rel=1e-12)
     # all-attack burst, skip equal to the window: nothing benign to re-serve
-    assert expected_reprocessing_s(params_for(f=1.0, ex=1000.0), 20) == 0.0
-    assert expected_reprocessing_s(params_for(f=1.0, ex=1000.0), 10) == 0.0
+    assert cost_report(params_for(f=1.0, ex=1000.0), 20).reprocessing_s == 0.0
+    assert cost_report(params_for(f=1.0, ex=1000.0), 10).reprocessing_s == 0.0
     # each extra skipped packet costs half a test on average
-    slope = expected_reprocessing_s(p, 101) - expected_reprocessing_s(p, 100)
+    slope = cost_report(p, 101).reprocessing_s - cost_report(p, 100).reprocessing_s
     assert slope == pytest.approx(3e-3 / 2, rel=1e-12)
 
 
 def test_total_cost_combines_terms():
     p = params_for(alpha=2.0, beta=0.3)
     for m in (1, 50, 127, 400):
-        want = 2.0 * expected_reprocessing_s(p, m) + 0.3 * expected_overhead_s(p, m)
-        assert total_cost(p, m) == pytest.approx(want, rel=1e-12)
+        rep = cost_report(p, m)
+        want = 2.0 * rep.reprocessing_s + 0.3 * rep.overhead_s
+        assert rep.total == pytest.approx(want, rel=1e-12)
 
 
 def test_cost_report_carries_optimum():
     rep = cost_report(params_for(), 100)
     assert rep.optimal == 127
-    assert rep.total == pytest.approx(total_cost(params_for(), 100))
-    with pytest.warns(UserWarning):
+    # a burst within one window gets skip 1, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         tiny = cost_report(params_for(ex=10.0), 5)
     assert tiny.optimal == 1
 
@@ -148,8 +153,8 @@ def test_cost_stationary_at_continuous_optimum():
     p = params_for()
     x = math.sqrt(2.0 * p.beta_over_alpha * p.window * (p.expected_packets - p.window)) - p.window
     h = x * 1e-3
-    deriv = (total_cost(p, x + h) - total_cost(p, x - h)) / (2 * h)
-    assert abs(deriv) <= 1e-6 * total_cost(p, x) / x
+    deriv = (cost_report(p, x + h).total - cost_report(p, x - h).total) / (2 * h)
+    assert abs(deriv) <= 1e-6 * cost_report(p, x).total / x
 
 
 def test_optimum_scales_with_root_of_volume():
@@ -173,11 +178,12 @@ def test_window_count_expectation_under_poisson_volume():
     rng = np.random.default_rng(2024)
     draws = rng.poisson(1000.0, 10_000)
     n = exact_window_count(draws, 20, 100)
-    en = expected_window_count(1000.0, 20, 100)
+    rep = cost_report(params_for(ex=1000.0), 100)
+    en = rep.expected_windows
     assert abs(n.mean() - en) / en < 0.02
 
     d = exact_drop_count(n, 20, 100)
-    ed = expected_drop_count(1000.0, 20, 100)
+    ed = rep.dropped
     assert ed == 1040.0
     assert abs(d.mean() - ed) / ed < 0.02
     np.testing.assert_allclose(d, n * 120.0)
@@ -204,7 +210,7 @@ def test_reprocessing_formula_tracks_simulated_benign_drops():
         window=w,
         expected_packets=10500.0,
     )
-    formula = expected_reprocessing_s(params, m)
+    formula = cost_report(params, m).reprocessing_s
     assert formula == pytest.approx(3.27, rel=1e-12)
 
     rng = RngStream(scn.seed, 0)
@@ -221,26 +227,44 @@ def test_reprocessing_formula_tracks_simulated_benign_drops():
 def test_sweep_skip():
     p = params_for()
     skips = [50, 100, 200]
-    reports = sweep_skip(p, skips)
-    assert len(reports) == 3
-    for m, rep in zip(skips, reports):
-        assert rep.total == pytest.approx(total_cost(p, m))
+    table = sweep_skip(p, skips)
+    assert table.total.shape == (3,)
+    assert table.optimal == 127
+    for i, m in enumerate(skips):
+        assert table.total[i] == pytest.approx(cost_report(p, m).total)
     with pytest.raises(ValueError):
         sweep_skip(p, [])
+
+
+@pytest.mark.parametrize("ex", [10.0, 10805.0])
+def test_sweep_equals_scalar_reports_bit_for_bit(ex):
+    # one evaluator for both shapes: each array entry of the sweep holds the
+    # very float the scalar report gives, at m <= W = 20, at m* (127 for the
+    # larger burst, 1 for the smaller) and at 2**62
+    p = params_for(ex=ex)
+    skips = [1, 7, 20, 127, 2**62]
+    table = sweep_skip(p, skips)
+    for i, m in enumerate(skips):
+        one = cost_report(p, m)
+        for name in ("expected_windows", "overhead_s", "dropped", "reprocessing_s", "total"):
+            got, want = getattr(table, name)[i], getattr(one, name)
+            assert type(want) is float
+            assert float(got).hex() == want.hex(), (m, name)
+        assert table.optimal == one.optimal
 
 
 def test_write_sweep_csv(tmp_path):
     p = params_for()
     skips = [50, 100]
-    reports = sweep_skip(p, skips)
+    table = sweep_skip(p, skips)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, skips, reports)
+    write_sweep_csv(path, skips, table)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["m", "EN", "EOmega_s", "Edelta", "EK_s", "total_cost"]
     assert len(rows) == 3
     assert rows[1][0] == "50"
-    assert float(rows[1][5]) == pytest.approx(reports[0].total, abs=1e-8)
+    assert float(rows[1][5]) == pytest.approx(table.total[0], abs=1e-8)
 
 
 def test_monte_carlo_cost_is_reproducible():

@@ -115,3 +115,18 @@ def test_every_library_definition_is_used_outside_tests():
                 if not any(word.search(text) for text in [rest, *others]):
                     unused.append(f"{path.name}:{node.name}")
     assert not unused, unused
+
+
+def test_library_imports_no_warnings():
+    # the library reports problems only as ConfigError, ValueError or
+    # InvariantViolation, never as a warning a caller may not see or may
+    # have turned into an exception
+    importers = [
+        path.name
+        for path in sorted((ROOT / "src" / "floodsim").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "warnings" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "warnings")
+    ]
+    assert importers == []

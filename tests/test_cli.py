@@ -316,6 +316,25 @@ def test_flag_fuzz_exits_cleanly(case):
     assert exits_cleanly(*cli_exit(command, [a for pair in args for a in pair]))
 
 
+TINY_FLOOD = """\
+benign.enabled = false
+flood.1.start_s = 0.2
+flood.1.duration_s = 0.5
+flood.1.rate_pps = 10
+detector.window = 20
+run.horizon_s = 1
+"""
+
+
+@pytest.mark.parametrize("command", ["optimal-m", "sweep"])
+def test_flood_within_one_window_is_quiet(tmp_path, command):
+    # E[X] = 5 packets at W = 20: the optimum is skip 1, reached without a
+    # warning, which cli_exit would turn into an exception
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_FLOOD)
+    assert cli_exit(command, ["--scenario", str(path)]) == (0, "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

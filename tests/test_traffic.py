@@ -183,13 +183,17 @@ def test_trace_csv_rejects_unknown_class(tmp_path):
 @pytest.mark.parametrize(
     "rows, match",
     [
-        ("0,0.5,B,0\n\n1,0.6,B,0\n", "4 fields at row 1, got 0"),
-        ("0,0.5,B\n", "4 fields at row 0, got 3"),
-        ("0,0.5,B,0,7\n", "4 fields at row 0, got 5"),
-        ("0,0.5,B,2147483648\n", "source_id out of int32 range at row 0"),
-        ("0,0.5,B,2147483647\n1,0.6,B,-2147483649\n", "source_id out of int32 range at row 1"),
+        ("0,0.5,B,0\n\n1,0.6,B,0\n", "^trace row 1: expected 4 fields, got 0$"),
+        ("0,0.5,B\n", "^trace row 0: expected 4 fields, got 3$"),
+        ("0,0.5,B,0,7\n", "^trace row 0: expected 4 fields, got 5$"),
+        ("0,0.5,B,2147483648\n", "^trace row 0: source_id out of int32 range"),
+        ("0,0.5,B,2147483647\n1,0.6,B,-2147483649\n", "^trace row 1: source_id out of int32 range"),
+        ("0,0.5,B,0\nx,0.6,B,0\n", "^trace row 1: invalid literal for int"),
+        ("0,0.5,B,0\n1,abc,B,0\n", "^trace row 1: not a time value: 'abc'"),
+        ("0,0.5,B,0\n1,0.6,B,z\n", "^trace row 1: invalid literal for int"),
     ],
-    ids=["blank line", "three fields", "five fields", "source above int32", "source below int32"],
+    ids=["blank line", "three fields", "five fields", "source above int32", "source below int32",
+         "seq not an integer", "time not a number", "source not an integer"],
 )
 def test_trace_csv_rejects_malformed_rows(tmp_path, rows, match):
     p = tmp_path / "bad.csv"
