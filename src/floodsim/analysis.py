@@ -36,16 +36,17 @@ class CostParams:
     expected_packets: float  # E[X]: total arrivals during the burst
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigError("alpha and beta must be positive")
+        # written so that nan fails every check, and inf each bounded one
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ConfigError("alpha and beta must be positive and finite")
         if not 0.0 <= self.attack_fraction <= 1.0:
             raise ConfigError("attack_fraction must lie in [0, 1]")
-        if self.test_time_s <= 0:
-            raise ConfigError("test_time_s must be positive")
+        if not 0 < self.test_time_s < math.inf:
+            raise ConfigError("test_time_s must be positive and finite")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
-        if self.expected_packets < 0:
-            raise ConfigError("expected_packets must be >= 0")
+        if not 0 <= self.expected_packets < math.inf:
+            raise ConfigError("expected_packets must be >= 0 and finite")
 
     @property
     def beta_over_alpha(self) -> float:

@@ -3,8 +3,6 @@
 Subcommands:
   simulate   run one scenario end to end and write its CSV outputs
   sweep      cost-vs-skip table, analytic and (with --runs) Monte-Carlo
-  result1    paced-arrivals demonstration: zero server wait when the
-             pacing gap exceeds the service ceiling
   optimal-m  print the closed-form skip length and its cost breakdown
 
 Exit codes: 0 ok, 2 configuration problem, 3 run invariant violated.
@@ -13,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -27,8 +24,7 @@ from .analysis import (
     write_sweep_csv,
 )
 from .mitigation import optimal_skip
-from .model import MAX_ELEMENTS, ConfigError, InvariantViolation, RngStream, ServiceTimeModel
-from .model import check_skip
+from .model import MAX_ELEMENTS, ConfigError, InvariantViolation, RngStream, check_skip
 from .pipeline import run_simulation, write_outputs
 from .scenario import (
     Scenario,
@@ -36,7 +32,6 @@ from .scenario import (
     expected_attack_packets,
     load_scenario,
 )
-from .traffic import FloodSpec
 
 
 def _parse_skip_list(raw: str) -> list[int]:
@@ -108,6 +103,8 @@ def _cmd_sweep(args) -> int:
         skips = _parse_skip_list(args.m)
     else:
         skips = sorted({max(1, round(best * f)) for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)})
+    if args.runs < 0:
+        raise ConfigError("--runs must be >= 0")
     # a trial costs at least one packet's work; huge counts clamp before the float product
     trial_packets = max(scn.expected_run_packets(), 1.0) * len(skips)
     if args.runs > 0 and min(args.runs, MAX_ELEMENTS + 1) * trial_packets > MAX_ELEMENTS:
@@ -128,35 +125,6 @@ def _cmd_sweep(args) -> int:
         print(f"empirical optimum m = {empirical.skip} "
               f"(mean cost {empirical.mean_cost:.4f} over {args.runs} runs)")
     print(f"swept m in {skips}; tables in {out.resolve()}")
-    return 0
-
-
-def _cmd_result1(args) -> int:
-    for flag in ("D", "ceiling", "rate", "duration"):
-        if not math.isfinite(getattr(args, flag)):
-            raise ConfigError(f"--{flag} must be a finite number")
-    out = _out_dir(args.out) if args.out else None
-    gap_s = args.D * 1e-3
-    scn = Scenario(
-        benign=None,
-        floods=[FloodSpec(start_s=0.0, duration_s=args.duration, rate_pps=args.rate)],
-        service=ServiceTimeModel(ceiling_s=args.ceiling * 1e-3),
-        sqf_enabled=True,
-        pacing_gap_s=gap_s,
-        aam_enabled=False,
-        seed=args.seed if args.seed is not None else 1,
-        horizon_s=args.duration,
-    )
-    result = run_simulation(scn)
-    max_wait = float(result.server.wait_ns.max()) / 1e9 if len(result.server) else 0.0
-    print(f"packets        = {len(result.server)}")
-    print(f"pacing gap     = {gap_s * 1e3:.3f} ms")
-    print(f"service ceiling= {args.ceiling:.3f} ms")
-    print(f"max wait       = {max_wait:.9f} s")
-    print(f"all waits zero = {bool((result.server.wait_ns == 0).all())}")
-    if out:
-        write_outputs(result, out, gnuplot=args.gnuplot)
-        print(f"outputs in {out.resolve()}")
     return 0
 
 
@@ -206,16 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--runs", type=int, default=0,
                          help="Monte-Carlo repetitions per point (0 = analytic only)")
     p_sweep.set_defaults(fn=_cmd_sweep)
-
-    p_r1 = sub.add_parser("result1", help="zero-wait pacing demonstration")
-    p_r1.add_argument("--D", type=float, default=3.2, help="pacing gap in ms")
-    p_r1.add_argument("--ceiling", type=float, default=3.1, help="service ceiling in ms")
-    p_r1.add_argument("--rate", type=float, default=2000.0, help="arrival rate in packets/s")
-    p_r1.add_argument("--duration", type=float, default=10.0, help="stream length in s")
-    p_r1.add_argument("--seed", type=int, default=None)
-    p_r1.add_argument("--out", default=None, help="optional output directory")
-    p_r1.add_argument("--gnuplot", action="store_true")
-    p_r1.set_defaults(fn=_cmd_result1)
 
     p_opt = sub.add_parser("optimal-m", help="closed-form skip length for a scenario")
     p_opt.add_argument("--scenario", required=True)

@@ -65,7 +65,6 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
     trace = build_trace(scenario, base)
     n = len(trace)
     gap_ns = to_ns(scenario.pacing_gap_s)
-    latency_ns = to_ns(scenario.link_latency_s)
     sample_dt_ns = to_ns(scenario.sample_dt_s)
 
     mit = None
@@ -90,28 +89,15 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
         rel_times = trace.arrival_ns
     if scenario.sqf_enabled:
         emitted = forward_times(rel_times, gap_ns)
-    else:
+        serve_sched = NORMAL_ALWAYS
+    else:  # the raw stream reaches the server, which slows down while a flood lasts
         emitted = rel_times
+        serve_sched = RegimeSchedule([(to_ns(f.start_s), to_ns(f.end_s)) for f in scenario.floods])
     emit_ns = np.full(n, -1, np.int64)
     emit_ns[rel_idx] = emitted
 
-    flood_sched = RegimeSchedule(
-        [(to_ns(f.start_s), to_ns(f.end_s)) for f in scenario.floods]
-    )
-    serve_sched = NORMAL_ALWAYS if scenario.sqf_enabled else flood_sched
-
-    scale = None
-    if scenario.drain_slowdown > 1 and scenario.floods:
-        in_flood = flood_sched.in_attack(trace.arrival_ns[rel_idx])
-        scale = np.where(in_flood, scenario.drain_slowdown, 1.0)
-
     server = simulate_server(
-        emitted + latency_ns,
-        scenario.service,
-        serve_sched,
-        substream(base, STREAM_SERVICE),
-        service_scale=scale,
-        seq=rel_idx,
+        emitted, scenario.service, serve_sched, substream(base, STREAM_SERVICE), seq=rel_idx
     )
 
     if len(server) != len(rel_idx):

@@ -79,7 +79,6 @@ class Scenario:
     detector: DetectorModel = field(default_factory=DetectorModel)
     sqf_enabled: bool = True
     pacing_gap_s: float = 3.0e-3
-    link_latency_s: float = 0.0
     aam_enabled: bool = True
     skip_mode: str = "optimal"      # "optimal" | "fixed"
     fixed_skip: int = 100
@@ -89,7 +88,6 @@ class Scenario:
     seed: int = 1
     horizon_s: float = 10.0
     sample_dt_s: float = 0.1
-    drain_slowdown: float = 1.0
 
     def expected_run_packets(self) -> float:
         """Expected packets of one run, each benign factor clamped just above
@@ -103,8 +101,6 @@ class Scenario:
     def validate(self) -> None:
         if not _at_least_1ns(self.pacing_gap_s):
             raise ConfigError("sqf.D_ms must be at least 1 ns and fit the nanosecond clock")
-        if self.link_latency_s < 0:
-            raise ConfigError("sqf.link_latency_ms must be >= 0")
         if self.skip_mode not in ("optimal", "fixed"):
             raise ConfigError("aam.m_mode must be 'optimal' or 'fixed'")
         check_skip(self.fixed_skip, "aam.m_fixed")
@@ -116,8 +112,6 @@ class Scenario:
             raise ConfigError("run.horizon_s must be positive and fit the nanosecond clock")
         if not _at_least_1ns(self.sample_dt_s):
             raise ConfigError("run.sample_dt_ms must be at least 1 ns and fit the nanosecond clock")
-        if self.drain_slowdown < 1:
-            raise ConfigError("run.drain_slowdown_factor must be >= 1")
         if not 0 <= self.seed < 2**63:
             raise ConfigError("run.seed must be >= 0 and fit int64")
         packets = self.expected_run_packets()
@@ -130,7 +124,7 @@ class Scenario:
         slack = sum(10 * math.sqrt(f.rate_pps * f.duration_s) + 10 for f in self.floods)
         per_packet_s = min(self.service.mean_normal_s, self.service.ceiling_s or math.inf)
         per_packet_s += self.pacing_gap_s if self.sqf_enabled else 0.0
-        if self.horizon_s + self.link_latency_s + (packets + slack) * per_packet_s >= MAX_TIME_S:
+        if self.horizon_s + (packets + slack) * per_packet_s >= MAX_TIME_S:
             raise ConfigError("sqf.D_ms and service.mean_*_ms carry the packets past the clock")
         # no backlog exceeds the run's packets, so every skip the cost model
         # picks at run time is at most this one and obeys the skip rule too
@@ -192,7 +186,6 @@ _KEYS = {
     "service.ceiling_ms": ("service", "ceiling_s", _finite, _MS),
     "sqf.enabled": ("plain", "sqf_enabled", _parse_bool, None),
     "sqf.D_ms": ("plain", "pacing_gap_s", _finite, _MS),
-    "sqf.link_latency_ms": ("plain", "link_latency_s", _finite, _MS),
     "detector.tpr": ("detector", "tpr", _finite, None),
     "detector.tnr": ("detector", "tnr", _finite, None),
     "detector.window": ("detector", "window", _int64, None),
@@ -205,7 +198,6 @@ _KEYS = {
     "run.seed": ("plain", "seed", _int64, None),
     "run.horizon_s": ("plain", "horizon_s", _finite, None),
     "run.sample_dt_ms": ("plain", "sample_dt_s", _finite, _MS),
-    "run.drain_slowdown_factor": ("plain", "drain_slowdown", _finite, None),
 }
 _FLOOD_FIELDS = ("start_s", "duration_s", "rate_pps")
 

@@ -97,14 +97,11 @@ def simulate_server(
     model: ServiceTimeModel,
     schedule: RegimeSchedule,
     rng: RngStream,
-    service_scale=None,
     seq=None,
 ) -> ServerTrace:
     """Serve a stream FCFS, sampling each service time under the regime in
     force at that packet's service start.
 
-    service_scale, if given, is a per-packet multiplier applied to the
-    sampled times (>= 1 ns enforced); it must be indexed like the arrivals.
     One standard normal and one uniform are pre-drawn per packet, so the
     consumed randomness does not depend on where regime boundaries fall.
     """
@@ -113,10 +110,6 @@ def simulate_server(
     seq = np.arange(n, dtype=np.int64) if seq is None else np.asarray(seq, dtype=np.int64)
     if n and np.any(np.diff(a) < 0):
         raise ValueError("arrivals must be sorted")
-    if service_scale is not None:
-        service_scale = np.asarray(service_scale, dtype=np.float64)
-        if service_scale.shape != a.shape:
-            raise ValueError("service_scale must align with arrivals")
     waits = np.empty(n, np.int64)
     services = np.empty(n, np.int64)
     if n == 0:
@@ -135,15 +128,11 @@ def simulate_server(
         while True:
             hi = n if bound is None else min(n, idx + span)
             t_cand = model.draw_ns(regime, z[idx:hi], u[idx:hi])
-            if service_scale is not None:
-                with np.errstate(over="ignore"):  # inf clips to the clock, refused below
-                    scaled = np.rint(t_cand * service_scale[idx:hi])
-                t_cand = np.clip(scaled, 1, _CLOCK_NS).astype(np.int64)
             # a wrapped sum of services (each below 2**63) turns negative first; the
             # span's departures stay within its first start or last arrival plus the sum
             done = np.cumsum(t_cand)
             if done.item(done.argmin()) < 0 or max(start, a.item(hi - 1)) + done.item(-1) >= _CLOCK_NS:
-                raise ConfigError("service.* and run.drain_slowdown_factor sum beyond the clock")
+                raise ConfigError("service.* sum beyond the clock")
             starts = max_plus(a[idx:hi], done - t_cand, start)
             take = hi - idx
             if bound is not None:

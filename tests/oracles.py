@@ -352,14 +352,11 @@ def reference_simulate_server(
     model: ServiceTimeModel,
     schedule: RegimeSchedule,
     rng: RngStream,
-    service_scale=None,
     seq=None,
 ) -> ServerTrace:
     """Serve a stream FCFS, sampling each service time under the regime in
     force at that packet's service start.
 
-    service_scale, if given, is a per-packet multiplier applied to the
-    sampled times (>= 1 ns enforced); it must be indexed like the arrivals.
     One standard normal and one uniform are pre-drawn per packet, so the
     consumed randomness does not depend on where regime boundaries fall.
     """
@@ -371,10 +368,6 @@ def reference_simulate_server(
         seq = np.asarray(seq, dtype=np.int64)
     if n and np.any(np.diff(a) < 0):
         raise ValueError("arrivals must be sorted")
-    if service_scale is not None:
-        service_scale = np.asarray(service_scale, dtype=np.float64)
-        if service_scale.shape != a.shape:
-            raise ValueError("service_scale must align with arrivals")
     waits = np.empty(n, np.int64)
     services = np.empty(n, np.int64)
     if n == 0:
@@ -391,8 +384,6 @@ def reference_simulate_server(
         regime = Regime.ATTACK if schedule.in_attack(start0) else Regime.NORMAL
         bound = schedule.next_boundary(start0)
         t_cand = model.draw_ns(regime, z[idx:], u[idx:])
-        if service_scale is not None:
-            t_cand = np.maximum(np.rint(t_cand * service_scale[idx:]).astype(np.int64), 1)
         w_cand = _lindley_from(a[idx:], t_cand, wait)
         if bound is None:
             take = n - idx

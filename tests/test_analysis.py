@@ -69,6 +69,13 @@ def test_params_validation():
     assert params_for(alpha=2.0, beta=0.5).beta_over_alpha == 0.25
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["alpha", "beta", "tau", "ex"])
+def test_params_refuse_nan_and_inf(field, value):
+    with pytest.raises(ConfigError):
+        params_for(**{field: value})
+
+
 def test_exact_window_count():
     assert exact_window_count(1000, 20, 100) == 9
     assert isinstance(exact_window_count(1000, 20, 100), int)

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import floodsim
+from floodsim.cli import build_parser
+from floodsim.scenario import _FLOOD_FIELDS, _KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -130,3 +132,22 @@ def test_library_imports_no_warnings():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "warnings")
     ]
     assert importers == []
+
+
+def readme_section(title: str) -> str:
+    """The README text under `## title`, up to the next `## ` heading."""
+    readme = (ROOT / "README.md").read_text()
+    return re.search(rf"^## {title}\n(.*?)(?=^## |\Z)", readme, flags=re.S | re.M)[1]
+
+
+def test_readme_names_every_scenario_key_and_subcommand():
+    # a key-table row names `a.b`, or `a.b` / `c` as shorthand for a.b and a.c
+    documented = set()
+    for row in re.findall(r"^\| (`.*?) \|", readme_section("Scenario files"), flags=re.M):
+        first, *rest = re.findall(r"`([^`]+)`", row)
+        prefix = first.rsplit(".", 1)[0]
+        documented |= {first, *(k if "." in k else f"{prefix}.{k}" for k in rest)}
+    assert documented == set(_KEYS) | {f"flood.N.{f}" for f in _FLOOD_FIELDS}
+
+    headings = re.findall(r"^### (\S+)$", readme_section("Command line"), flags=re.M)
+    assert sorted(headings) == sorted(build_parser()._subparsers._group_actions[0].choices)

@@ -45,8 +45,10 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    with pytest.raises(SystemExit):
-        main([])
+    for argv in ([], ["result1"]):  # no subcommand, and a retired one
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_simulate_writes_run_outputs(cfg, tmp_path, capsys):
@@ -108,11 +110,13 @@ def test_no_sqf_requires_no_aam(cfg, tmp_path, capsys):
 
 
 def test_bad_key_reports_line(tmp_path, capsys):
-    path = tmp_path / "bad.cfg"
-    path.write_text("run.seed = 1\nrun.horizon_s = 2\nbogus.key = 1\n")
-    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err and "line 3" in err
+    # the retired options are unknown keys like any other
+    for key in ("bogus.key", "run.drain_slowdown_factor", "sqf.link_latency_ms"):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"run.seed = 1\nrun.horizon_s = 2\n{key} = 1\n")
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: line 3: unknown key {key!r}")
 
 
 @pytest.mark.parametrize(
@@ -122,7 +126,6 @@ def test_bad_key_reports_line(tmp_path, capsys):
         "sqf.D_ms = 1e-9",
         "run.horizon_s = inf",
         "service.mean_normal_ms = nan",
-        "sqf.link_latency_ms = nan",
         "flood.1.start_s = nan",
         "run.sample_dt_ms = 1e-9",
         "cost.alpha = nan",
@@ -146,25 +149,10 @@ def test_non_finite_and_sub_ns_values_are_config_errors(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--ceiling", "nan"], ["--rate", "nan"], ["--duration", "inf"], ["--D", "1e300"],
-     ["--rate", "1e300"]],
-)
-def test_result1_rejects_non_finite_flags(capsys, flags):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["result1", *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:")
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize(
     "lines",
     [
         "service.var_normal_ms2 = 1e300\n",  # behind the shaper: normal-regime draws
         "sqf.enabled = false\naam.enabled = false\nservice.var_attack_ms2 = 1e300\n",
-        "aam.enabled = false\nrun.drain_slowdown_factor = 1e300\n",
         "benign.period_s = 1e-300\n",
         "flood.1.rate_pps = 1e300\n",
         "benign.num_sources = 100000000000000000000\n",
@@ -176,8 +164,6 @@ def test_result1_rejects_non_finite_flags(capsys, flags):
         # so do 10 000 service times of 10^6 s each, unshaped
         "benign.period_s = 0.001\nflood.1.rate_pps = 1e-9\nrun.horizon_s = 10\n"
         "sqf.enabled = false\naam.enabled = false\nservice.mean_normal_ms = 1000000000\n",
-        # and 1 600 flood services of ~3*10^9 s
-        "aam.enabled = false\nrun.drain_slowdown_factor = 1e12\n",
         # ~600 services of 10^4 s (AAM drops most of the flood) fit the
         # clock, but sampling the server queue to its last exit every 0.1 s
         # takes ~6e7 samples
@@ -260,7 +246,6 @@ def test_simulate_fuzz_exits_cleanly(overrides):
 FLAG_BASE = {
     "simulate": ["--scenario", "fuzz.cfg", "--out", "o"],
     "sweep": ["--scenario", "fuzz.cfg", "--out", "o", "--runs", "2"],
-    "result1": ["--duration", "1", "--rate", "200"],
     "optimal-m": ["--scenario", "fuzz.cfg"],
 }
 
@@ -340,6 +325,7 @@ def test_flood_within_one_window_is_quiet(tmp_path, command):
     [
         ["sweep", "--m", str(10**23), "--runs", "2"],
         ["sweep", "--runs", str(10**30)],
+        ["sweep", "--runs", "-3"],
         ["optimal-m", "--m", "0"],
         ["optimal-m", "--m", "-20"],  # m + W = 0 in the window count
         ["optimal-m", "--m", str(10**23)],
@@ -359,7 +345,7 @@ def test_out_of_range_flags_and_missing_scenarios_are_config_errors(tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep", "result1"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("target", ["file", "file/sub"])
 def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, command, target):
     (tmp_path / "file").write_text("keep")
@@ -369,7 +355,7 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, comm
 
     for name in ("run_simulation", "monte_carlo_cost"):
         monkeypatch.setattr(f"floodsim.cli.{name}", must_not_run)
-    cfg = [] if command == "result1" else ["--scenario", str(SCENARIOS / "costsweep.cfg")]
+    cfg = ["--scenario", str(SCENARIOS / "costsweep.cfg")]
     runs = ["--runs", "2"] if command == "sweep" else []
     assert main([command, *cfg, *runs, "--out", str(tmp_path / target)]) == 2
     err = capsys.readouterr().err
@@ -457,44 +443,17 @@ def test_optimal_m_report(capsys):
     assert "cost at --m=80" in out
 
 
-def test_result1_wide_gap_never_waits(capsys):
-    code = main(
-        ["result1", "--D", "3.2", "--ceiling", "3.1", "--duration", "5", "--rate", "800"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "all waits zero = True" in out
-    assert "max wait       = 0.000000000 s" in out
-
-
-def test_result1_narrow_gap_builds_queue(capsys):
-    code = main(
-        ["result1", "--D", "2.7", "--ceiling", "3.1", "--duration", "5", "--rate", "800"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "all waits zero = False" in out
-
-
-def test_result1_optional_outputs(tmp_path, capsys):
-    out_dir = tmp_path / "r1"
-    code = main(
-        [
-            "result1",
-            "--D",
-            "3.2",
-            "--ceiling",
-            "3.1",
-            "--duration",
-            "5",
-            "--rate",
-            "800",
-            "--out",
-            str(out_dir),
-        ]
-    )
-    assert code == 0
-    assert "outputs in" in capsys.readouterr().out
-    names = {p.name for p in out_dir.iterdir()}
-    assert "summary.csv" in names and "sqf_timeline.csv" in names
-    assert "aam_events.csv" not in names
+@pytest.mark.parametrize("gap_ms", ["3.2", "2.7"])
+def test_pacing_gap_against_the_service_ceiling(tmp_path, capsys, gap_ms):
+    # result1.cfg caps service times at 3.1 ms: a 3.2 ms pacing gap keeps
+    # every server wait at zero, a 2.7 ms gap builds a queue
+    text = (SCENARIOS / "result1.cfg").read_text()
+    assert "sqf.D_ms = 3.2\n" in text
+    path = tmp_path / "result1.cfg"
+    path.write_text(text.replace("sqf.D_ms = 3.2\n", f"sqf.D_ms = {gap_ms}\n"))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    max_wait = re.search(r"^server_max_wait_s = (\S+)$", capsys.readouterr().out, re.M)
+    if gap_ms == "3.2":
+        assert max_wait[1] == "0.0"
+    else:
+        assert float(max_wait[1]) > 0

@@ -126,25 +126,6 @@ def test_no_sqf_hits_server_raw():
     assert res.server.service_ns[~inside].mean() < 3.2e6
 
 
-def test_drain_slowdown_scales_flood_services():
-    # mitigation would drop the whole flood span, leaving nothing for the
-    # slowdown to act on, so run with the shaper alone
-    base = small_mix(service=ServiceTimeModel(outlier_prob=0.0), aam_enabled=False)
-    plain = run_simulation(base)
-    slow = run_simulation(dataclasses.replace(base, drain_slowdown=3.0))
-
-    np.testing.assert_array_equal(plain.server.seq, slow.server.seq)
-    arr = plain.trace.arrival_ns[plain.server.seq]
-    in_flood = (arr >= to_ns(1.0)) & (arr < to_ns(3.0))
-    assert in_flood.any() and not in_flood.all()
-    want = np.where(
-        in_flood,
-        np.maximum(np.rint(plain.server.service_ns * 3.0), 1).astype(np.int64),
-        plain.server.service_ns,
-    )
-    np.testing.assert_array_equal(slow.server.service_ns, want)
-
-
 def test_write_outputs_and_determinism(tmp_path):
     scn = small_mix()
     names = sorted(

@@ -55,7 +55,6 @@ def test_empty_text_gives_defaults():
     assert scn.seed == 1
     assert scn.horizon_s == 10.0
     assert scn.sample_dt_s == pytest.approx(0.1)
-    assert scn.drain_slowdown == 1.0
 
 
 def test_comments_and_blank_lines():
@@ -103,14 +102,12 @@ def test_millisecond_keys_scale_to_seconds():
         "service.mean_normal_ms = 1.25\n"
         "service.var_normal_ms2 = 4\n"
         "sqf.D_ms = 2.5\n"
-        "sqf.link_latency_ms = 10\n"
         "cost.tau_ms = 3\n"
         "run.sample_dt_ms = 50\n"
     )
     assert scn.service.mean_normal_s == pytest.approx(1.25e-3)
     assert scn.service.var_normal_s2 == pytest.approx(4.0e-6)
     assert scn.pacing_gap_s == pytest.approx(2.5e-3)
-    assert scn.link_latency_s == pytest.approx(10.0e-3)
     assert scn.tau_s == pytest.approx(3.0e-3)
     assert scn.sample_dt_s == pytest.approx(50.0e-3)
 

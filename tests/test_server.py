@@ -132,9 +132,6 @@ def test_simulate_server_empty_and_validation():
     assert len(out) == 0
     with pytest.raises(ValueError):
         simulate_server(np.array([5, 1]), model, NORMAL_ALWAYS, RngStream(1, 0))
-    with pytest.raises(ValueError):
-        simulate_server(np.array([1, 5]), model, NORMAL_ALWAYS, RngStream(1, 0),
-                        service_scale=np.ones(3))
 
 
 def test_summed_service_beyond_the_clock_is_a_config_error():
@@ -153,15 +150,14 @@ def test_summed_service_beyond_the_clock_is_a_config_error():
     simulate_server(np.array([0, 9_175 * 10**15]), late, NORMAL_ALWAYS, RngStream(1, 0))
     with pytest.raises(ConfigError, match="beyond the clock"):
         simulate_server(np.array([0, 9_195 * 10**15]), late, NORMAL_ALWAYS, RngStream(1, 0))
-    # the same through service_scale on packets past the first regime chunk,
+    # and in a later regime chunk: 10^8 s flood-regime services from 5 s on,
     # with no numpy warning on the way
     sched = RegimeSchedule([(5 * S, 6 * S)])
     a = np.arange(3_000, dtype=np.int64) * 10 * MS
-    for factor in (1e12, 1e300, np.inf):
-        scale = np.where(np.arange(3_000) < 1_500, 1.0, factor)
-        with pytest.raises(ConfigError, match="beyond the clock"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            simulate_server(a, ServiceTimeModel(), sched, RngStream(1, 0), service_scale=scale)
+    slow = ServiceTimeModel(mean_attack_s=1e8, var_attack_s2=0.0, outlier_prob=0.0)
+    with pytest.raises(ConfigError, match="beyond the clock"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate_server(a, slow, sched, RngStream(1, 0))
 
 
 def test_empty_regime_chunk_is_an_invariant_violation(monkeypatch):
@@ -201,17 +197,6 @@ def test_chunked_walk_consistent_across_boundaries():
     np.testing.assert_array_equal(chunked.service_ns, flat.service_ns)
 
 
-def test_service_scale_is_exact_multiplier():
-    model = ServiceTimeModel(outlier_prob=0.0)
-    a = np.arange(300, dtype=np.int64) * 4 * MS
-    plain = simulate_server(a, model, NORMAL_ALWAYS, RngStream(66, 0))
-    scaled = simulate_server(a, model, NORMAL_ALWAYS, RngStream(66, 0),
-                             service_scale=np.full(300, 3.0))
-    np.testing.assert_array_equal(
-        scaled.service_ns, np.maximum(np.rint(plain.service_ns * 3.0).astype(np.int64), 1)
-    )
-
-
 def test_unshaped_flood_backlog_and_slow_drain():
     # overload: nearly every flood packet is still queued when the flood ends,
     # and serving the backlog takes far longer than the flood itself
@@ -234,11 +219,10 @@ class CountingSchedule(RegimeSchedule):
         return super().next_boundary(t_ns)
 
 
-def assert_same_as_reference(arrivals, model, windows, seed, scale):
+def assert_same_as_reference(arrivals, model, windows, seed):
     got_sched, want_sched = CountingSchedule(windows), CountingSchedule(windows)
-    got = simulate_server(arrivals, model, got_sched, RngStream(seed, 0), service_scale=scale)
-    want = reference_simulate_server(arrivals, model, want_sched, RngStream(seed, 0),
-                                     service_scale=scale)
+    got = simulate_server(arrivals, model, got_sched, RngStream(seed, 0))
+    want = reference_simulate_server(arrivals, model, want_sched, RngStream(seed, 0))
     for field in ("seq", "arrival_ns", "wait_ns", "service_ns"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
     assert got_sched.calls == want_sched.calls
@@ -250,9 +234,8 @@ def assert_same_as_reference(arrivals, model, windows, seed, scale):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(0, 4000),
     n_windows=st.integers(0, 8),
-    scaled=st.booleans(),
 )
-def test_simulate_server_matches_reference_loop(seed, n, n_windows, scaled):
+def test_simulate_server_matches_reference_loop(seed, n, n_windows):
     # bursty arrivals under random attack windows: backlogs carry waits
     # across regime boundaries
     rng = np.random.default_rng(seed)
@@ -261,8 +244,7 @@ def test_simulate_server_matches_reference_loop(seed, n, n_windows, scaled):
     end = int(a[-1]) + 1 if n else 1
     cuts = np.sort(rng.integers(0, 2 * end, 2 * n_windows))
     windows = [(s, e) for s, e in zip(cuts[0::2], cuts[1::2]) if e > s]
-    scale = rng.uniform(1.0, 3.0, n) if scaled else None
-    assert_same_as_reference(a, ServiceTimeModel(), windows, seed, scale)
+    assert_same_as_reference(a, ServiceTimeModel(), windows, seed)
 
 
 SPAN_EDGES = [1, 2] + [k * _FIRST_SPAN + d for k in (1, 2, 4) for d in (-1, 0, 1)]
@@ -272,9 +254,8 @@ SPAN_EDGES = [1, 2] + [k * _FIRST_SPAN + d for k in (1, 2, 4) for d in (-1, 0, 1
 @given(
     lengths=st.lists(st.sampled_from(SPAN_EDGES) | st.integers(1, 5000), min_size=1, max_size=6),
     seed=st.integers(0, 2**32 - 1),
-    scaled=st.booleans(),
 )
-def test_chunk_lengths_around_span_doubling(lengths, seed, scaled):
+def test_chunk_lengths_around_span_doubling(lengths, seed):
     # services stay under the 10 ms gap, so every start is its arrival and
     # a boundary at packet k's arrival ends a chunk exactly before it
     n = sum(lengths)
@@ -284,8 +265,7 @@ def test_chunk_lengths_around_span_doubling(lengths, seed, scaled):
     if len(bounds) % 2:
         bounds.append(n * 10 * MS)
     windows = list(zip(bounds[0::2], bounds[1::2]))
-    scale = np.random.default_rng(seed).uniform(1.0, 2.0, n) if scaled else None
-    assert assert_same_as_reference(a, model, windows, seed, scale) == len(lengths)
+    assert assert_same_as_reference(a, model, windows, seed) == len(lengths)
 
 
 def test_server_work_is_linear_in_the_stream(monkeypatch):
