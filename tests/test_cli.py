@@ -45,10 +45,13 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    for argv in ([], ["result1"]):  # no subcommand, and a retired one
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [[], ["result1"]], ids=["none", "retired-result1"])
+def test_missing_or_unknown_subcommand_exits_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_simulate_writes_run_outputs(cfg, tmp_path, capsys):
@@ -109,14 +112,16 @@ def test_no_sqf_requires_no_aam(cfg, tmp_path, capsys):
     assert not (out / "sqf_timeline.csv").exists()
 
 
-def test_bad_key_reports_line(tmp_path, capsys):
-    # the retired options are unknown keys like any other
-    for key in ("bogus.key", "run.drain_slowdown_factor", "sqf.link_latency_ms"):
-        path = tmp_path / "bad.cfg"
-        path.write_text(f"run.seed = 1\nrun.horizon_s = 2\n{key} = 1\n")
-        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: line 3: unknown key {key!r}")
+# the retired options are unknown keys like any other
+@pytest.mark.parametrize(
+    "key", ["bogus.key", "run.drain_slowdown_factor", "sqf.link_latency_ms"]
+)
+def test_bad_key_reports_line(key, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"run.seed = 1\nrun.horizon_s = 2\n{key} = 1\n")
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: line 3: unknown key {key!r}")
 
 
 @pytest.mark.parametrize(

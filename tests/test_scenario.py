@@ -70,6 +70,8 @@ def test_comments_and_blank_lines():
         ("run.seed =", 1, "empty value"),
         ("sqf.enabled = maybe", 1, "boolean"),
         ("flood.1.rate = 5", 1, "unknown key"),
+        ("run.seed = 1\nrun.drain_slowdown_factor = 3", 2, "unknown key"),
+        ("sqf.link_latency_ms = 10", 1, "unknown key"),
         ("flood.x.rate_pps = 5", 1, "invalid literal"),
         ("run.seed = banana", 1, "invalid literal"),
     ],
@@ -78,6 +80,8 @@ def test_parse_errors_carry_line_numbers(text, line_no, needle):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
     assert exc.value.line_no == line_no
+    assert str(exc.value).startswith(f"line {line_no}: ")
+    assert needle in str(exc.value)
     assert str(exc.value).startswith(f"line {line_no}:")
     assert needle in str(exc.value)
 
