@@ -183,11 +183,12 @@ def _t_quantile_975(df: int) -> float:
             return t
 
 
-def monte_carlo_cost(scenario, skip: int, runs: int, rng: RngStream) -> McCost:
+def monte_carlo_cost(scenario, skip: int, runs: int) -> McCost:
     """Realized mitigation cost over seeded runs of a one-flood scenario.
 
-    Each run generates fresh traffic from run-indexed substreams (common
-    random numbers across skip values, so sweep points are comparable) and
+    Run r draws fresh traffic from keys (r + 1) * 1000 + STREAM_* of the
+    (run.seed, 0) stream that run_simulation draws from with key 0: common
+    random numbers across skip values, so sweep points are comparable. It
     runs the index machine with a fixed skip. The run is then priced with
     the cost function at its realized quantities: X = arrivals during the
     flood interval, B = benign packets actually dropped, and N = windows
@@ -213,6 +214,7 @@ def monte_carlo_cost(scenario, skip: int, runs: int, rng: RngStream) -> McCost:
     lo, hi = to_ns(flood.start_s), to_ns(flood.end_s)
     w = scenario.detector.window
     tau = scenario.tau_s
+    rng = RngStream(scenario.seed, 0)
     trials: list[CostTrial] = []
     for r in range(runs):
         run_key = (r + 1) * 1000

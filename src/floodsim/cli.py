@@ -24,7 +24,7 @@ from .analysis import (
     write_sweep_csv,
 )
 from .mitigation import optimal_skip
-from .model import MAX_ELEMENTS, ConfigError, InvariantViolation, RngStream, check_skip
+from .model import MAX_ELEMENTS, ConfigError, InvariantViolation, check_skip
 from .pipeline import run_simulation, write_outputs
 from .scenario import (
     Scenario,
@@ -118,8 +118,7 @@ def _cmd_sweep(args) -> int:
     print(f"grid optimum      m = {brute_force_optimal(params)}")
 
     if args.runs > 0:
-        rng = RngStream(scn.seed, 0)
-        results = [monte_carlo_cost(scn, m, args.runs, rng) for m in skips]
+        results = [monte_carlo_cost(scn, m, args.runs) for m in skips]
         write_monte_carlo_csv(out / "monte_carlo.csv", results)
         empirical = min(results, key=lambda r: r.mean_cost)
         print(f"empirical optimum m = {empirical.skip} "

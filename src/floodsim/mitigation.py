@@ -14,8 +14,8 @@ Index updates follow the published machine verbatim (1-based form:
 ATTACK -> j := i+W, i := i+W-1+m; clear -> both := i+W). Note the machine
 leaves m-1 untested packets between a dropped span and the next window.
 
-The skip length is refreshed from the forwarder's input-queue estimate on
-every ATTACK verdict; a RECALC_M event is logged whenever the value actually
+FixedSkip holds a constant m. Under AdaptiveSkip every ATTACK verdict sets
+m = optimal_skip(W, beta/alpha, queue estimate), logging RECALC_M when m
 changes. The queue estimate at a verdict is "packets arrived so far, minus
 packets disposed through the current window end" -- released-but-unpaced
 packets count as gone, a documented desk-scale simplification.
@@ -26,7 +26,7 @@ span's benign/attack split in O(1). One block step decides a run of
 windows with one verdict, the same way for both verdicts. Clear windows
 tile the stream back to back from the test cursor; attack windows under
 FixedSkip start W - 1 + m apart, since the skip never changes, and
-AdaptiveSkip refreshes the skip at each verdict, so its attack runs are one
+AdaptiveSkip recomputes the skip at each verdict, so its attack runs are one
 window long. A doubling search over prefix-sum votes finds the run's end,
 one pacing.max_plus call gives its verdict instants
 v_j = max(a_end_j, v_{j-1} + len_j*D), and each window logs its verdict, a
@@ -51,13 +51,6 @@ from .csvio import Seconds, write_columns
 from .detector import DetectorModel, classify_stream
 from .model import InvariantViolation, PacketClass, RngStream, Trace, check_skip
 from .pacing import max_plus
-
-EVENT_WINDOW_ATTACK = "WINDOW_ATTACK"
-EVENT_WINDOW_CLEAR = "WINDOW_CLEAR"
-EVENT_RECALC_M = "RECALC_M"
-EVENT_DROP_RANGE = "DROP_RANGE"
-EVENT_FORWARD_RANGE = "FORWARD_RANGE"
-
 
 class Outcome(IntEnum):
     """Per-packet disposition."""
@@ -97,26 +90,20 @@ def optimal_skip(window: int, beta_over_alpha: float, expected_packets: float) -
 
 @dataclass
 class FixedSkip:
-    """Constant skip length; refreshes are no-ops."""
+    """A constant skip length, set before the first verdict."""
 
     skip: int
 
     def __post_init__(self):
         check_skip(self.skip, "skip")
 
-    def refresh(self, window: int, queue_len: int) -> int:
-        return self.skip
-
 
 @dataclass
 class AdaptiveSkip:
-    """Recomputes the optimal skip from the live queue estimate, which is
-    taken as the expected remaining attack volume."""
+    """The skip optimal_skip(window, beta_over_alpha, queue estimate), set at
+    each attack verdict; the queue stands in for the remaining attack volume."""
 
     beta_over_alpha: float
-
-    def refresh(self, window: int, queue_len: int) -> int:
-        return optimal_skip(window, self.beta_over_alpha, float(queue_len))
 
 
 @dataclass
@@ -131,13 +118,7 @@ class MitigationEvent:
     skip: int   # current skip length, 0 while not yet assigned
 
 
-EVENT_KINDS = (
-    EVENT_WINDOW_ATTACK,
-    EVENT_WINDOW_CLEAR,
-    EVENT_RECALC_M,
-    EVENT_DROP_RANGE,
-    EVENT_FORWARD_RANGE,
-)
+EVENT_KINDS = ("WINDOW_ATTACK", "WINDOW_CLEAR", "RECALC_M", "DROP_RANGE", "FORWARD_RANGE")
 _ATTACK, _CLEAR, _RECALC, _DROP, _FORWARD = range(len(EVENT_KINDS))
 _KIND_BYTES = np.array([k.encode() for k in EVENT_KINDS])
 # the log rows of one window by (attack verdict, skip changed): the verdict,
@@ -275,8 +256,11 @@ def run_mitigation(
 
     The trailing partial window at stream end is tested when at least
     ceil(window/2) packets remain, otherwise the leftovers are forwarded
-    untested.
+    untested. policy is a FixedSkip or an AdaptiveSkip, else a TypeError.
     """
+    fixed = isinstance(policy, FixedSkip)
+    if not fixed and not isinstance(policy, AdaptiveSkip):
+        raise TypeError(f"policy must be a FixedSkip or an AdaptiveSkip, not {policy!r}")
     window = detector.window
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -296,14 +280,10 @@ def run_mitigation(
     outcomes = np.full(n, 255, np.uint8)
     release_ns = np.full(n, -1, np.int64)
     drop_time_ns = np.full(n, -1, np.int64)
-    st = MitigationState()
+    st = MitigationState(skip=policy.skip if fixed else 0)
     log: list = []  # event column blocks, in log order
     pace = max(int(test_pacing_ns), 0)
     min_tail = math.ceil(window / 2)  # a shorter partial window goes untested
-
-    fixed = isinstance(policy, FixedSkip)
-    if fixed:
-        st.skip = policy.skip
 
     def block(attack: bool, last_verdict_ns):
         """Decide the run of windows from the test cursor up to the first
@@ -312,16 +292,16 @@ def run_mitigation(
         verdict instant.
 
         Clear windows tile the stream back to back. Attack windows under
-        FixedSkip start window - 1 + skip apart; any other policy refreshes
-        the skip from the arrivals at each verdict, so its attack run is one
+        FixedSkip start window - 1 + skip apart; AdaptiveSkip recomputes the
+        skip from the arrivals at each verdict, so its attack run is one
         window long. The partial tail window is a run of its own.
         """
         first, c = st.pending_cursor, st.test_cursor
-        refresh = attack and not fixed  # the skip may change at this verdict
-        # an adaptive skip is 0 until its first refresh, so it never sets a stride
+        recompute = attack and not fixed  # the skip may change at this verdict
+        # an adaptive skip is 0 until its first verdict, so it never sets a stride
         stride = window - 1 + st.skip if attack and fixed else window
         full = (n - c - window) // stride + 1 if n - c >= window else 0
-        k = _first_window(votes, c, window, stride, min(full, 1) if refresh else full, not attack)
+        k = _first_window(votes, c, window, stride, min(full, 1) if recompute else full, not attack)
         if k:
             starts = np.arange(c, c + k * stride, stride, dtype=np.int64)
             ends = starts + (window - 1)
@@ -330,10 +310,9 @@ def run_mitigation(
         end = int(ends[-1]) + 1
         now = max_plus(arrivals[ends], np.cumsum(ends - starts + 1) * pace, last_verdict_ns)
         skip_before = st.skip
-        if refresh:
+        if recompute:
             arrived = int(arrivals.searchsorted(now[0], side="right"))
-            st.skip = check_skip(policy.refresh(window, max(0, arrived - end)),
-                                 "the skip policy's skip")
+            st.skip = optimal_skip(window, policy.beta_over_alpha, float(max(0, arrived - end)))
         # only a one-window run changes the skip; its verdict row keeps the old one
         kinds = _WINDOW_ROWS[attack, st.skip != skip_before]
         r = len(kinds)

@@ -8,6 +8,7 @@ resolution, so round-tripping through files is lossless.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -100,17 +101,11 @@ class Trace:
     def __len__(self) -> int:
         return len(self.arrival_ns)
 
-    @property
-    def arrival_s(self) -> np.ndarray:
-        return to_seconds(self.arrival_ns)
-
     def attack_count(self) -> int:
         return int(np.count_nonzero(self.klass == PacketClass.ATTACK))
 
     def validate(self) -> None:
-        if len(self) == 0:
-            return
-        if self.arrival_ns[0] < 0:
+        if np.any(self.arrival_ns[:1] < 0):  # the first arrival, if any
             raise ValueError("arrival times must be >= 0")
         if np.any(np.diff(self.arrival_ns) < 0):
             raise ValueError("trace must be sorted by arrival time")
@@ -143,43 +138,39 @@ class ServiceTimeModel:
     ceiling_s: float | None = None
 
     def __post_init__(self):
-        if self.mean_normal_s <= 0 or self.mean_attack_s <= 0:
-            raise ConfigError("service means must be positive")
-        if self.var_normal_s2 < 0 or self.var_attack_s2 < 0:
-            raise ConfigError("service variances must be nonnegative")
+        # written so that nan fails every check, and inf each bounded one
+        if not (0 < self.mean_normal_s < math.inf and 0 < self.mean_attack_s < math.inf):
+            raise ConfigError("service means must be positive and finite")
+        if not (0 <= self.var_normal_s2 < math.inf and 0 <= self.var_attack_s2 < math.inf):
+            raise ConfigError("service variances must be nonnegative and finite")
         if not 0.0 <= self.outlier_prob <= 1.0:
             raise ConfigError("outlier_prob must lie in [0, 1]")
-        if self.outlier_scale <= 0:
-            raise ConfigError("outlier_scale must be positive")
-        if self.ceiling_s is not None and self.ceiling_s <= 0:
-            raise ConfigError("ceiling_s must be positive when given")
-
-    def mean_s(self, regime: Regime) -> float:
-        return self.mean_attack_s if regime == Regime.ATTACK else self.mean_normal_s
-
-    def std_s(self, regime: Regime) -> float:
-        var = self.var_attack_s2 if regime == Regime.ATTACK else self.var_normal_s2
-        return float(np.sqrt(var))
-
-    def floor_s(self, regime: Regime) -> float:
-        return self.mean_s(regime) / 100.0
+        if not 0 < self.outlier_scale < math.inf:
+            raise ConfigError("outlier_scale must be positive and finite")
+        if self.ceiling_s is not None and not 0 < self.ceiling_s < math.inf:
+            raise ConfigError("ceiling_s must be positive and finite when given")
 
     def draw_ns(self, regime: Regime, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Service times (int64 ns) under a regime, from pre-drawn standard
         normals z and uniforms u (one of each per packet; u picks outliers).
         A draw that does not fit the nanosecond clock is a ConfigError."""
-        draws = self.mean_s(regime) + self.std_s(regime) * z
-        if regime == Regime.ATTACK and self.outlier_prob > 0:
+        attack = regime == Regime.ATTACK
+        if attack:
+            mean, var = self.mean_attack_s, self.var_attack_s2
+            keys = "mean_attack_ms, var_attack_ms2, outlier_scale"
+        else:
+            mean, var = self.mean_normal_s, self.var_normal_s2
+            keys = "mean_normal_ms, var_normal_ms2"
+        draws = mean + math.sqrt(var) * z
+        if attack and self.outlier_prob > 0:
             with np.errstate(over="ignore"):  # inf is reported below
                 draws = np.where(u < self.outlier_prob, draws * self.outlier_scale, draws)
-        np.maximum(draws, self.floor_s(regime), out=draws)
+        np.maximum(draws, mean / 100.0, out=draws)
         if self.ceiling_s is not None:
             np.minimum(draws, self.ceiling_s, out=draws)
         try:
             return to_ns(draws)
         except ValueError:
-            keys = ("mean_attack_ms, var_attack_ms2, outlier_scale" if regime == Regime.ATTACK
-                    else "mean_normal_ms, var_normal_ms2")
             raise ConfigError(f"service.{{{keys}}} give times beyond the clock") from None
 
 

@@ -105,7 +105,5 @@ def peak_occupancy(entry_ns, exit_ns) -> int:
     # timsort: linear on the (nearly) sorted streams a simulation passes in
     entry = np.sort(_as_times(entry_ns), kind="stable")
     exits = np.sort(_as_times(exit_ns), kind="stable")
-    if len(entry) == 0:
-        return 0
     entered = np.arange(1, len(entry) + 1, dtype=np.int64)
-    return int((entered - np.searchsorted(exits, entry, side="left")).max())
+    return int((entered - np.searchsorted(exits, entry, side="left")).max(initial=0))

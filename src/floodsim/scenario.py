@@ -104,10 +104,10 @@ class Scenario:
         if self.skip_mode not in ("optimal", "fixed"):
             raise ConfigError("aam.m_mode must be 'optimal' or 'fixed'")
         check_skip(self.fixed_skip, "aam.m_fixed")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigError("cost.alpha and cost.beta must be positive")
-        if self.tau_s <= 0:
-            raise ConfigError("cost.tau_ms must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ConfigError("cost.alpha and cost.beta must be positive and finite")
+        if not 0 < self.tau_s < math.inf:
+            raise ConfigError("cost.tau_ms must be positive and finite")
         if self.horizon_s <= 0 or _clock_ns(self.horizon_s) is None:
             raise ConfigError("run.horizon_s must be positive and fit the nanosecond clock")
         if not _at_least_1ns(self.sample_dt_s):
@@ -285,8 +285,6 @@ def build_trace(scenario: Scenario, rng: RngStream, run_key: int = 0) -> Trace:
     for k, flood in enumerate(scenario.floods):
         flood_rng = substream(rng, run_key + STREAM_FLOOD_BASE + k)
         parts.append(gen_flood(flood, flood_rng))
-    if not parts:
-        return Trace.empty()
     return merge(parts)
 
 

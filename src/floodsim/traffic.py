@@ -35,8 +35,8 @@ class BenignSpec:
     num_sources: int = 1
 
     def __post_init__(self):
-        if self.period_s <= 0:
-            raise ConfigError("benign period must be positive")
+        if not 0 < self.period_s < math.inf:
+            raise ConfigError("benign period must be positive and finite")
         if not 0.0 <= self.jitter_fraction < 1.0:
             raise ConfigError("jitter_fraction must lie in [0, 1)")
         if self.num_sources < 1:
@@ -56,12 +56,12 @@ class FloodSpec:
     rate_pps: float
 
     def __post_init__(self):
-        if self.start_s < 0:
-            raise ConfigError("flood start must be >= 0")
-        if self.duration_s <= 0:
-            raise ConfigError("flood duration must be positive")
-        if self.rate_pps <= 0:
-            raise ConfigError("flood rate must be positive")
+        if not 0 <= self.start_s < math.inf:
+            raise ConfigError("flood start must be >= 0 and finite")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError("flood duration must be positive and finite")
+        if not 0 < self.rate_pps < math.inf:
+            raise ConfigError("flood rate must be positive and finite")
 
     @property
     def end_s(self) -> float:
@@ -79,8 +79,6 @@ def gen_benign(spec: BenignSpec, horizon_s: float, rng: RngStream) -> Trace:
     if horizon_s < 0:
         raise ValueError("horizon must be >= 0")
     n_per = math.ceil(horizon_s / spec.period_s)
-    if n_per == 0:
-        return Trace.empty()
     g = rng.generator
     base = np.arange(n_per, dtype=np.float64) * spec.period_s
     parts = []
@@ -96,8 +94,6 @@ def gen_flood(spec: FloodSpec, rng: RngStream) -> Trace:
     the window."""
     g = rng.generator
     n = int(g.poisson(spec.rate_pps * spec.duration_s))
-    if n == 0:
-        return Trace.empty()
     offsets = np.sort(g.random(n)) * spec.duration_s
     return _one_source(to_ns(spec.start_s + offsets), PacketClass.ATTACK, 0)
 

@@ -20,17 +20,13 @@ import numpy as np
 
 from floodsim.detector import DetectorModel, classify_stream
 from floodsim.mitigation import (
-    EVENT_DROP_RANGE,
-    EVENT_FORWARD_RANGE,
-    EVENT_RECALC_M,
-    EVENT_WINDOW_ATTACK,
-    EVENT_WINDOW_CLEAR,
     FixedSkip,
     MitigationEvent,
     MitigationResult,
     MitigationState,
     Mode,
     Outcome,
+    optimal_skip,
 )
 from floodsim.model import (
     InvariantViolation,
@@ -265,24 +261,26 @@ def reference_run_mitigation(
             if st.mode == Mode.MONITORING:
                 st.episodes += 1
                 st.mode = Mode.UNDER_ATTACK
-            events.append(MitigationEvent(now, EVENT_WINDOW_ATTACK, win_start, win_end, st.skip))
-            new_skip = policy.refresh(window, queue_estimate(now, win_end))
-            if new_skip < 1:
-                raise ValueError("skip policy must yield skip >= 1")
+            events.append(MitigationEvent(now, "WINDOW_ATTACK", win_start, win_end, st.skip))
+            if isinstance(policy, FixedSkip):
+                new_skip = policy.skip
+            else:
+                queue = queue_estimate(now, win_end)
+                new_skip = optimal_skip(window, policy.beta_over_alpha, float(queue))
             if new_skip != st.skip:
                 st.skip = new_skip
-                events.append(MitigationEvent(now, EVENT_RECALC_M, win_start, win_end, st.skip))
+                events.append(MitigationEvent(now, "RECALC_M", win_start, win_end, st.skip))
             drop_span(st.pending_cursor, win_end, now)
             events.append(
-                MitigationEvent(now, EVENT_DROP_RANGE, st.pending_cursor, win_end, st.skip)
+                MitigationEvent(now, "DROP_RANGE", st.pending_cursor, win_end, st.skip)
             )
             st.pending_cursor = win_end + 1
             st.test_cursor = win_end + st.skip
         else:
             st.mode = Mode.MONITORING
-            events.append(MitigationEvent(now, EVENT_WINDOW_CLEAR, win_start, win_end, st.skip))
+            events.append(MitigationEvent(now, "WINDOW_CLEAR", win_start, win_end, st.skip))
             events.append(
-                MitigationEvent(now, EVENT_FORWARD_RANGE, st.pending_cursor, win_end, st.skip)
+                MitigationEvent(now, "FORWARD_RANGE", st.pending_cursor, win_end, st.skip)
             )
             forward_span(st.pending_cursor, win_start, win_end, now)
             st.pending_cursor = win_end + 1
@@ -301,7 +299,7 @@ def reference_run_mitigation(
     if st.pending_cursor < n:
         first = st.pending_cursor
         end_ns = int(arrivals[n - 1])
-        events.append(MitigationEvent(end_ns, EVENT_FORWARD_RANGE, first, n - 1, st.skip))
+        events.append(MitigationEvent(end_ns, "FORWARD_RANGE", first, n - 1, st.skip))
         outcomes[first:n] = int(Outcome.FORWARDED)
         held = np.arange(first, n) < st.test_cursor
         release_ns[first:n] = np.where(held, end_ns, arrivals[first:n])

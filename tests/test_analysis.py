@@ -1,5 +1,6 @@
 """Closed-form cost model, its optimizer, and Monte-Carlo cross-checks."""
 import csv
+import dataclasses
 import inspect
 import math
 import warnings
@@ -26,8 +27,9 @@ from floodsim.analysis import (
     write_monte_carlo_csv,
     write_sweep_csv,
 )
-from floodsim.detector import DetectorModel
+from floodsim.detector import DetectorModel, classify_stream
 from floodsim.mitigation import FixedSkip, run_mitigation
+from floodsim.model import STREAM_DETECTOR, substream
 from floodsim.scenario import build_trace
 from floodsim.traffic import BenignSpec, FloodSpec
 
@@ -276,18 +278,28 @@ def test_write_sweep_csv(tmp_path):
 
 def test_monte_carlo_cost_is_reproducible():
     scn = one_flood_scenario()
-    a = monte_carlo_cost(scn, 125, 1, RngStream(1, 0))
-    b = monte_carlo_cost(scn, 125, 1, RngStream(1, 0))
+    a = monte_carlo_cost(scn, 125, 1)
+    b = monte_carlo_cost(scn, 125, 1)
     assert a.mean_cost == b.mean_cost
     assert a.std_cost == 0.0
     assert math.isinf(a.ci95_halfwidth)
     assert a.trials[0].stream_key == 1000
+    # run r draws from key (r + 1) * 1000 of the scenario's (run.seed, 0) stream
+    scn = dataclasses.replace(scn, seed=7)
+    for trial in monte_carlo_cost(scn, 125, 2).trials:
+        base = RngStream(7, 0)
+        trace = build_trace(scn, base, trial.stream_key)
+        labels = classify_stream(trace.klass, scn.detector,
+                                 substream(base, trial.stream_key + STREAM_DETECTOR))
+        st = run_mitigation(trace, scn.detector, FixedSkip(125), labels=labels).state
+        assert (trial.benign_dropped, trial.mitigation_windows) == (
+            st.benign_dropped, st.mitigation_windows)
 
 
 def test_monte_carlo_cost_argument_errors():
     scn = one_flood_scenario()
     with pytest.raises(ValueError):
-        monte_carlo_cost(scn, 125, 0, RngStream(1, 0))
+        monte_carlo_cost(scn, 125, 0)
     two = Scenario(
         benign=BenignSpec(period_s=0.01),
         floods=[
@@ -297,7 +309,7 @@ def test_monte_carlo_cost_argument_errors():
         horizon_s=10.0,
     )
     with pytest.raises(ConfigError):
-        monte_carlo_cost(two, 125, 2, RngStream(1, 0))
+        monte_carlo_cost(two, 125, 2)
 
 
 # scipy.stats.t.ppf(0.975, df), recorded so the check holds without scipy
@@ -329,14 +341,14 @@ def test_t_quantile_matches_scipy_over_df_1_to_10000():
 
 def test_monte_carlo_interval_is_the_t_interval():
     scn = one_flood_scenario()
-    mc = monte_carlo_cost(scn, 125, 4, RngStream(1, 0))
+    mc = monte_carlo_cost(scn, 125, 4)
     assert mc.ci95_halfwidth == pytest.approx(T_975[3] * mc.std_cost / 2, rel=1e-12)
 
 
 def test_monte_carlo_interval_narrows_with_runs():
     scn = one_flood_scenario()
-    mc30 = monte_carlo_cost(scn, 125, 30, RngStream(1, 0))
-    mc120 = monte_carlo_cost(scn, 125, 120, RngStream(1, 0))
+    mc30 = monte_carlo_cost(scn, 125, 30)
+    mc120 = monte_carlo_cost(scn, 125, 120)
     # identical run keys: the longer experiment extends the shorter one
     assert [t.realized_cost for t in mc120.trials[:30]] == [
         t.realized_cost for t in mc30.trials
@@ -348,8 +360,8 @@ def test_monte_carlo_interval_narrows_with_runs():
 def test_write_monte_carlo_csv(tmp_path):
     scn = one_flood_scenario()
     results = [
-        monte_carlo_cost(scn, 50, 2, RngStream(1, 0)),
-        monte_carlo_cost(scn, 125, 2, RngStream(1, 0)),
+        monte_carlo_cost(scn, 50, 2),
+        monte_carlo_cost(scn, 125, 2),
     ]
     path = tmp_path / "mc.csv"
     write_monte_carlo_csv(path, results)

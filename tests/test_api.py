@@ -97,10 +97,23 @@ def test_import_and_cli_load_no_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def library_definitions(tree: ast.Module):
+    """(node, pattern of a use) for each top-level function and class, and
+    each method or property of those classes but the dunders, which is used
+    as an attribute."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, rf"\b{node.name}\b"
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                    yield member, rf"\.{member.name}\b"
+
+
 def test_every_library_definition_is_used_outside_tests():
-    # each top-level function and class of the package is named somewhere
-    # in the package, the demos or perfbench beyond its own definition, so
-    # the library holds no code that only the tests call
+    # each definition is named somewhere in the package, the demos or
+    # perfbench beyond its own lines, so the library holds no code that only
+    # the tests call
     sources = {
         path: path.read_text()
         for folder in ("src/floodsim", "demos", "perfbench")
@@ -110,12 +123,10 @@ def test_every_library_definition_is_used_outside_tests():
     for path in sorted((ROOT / "src" / "floodsim").glob("*.py")):
         lines = sources[path].splitlines()
         others = [text for other, text in sources.items() if other != path]
-        for node in ast.parse(sources[path]).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                rest = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
-                word = re.compile(rf"\b{node.name}\b")
-                if not any(word.search(text) for text in [rest, *others]):
-                    unused.append(f"{path.name}:{node.name}")
+        for node, pattern in library_definitions(ast.parse(sources[path])):
+            rest = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+            if not any(re.search(pattern, text) for text in [rest, *others]):
+                unused.append(f"{path.name}:{node.name}")
     assert not unused, unused
 
 

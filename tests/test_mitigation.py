@@ -13,12 +13,7 @@ from floodsim.analysis import exact_drop_count, exact_window_count
 from floodsim.detector import DetectorModel
 from floodsim.mitigation import (
     AdaptiveSkip,
-    EVENT_DROP_RANGE,
-    EVENT_FORWARD_RANGE,
     EVENT_KINDS,
-    EVENT_RECALC_M,
-    EVENT_WINDOW_ATTACK,
-    EVENT_WINDOW_CLEAR,
     EventLog,
     FixedSkip,
     MitigationEvent,
@@ -114,26 +109,26 @@ def test_flood_with_benign_tail_event_log():
     res = run_mitigation(trace, perfect(20), FixedSkip(100), labels=trace.klass)
 
     events = res.events
-    attacks = events[events.is_kind(EVENT_WINDOW_ATTACK)]
+    attacks = events[events.is_kind("WINDOW_ATTACK")]
     assert len(attacks) == 9
     starts = attacks.first
     assert starts[0] == 0
     # consecutive alarm windows sit skip + window - 1 packets apart
     assert np.all(np.diff(starts) == 119)
 
-    drops = events[events.is_kind(EVENT_DROP_RANGE)]
+    drops = events[events.is_kind("DROP_RANGE")]
     assert (drops.first[0], drops.last[0]) == (0, 19)
     assert (drops.first[1], drops.last[1]) == (20, 138)
     assert int((drops.last - drops.first + 1).sum()) == 972
 
-    fwd = events[events.is_kind(EVENT_FORWARD_RANGE)]
+    fwd = events[events.is_kind("FORWARD_RANGE")]
     assert (fwd.first[0], fwd.last[0]) == (972, 1090)
 
 
 def test_flood_walk_matches_count_formula():
     trace = flood_with_tail()
     res = run_mitigation(trace, perfect(20), FixedSkip(100), labels=trace.klass)
-    attacks = int(res.events.is_kind(EVENT_WINDOW_ATTACK).sum())
+    attacks = int(res.events.is_kind("WINDOW_ATTACK").sum())
     assert exact_window_count(1000, 20, 100) == 9 == attacks
     # the machine stops condemning at the last verdict, so realized drops sit
     # at most one skip stride under the N*(m+W) figure
@@ -192,7 +187,7 @@ def test_quiet_stream_never_drops():
     assert np.all(res.outcomes == int(Outcome.TESTED_FORWARDED))
     np.testing.assert_array_equal(res.release_ns, trace.arrival_ns)
     kinds = {EVENT_KINDS[k] for k in np.unique(res.events.kind)}
-    assert kinds == {EVENT_WINDOW_CLEAR, EVENT_FORWARD_RANGE}
+    assert kinds == {"WINDOW_CLEAR", "FORWARD_RANGE"}
 
 
 def test_short_burst_below_majority_passes():
@@ -234,33 +229,44 @@ def test_optimal_skip_edge_cases():
         optimal_skip(20, 0.0, 100)
 
 
+def burst(n):
+    """n attack packets that all arrive at instant 0, and their labels."""
+    labels = np.ones(n, np.uint8)
+    return make_trace(labels, np.zeros(n, np.int64)), labels
+
+
 def test_cost_ratio_past_the_skip_rule_is_a_config_error():
     # sqrt(2 * ratio) - 1 at window 1 and two packets, which floats round to
     # 2**62 and 2**63: the first fits int64, the second does not
     assert optimal_skip(1, 2.0**123, 2) == 2**62
+    # run_mitigation sets the same skip at the first alarm of a burst that
+    # arrived at once, over a backlog of the burst beyond the window
+    trace, hot = burst(3)
+    assert run_mitigation(trace, perfect(1), AdaptiveSkip(2.0**123), labels=hot).state.skip == 2**62
+    big, big_hot = burst(120)
     for ratio in (2.0**125, 1e200, math.inf):
         with pytest.raises(ConfigError, match="cost-optimal skip"):
             optimal_skip(1, ratio, 2)
         with pytest.raises(ConfigError, match="cost-optimal skip"):
-            AdaptiveSkip(ratio).refresh(20, 100)
+            run_mitigation(trace, perfect(1), AdaptiveSkip(ratio), labels=hot)
+        with pytest.raises(ConfigError, match="cost-optimal skip"):
+            run_mitigation(big, perfect(20), AdaptiveSkip(ratio), labels=big_hot)
     with pytest.raises(ValueError, match="positive"):
         optimal_skip(20, math.nan, 100)
-    # run_mitigation refreshes the skip at the first alarm, over a backlog
-    # of 99 packets that all arrived at once
-    hot = np.ones(100, np.uint8)
-    trace = make_trace(hot, np.zeros(100, np.int64))
-    with pytest.raises(ConfigError, match="cost-optimal skip"):
-        run_mitigation(trace, perfect(1), AdaptiveSkip(1e200), labels=hot)
 
 
 def test_skip_policies():
     with pytest.raises(ValueError):
         FixedSkip(0)
-    assert FixedSkip(3).refresh(20, 10_000) == 3
-    pol = AdaptiveSkip(beta_over_alpha=0.05)
-    assert pol.refresh(20, 0) == 1
-    assert pol.refresh(20, 20) == 1
-    assert pol.refresh(20, 10805) == 127
+    # the first alarm of a burst at window 20 sees the rest of it queued
+    trace, hot = burst(20 + 10_000)
+    res = run_mitigation(trace, perfect(20), FixedSkip(3), labels=hot)
+    assert set(res.events.skip.tolist()) == {3}
+    for queue, want in ((0, 1), (20, 1), (10805, 127)):
+        assert optimal_skip(20, 0.05, float(queue)) == want
+        trace, hot = burst(20 + queue)
+        res = run_mitigation(trace, perfect(20), AdaptiveSkip(beta_over_alpha=0.05), labels=hot)
+        assert res.events[1] == MitigationEvent(0, "RECALC_M", 0, 19, want)
 
 
 def test_run_mitigation_argument_errors():
@@ -275,17 +281,10 @@ def test_run_mitigation_argument_errors():
     with pytest.raises(ValueError, match="align"):
         run_mitigation(trace, perfect(5), FixedSkip(5), labels=labels[:-1])
 
-    class BadPolicy:
-        def __init__(self, skip):
-            self.skip = skip
-
-        def refresh(self, window, queue_len):
-            return self.skip
-
-    hot = np.ones(30, np.uint8)
-    for skip in (0, 2**63):
-        with pytest.raises(ValueError, match="skip policy"):
-            run_mitigation(make_trace(hot), perfect(5), BadPolicy(skip), labels=hot)
+    # a policy is one of the two skip records, not anything that looks like one
+    for policy in (dataclasses.make_dataclass("OtherSkip", ["skip"])(5), 5, None):
+        with pytest.raises(TypeError, match="FixedSkip or an AdaptiveSkip"):
+            run_mitigation(trace, perfect(5), policy, labels=labels)
 
 
 def test_adaptive_skip_recalc_from_backlog():
@@ -297,8 +296,8 @@ def test_adaptive_skip_recalc_from_backlog():
     trace = Trace(arr, klass, np.zeros(5000, np.int32))
     res = run_mitigation(trace, perfect(20), AdaptiveSkip(0.05), labels=klass)
 
-    recalcs = res.events[res.events.is_kind(EVENT_RECALC_M)]
-    attacks = res.events[res.events.is_kind(EVENT_WINDOW_ATTACK)]
+    recalcs = res.events[res.events.is_kind("RECALC_M")]
+    attacks = res.events[res.events.is_kind("WINDOW_ATTACK")]
     assert len(recalcs) >= 2
     assert len(recalcs) <= len(attacks)
     # backlog at the first alarm: 2500 arrived, one window disposed
@@ -314,7 +313,7 @@ def test_fixed_policy_never_recalcs():
     klass = np.ones(5000, np.uint8)
     trace = Trace(arr, klass, np.zeros(5000, np.int32))
     res = run_mitigation(trace, perfect(20), FixedSkip(100), labels=klass)
-    assert not res.events.is_kind(EVENT_RECALC_M).any()
+    assert not res.events.is_kind("RECALC_M").any()
     assert np.all(res.events.skip == 100)
 
 
@@ -327,7 +326,7 @@ def test_verdict_pacing_spaces_decisions():
     res = run_mitigation(
         trace, perfect(5), FixedSkip(1), labels=labels, test_pacing_ns=pace
     )
-    clears = res.events[res.events.is_kind(EVENT_WINDOW_CLEAR)]
+    clears = res.events[res.events.is_kind("WINDOW_CLEAR")]
     assert len(clears) == 10
     assert np.all(np.diff(clears.time_ns) >= 5 * pace)
     assert np.all(clears.time_ns >= trace.arrival_ns[clears.last])
@@ -350,15 +349,15 @@ def test_event_log_rows_and_slices():
     trace = flood_with_tail()
     events = run_mitigation(trace, perfect(20), FixedSkip(100), labels=trace.klass).events
     assert events.time_ns.dtype == np.int64 and events.kind.dtype == np.uint8
-    assert events[0] == MitigationEvent(19_000_000, EVENT_WINDOW_ATTACK, 0, 19, 100)
+    assert events[0] == MitigationEvent(19_000_000, "WINDOW_ATTACK", 0, 19, 100)
     rows = list(events)
     assert len(rows) == len(events)
     assert rows[-1] == events[-1] == events[len(events) - 1]
     part = events[2:5]
     assert isinstance(part, EventLog)
     assert list(part) == rows[2:5]
-    drops = events[events.is_kind(EVENT_DROP_RANGE)]
-    assert list(drops) == [ev for ev in rows if ev.kind == EVENT_DROP_RANGE]
+    drops = events[events.is_kind("DROP_RANGE")]
+    assert list(drops) == [ev for ev in rows if ev.kind == "DROP_RANGE"]
 
 
 def assert_matches_references(trace, labels, window, policy, pace):
@@ -458,7 +457,7 @@ def test_strided_attack_runs_match_references(n, window, skip, share, pace, atta
     trace, labels = flood(n, share)
     res = assert_matches_references(trace, labels, window, FixedSkip(skip), pace)
     if attack_windows is not None:
-        attacks = res.events[res.events.is_kind(EVENT_WINDOW_ATTACK)]
+        attacks = res.events[res.events.is_kind("WINDOW_ATTACK")]
         assert len(attacks) == attack_windows
         assert attacks.last[-1] - attacks.first[-1] + 1 == last_len
     else:
@@ -481,8 +480,8 @@ def test_adaptive_attack_runs_match_references(arrival_ns, window, pace, attack_
     trace = make_trace(labels, arrival_ns)
     res = assert_matches_references(trace, labels, window, AdaptiveSkip(2.0), pace)
     assert res.events.skip[:2].tolist() == [0, first_skip]
-    assert res.events[1].kind == EVENT_RECALC_M
-    attacks = res.events[res.events.is_kind(EVENT_WINDOW_ATTACK)]
+    assert res.events[1].kind == "RECALC_M"
+    attacks = res.events[res.events.is_kind("WINDOW_ATTACK")]
     assert len(attacks) == attack_windows
     assert attacks.last[-1] - attacks.first[-1] + 1 == last_len
 

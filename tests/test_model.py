@@ -36,9 +36,9 @@ def test_to_seconds_round_trip():
     np.testing.assert_allclose(to_seconds(np.array([1, NS_PER_S])), [1e-9, 1.0])
 
 
-def test_trace_arrival_s_and_counts():
+def test_trace_counts():
     tr = Trace([10, 1_500_000_000], [PacketClass.BENIGN, PacketClass.ATTACK], [1, 0])
-    np.testing.assert_array_equal(tr.arrival_s, [1e-8, 1.5])
+    assert tr.arrival_ns.dtype == np.int64
     assert len(tr) == 2
     assert tr.attack_count() == 1
 
@@ -86,11 +86,13 @@ def test_service_model_validation():
 
 
 def test_service_model_regime_stats():
-    m = ServiceTimeModel(mean_normal_s=2e-3, var_normal_s2=4e-6, mean_attack_s=5e-3)
-    assert m.mean_s(Regime.NORMAL) == 2e-3
-    assert m.mean_s(Regime.ATTACK) == 5e-3
-    assert m.std_s(Regime.NORMAL) == 2e-3
-    assert m.floor_s(Regime.ATTACK) == 5e-5
+    # z = 0 draws the regime's mean, z = 1 one standard deviation above it,
+    # and a deep negative z the floor at a hundredth of the regime's mean
+    m = ServiceTimeModel(mean_normal_s=2e-3, var_normal_s2=4e-6, mean_attack_s=5e-3,
+                         var_attack_s2=9e-6, outlier_prob=0.0)
+    z, u = np.array([0.0, 1.0, -1e6]), np.ones(3)
+    np.testing.assert_array_equal(m.draw_ns(Regime.NORMAL, z, u), to_ns([2e-3, 4e-3, 2e-5]))
+    np.testing.assert_array_equal(m.draw_ns(Regime.ATTACK, z, u), to_ns([5e-3, 8e-3, 5e-5]))
 
 
 def draws(seed, n):

@@ -14,7 +14,6 @@ from floodsim import (
     write_outputs,
 )
 from floodsim.detector import DetectorModel
-from floodsim.mitigation import EVENT_WINDOW_ATTACK
 from floodsim.traffic import BenignSpec, FloodSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -94,7 +93,7 @@ def test_quiet_scenario_drops_nothing():
     assert res.summary["attack_episodes"] == 0
     assert res.summary["packets_forwarded"] == res.summary["packets_total"]
     assert res.summary["windows_tested"] > 0
-    assert not res.mitigation.events.is_kind(EVENT_WINDOW_ATTACK).any()
+    assert not res.mitigation.events.is_kind("WINDOW_ATTACK").any()
 
 
 def test_no_aam_forwards_everything():

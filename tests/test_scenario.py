@@ -1,4 +1,6 @@
 """Scenario parsing, validation, and seeded trace assembly."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from floodsim import (
     RngStream,
     Scenario,
     ScenarioError,
+    ServiceTimeModel,
     expected_attack_fraction,
     expected_attack_packets,
     load_scenario,
@@ -157,6 +160,27 @@ def test_cost_ratio_must_keep_every_optimal_skip_in_int64():
     for cost in ("cost.alpha = 1e-300\ncost.beta = 1e300\n", "cost.alpha = 1\ncost.beta = 1e200\n"):
         with pytest.raises(ConfigError, match="cost-optimal skip"):
             parse_scenario(flood + cost)
+
+
+NAN = float("nan")
+FLOOD = dict(start_s=0.0, duration_s=1.0, rate_pps=10.0)
+NAN_SETTINGS = [
+    (BenignSpec, "period_s"),
+    *((FloodSpec, name) for name in FLOOD),
+    *((ServiceTimeModel, f.name) for f in dataclasses.fields(ServiceTimeModel)),
+    *((Scenario, name) for name in ("alpha", "beta", "tau_s")),
+]
+
+
+@pytest.mark.parametrize("cls, name", NAN_SETTINGS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in NAN_SETTINGS])
+def test_nan_settings_are_config_errors(cls, name):
+    # every check is a bounded range, and nan fails each comparison
+    kwargs = {**FLOOD, name: NAN} if cls is FloodSpec else {name: NAN}
+    with pytest.raises(ConfigError):
+        made = cls(**kwargs)
+        if cls is Scenario:
+            made.validate()
 
 
 def test_bad_skip_mode():

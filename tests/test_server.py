@@ -14,7 +14,7 @@ from floodsim import (
     simulate_server,
     to_ns,
 )
-from floodsim.model import ConfigError, InvariantViolation, Regime
+from floodsim.model import ConfigError, InvariantViolation
 from floodsim.pipeline import run_simulation
 from floodsim.scenario import parse_scenario
 from floodsim.server import _FIRST_SPAN, RegimeSchedule
@@ -178,8 +178,8 @@ def test_regime_switch_changes_service_means():
     inside = (starts >= to_ns(1.0)) & (starts < to_ns(2.0))
     mean_in = out.service_ns[inside].mean() / 1e9
     mean_out = out.service_ns[~inside].mean() / 1e9
-    assert abs(mean_in - model.mean_attack_s) < 3 * model.std_s(Regime.ATTACK) / np.sqrt(inside.sum())
-    assert abs(mean_out - model.mean_normal_s) < 3 * model.std_s(Regime.NORMAL) / np.sqrt((~inside).sum())
+    assert abs(mean_in - model.mean_attack_s) < 3 * np.sqrt(model.var_attack_s2 / inside.sum())
+    assert abs(mean_out - model.mean_normal_s) < 3 * np.sqrt(model.var_normal_s2 / (~inside).sum())
 
 
 def test_chunked_walk_consistent_across_boundaries():
