@@ -1,10 +1,11 @@
 # Adaptive skip length on a scenario with two floods of different sizes.
 #
 # Each time a tested window comes back hostile, the controller re-estimates
-# the attack volume from the shaper backlog and recomputes the skip length
-# m. A small flood earns small skips; the later, much larger flood pushes
-# the backlog up and m follows it. For comparison the same scenario is run
-# again with m pinned to a constant.
+# the forwarder's input queue, as the packets arrived by the verdict minus
+# the packets disposed of through the window's end, and recomputes the skip
+# length m from it. A small flood earns small skips; the later, much larger
+# flood pushes the estimate up and m follows it. For comparison the same
+# scenario is run again with m pinned to a constant.
 
 import dataclasses
 from pathlib import Path

@@ -1,4 +1,4 @@
-"""Command line front end.
+"""Command line front end; the --scenario file alone configures a run.
 
 Subcommands:
   simulate   run one scenario end to end and write its CSV outputs
@@ -10,7 +10,6 @@ Exit codes: 0 ok, 2 configuration problem, 3 run invariant violated.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -54,20 +53,6 @@ def _out_dir(raw: str) -> Path:
     return out
 
 
-def _apply_overrides(scn: Scenario, args) -> Scenario:
-    changes = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if getattr(args, "no_sqf", False):
-        changes["sqf_enabled"] = False
-    if getattr(args, "no_aam", False):
-        changes["aam_enabled"] = False
-    if changes:
-        scn = dataclasses.replace(scn, **changes)
-    scn.validate()
-    return scn
-
-
 def _cost_params(scn: Scenario) -> CostParams:
     expected = expected_attack_packets(scn)
     if expected <= 0:
@@ -83,12 +68,10 @@ def _cost_params(scn: Scenario) -> CostParams:
 
 
 def _cmd_simulate(args) -> int:
-    scn = _apply_overrides(load_scenario(args.scenario), args)
-    if args.m is not None:
-        scn = dataclasses.replace(scn, skip_mode="fixed", fixed_skip=check_skip(args.m, "--m"))
+    scn = load_scenario(args.scenario)
     out = _out_dir(args.out)
     result = run_simulation(scn)
-    files = write_outputs(result, out, gnuplot=args.gnuplot)
+    files = write_outputs(result, out)
     for key, val in result.summary.items():
         print(f"{key} = {val}")
     print(f"wrote {len(files)} files to {out.resolve()}")
@@ -96,7 +79,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scn = _apply_overrides(load_scenario(args.scenario), args)
+    scn = load_scenario(args.scenario)
     params = _cost_params(scn)
     best = optimal_skip(params.window, params.beta_over_alpha, params.expected_packets)
     if args.m is not None:
@@ -111,14 +94,15 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--runs {args.runs} over {len(skips)} skips asks for over "
                           f"{MAX_ELEMENTS:.0e} packets")
     out = _out_dir(args.out)
+    # every Monte-Carlo trial runs, and may fail, before anything is written
+    results = [monte_carlo_cost(scn, m, args.runs) for m in skips] if args.runs > 0 else []
     out.mkdir(parents=True, exist_ok=True)
 
     write_sweep_csv(out / "sweep.csv", skips, sweep_skip(params, skips))
     print(f"analytic optimum m = {best}")
     print(f"grid optimum      m = {brute_force_optimal(params)}")
 
-    if args.runs > 0:
-        results = [monte_carlo_cost(scn, m, args.runs) for m in skips]
+    if results:
         write_monte_carlo_csv(out / "monte_carlo.csv", results)
         empirical = min(results, key=lambda r: r.mean_cost)
         print(f"empirical optimum m = {empirical.skip} "
@@ -128,7 +112,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimal_m(args) -> int:
-    scn = _apply_overrides(load_scenario(args.scenario), args)
+    scn = load_scenario(args.scenario)
     if args.m is not None:
         check_skip(args.m, "--m")
     params = _cost_params(scn)
@@ -157,14 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario file (key = value lines)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
 
     p_sim = sub.add_parser("simulate", help="run one scenario")
     common(p_sim)
-    p_sim.add_argument("--m", type=int, default=None, help="force a fixed skip length")
-    p_sim.add_argument("--no-sqf", action="store_true", help="bypass the traffic shaper")
-    p_sim.add_argument("--no-aam", action="store_true", help="disable mitigation")
-    p_sim.add_argument("--gnuplot", action="store_true", help="also write plots.gp")
     p_sim.set_defaults(fn=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="cost versus skip length")
@@ -176,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimal-m", help="closed-form skip length for a scenario")
     p_opt.add_argument("--scenario", required=True)
-    p_opt.add_argument("--seed", type=int, default=None)
     p_opt.add_argument("--m", type=int, default=None, help="also price this skip length")
     p_opt.set_defaults(fn=_cmd_optimal_m)
     return parser

@@ -172,18 +172,7 @@ def write_summary_csv(path, summary: dict) -> None:
     write_columns(path, ["key", "value"], [list(summary), values])
 
 
-_GNUPLOT = """\
-set datafile separator ','
-set terminal pngcairo size 1100,700
-set output 'queues.png'
-set key outside
-set xlabel 'time (s)'
-set ylabel 'queue length'
-plot {series}
-"""
-
-
-def write_outputs(result: SimulationResult, out_dir, gnuplot: bool = False) -> list:
+def write_outputs(result: SimulationResult, out_dir) -> list:
     """Write the run's CSV files into out_dir and return their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,14 +191,4 @@ def write_outputs(result: SimulationResult, out_dir, gnuplot: bool = False) -> l
     if result.mitigation is not None:
         emit("aam_events.csv", write_events_csv, result.mitigation.events)
     emit("summary.csv", write_summary_csv, result.summary)
-
-    if gnuplot:
-        series = ["'server_timeline.csv' skip 1 using 1:2 with steps title 'server queue'"]
-        if result.sqf_timeline is not None:
-            series.insert(
-                0, "'sqf_timeline.csv' skip 1 using 1:2 with steps title 'shaper input queue'"
-            )
-        path = out / "plots.gp"
-        path.write_text(_GNUPLOT.format(series=", \\\n     ".join(series)))
-        written.append(path)
     return written

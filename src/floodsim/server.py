@@ -29,7 +29,7 @@ import numpy as np
 from .csvio import Seconds, write_columns
 from .model import MAX_TIME_S, NS_PER_S, ConfigError, InvariantViolation, Regime, RngStream
 from .model import ServiceTimeModel
-from .pacing import max_plus, queue_timeline
+from .pacing import _as_times, max_plus, queue_timeline
 
 _FIRST_SPAN = 1024  # packets in a chunk's first candidate span
 _CLOCK_NS = int(MAX_TIME_S * NS_PER_S)  # no start or departure may reach it
@@ -105,9 +105,11 @@ def simulate_server(
     One standard normal and one uniform are pre-drawn per packet, so the
     consumed randomness does not depend on where regime boundaries fall.
     """
-    a = np.asarray(arrival_ns, dtype=np.int64)
+    a = _as_times(arrival_ns)
     n = len(a)
     seq = np.arange(n, dtype=np.int64) if seq is None else np.asarray(seq, dtype=np.int64)
+    if seq.shape != (n,):
+        raise ValueError("seq must be a 1-d array with one entry per arrival")
     if n and np.any(np.diff(a) < 0):
         raise ValueError("arrivals must be sorted")
     waits = np.empty(n, np.int64)

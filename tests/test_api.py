@@ -162,3 +162,11 @@ def test_readme_names_every_scenario_key_and_subcommand():
 
     headings = re.findall(r"^### (\S+)$", readme_section("Command line"), flags=re.M)
     assert sorted(headings) == sorted(build_parser()._subparsers._group_actions[0].choices)
+
+
+def test_readme_names_exactly_the_parser_flags():
+    subparsers = build_parser()._subparsers._group_actions[0].choices.values()
+    offered = {flag for sub in subparsers for action in sub._actions
+               for flag in action.option_strings} - {"-h", "--help"}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme_section("Command line")))
+    assert named == offered

@@ -54,6 +54,29 @@ def test_missing_or_unknown_subcommand_exits_two(argv):
     assert exc.value.code == 2
 
 
+# scenario keys set what these did (run.seed, aam.m_mode/m_fixed, sqf.enabled,
+# aam.enabled), and no run writes plots.gp
+RETIRED_FLAGS = {
+    "simulate --seed": ["simulate", "--seed", "1"],
+    "simulate --m": ["simulate", "--m", "50"],
+    "simulate --no-sqf": ["simulate", "--no-sqf"],
+    "simulate --no-aam": ["simulate", "--no-aam"],
+    "simulate --gnuplot": ["simulate", "--gnuplot"],
+    "sweep --seed": ["sweep", "--seed", "1"],
+    "optimal-m --seed": ["optimal-m", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(RETIRED_FLAGS.values()), ids=list(RETIRED_FLAGS))
+def test_retired_flags_exit_two(cfg, tmp_path, capsys, argv):
+    out = [] if argv[0] == "optimal-m" else ["--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--scenario", str(cfg), *out, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_writes_run_outputs(cfg, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--scenario", str(cfg), "--out", str(out)]) == 0
@@ -82,9 +105,17 @@ def test_simulate_is_deterministic(cfg, tmp_path):
         assert p1.read_bytes() == (out2 / p1.name).read_bytes()
 
 
-def test_simulate_forced_skip(cfg, tmp_path, capsys):
+def scenario_with(tmp_path, lines: str) -> str:
+    """The path of the test scenario with lines appended, as a string."""
+    path = tmp_path / "case.cfg"
+    path.write_text(CFG + lines)
+    return str(path)
+
+
+def test_simulate_forced_skip(tmp_path, capsys):
     out = tmp_path / "fixed"
-    assert main(["simulate", "--scenario", str(cfg), "--out", str(out), "--m", "50"]) == 0
+    cfg = scenario_with(tmp_path, "aam.m_mode = fixed\naam.m_fixed = 50\n")
+    assert main(["simulate", "--scenario", cfg, "--out", str(out)]) == 0
     assert "final_skip = 50" in capsys.readouterr().out
     rows = read_rows(out / "aam_events.csv")
     events = {row[1] for row in rows[1:]}
@@ -92,23 +123,22 @@ def test_simulate_forced_skip(cfg, tmp_path, capsys):
     assert {row[4] for row in rows[1:]} == {"50"}
 
 
-def test_simulate_no_aam(cfg, tmp_path, capsys):
+def test_simulate_no_aam(tmp_path, capsys):
     out = tmp_path / "noaam"
-    assert main(["simulate", "--scenario", str(cfg), "--out", str(out), "--no-aam"]) == 0
+    cfg = scenario_with(tmp_path, "aam.enabled = false\n")
+    assert main(["simulate", "--scenario", cfg, "--out", str(out)]) == 0
     assert "aam_enabled = 0" in capsys.readouterr().out
     assert not (out / "aam_events.csv").exists()
 
 
-def test_no_sqf_requires_no_aam(cfg, tmp_path, capsys):
+def test_no_sqf_requires_no_aam(tmp_path, capsys):
     out = tmp_path / "x"
-    assert main(["simulate", "--scenario", str(cfg), "--out", str(out), "--no-sqf"]) == 2
+    cfg = scenario_with(tmp_path, "sqf.enabled = false\n")
+    assert main(["simulate", "--scenario", cfg, "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
-    assert (
-        main(
-            ["simulate", "--scenario", str(cfg), "--out", str(out), "--no-sqf", "--no-aam"]
-        )
-        == 0
-    )
+    assert not out.exists()
+    cfg = scenario_with(tmp_path, "sqf.enabled = false\naam.enabled = false\n")
+    assert main(["simulate", "--scenario", cfg, "--out", str(out)]) == 0
     assert not (out / "sqf_timeline.csv").exists()
 
 
@@ -187,11 +217,13 @@ def test_runs_too_large_for_the_clock_or_memory_are_config_errors(tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
-def test_overridden_flags_must_fit_int64(cfg, tmp_path, capsys):
-    for flag in ("--m", "--seed"):
-        args = ["--scenario", str(cfg), "--out", str(tmp_path / "o"), flag, str(10**30)]
-        assert main(["simulate", *args]) == 2
+def test_integer_keys_out_of_range_are_config_errors(tmp_path, capsys):
+    for lines in (f"run.seed = {10**30}\n", f"aam.m_mode = fixed\naam.m_fixed = {10**30}\n",
+                  "aam.m_mode = fixed\naam.m_fixed = 0\n"):
+        cfg = scenario_with(tmp_path, lines)
+        assert main(["simulate", "--scenario", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
+        assert not (tmp_path / "o").exists()
 
 
 FUZZ_BASE = """\
@@ -334,7 +366,6 @@ def test_flood_within_one_window_is_quiet(tmp_path, command):
         ["optimal-m", "--m", "0"],
         ["optimal-m", "--m", "-20"],  # m + W = 0 in the window count
         ["optimal-m", "--m", str(10**23)],
-        ["simulate", "--m", "0"],
         ["simulate", "--scenario", "missing.cfg"],
     ],
 )
@@ -425,6 +456,17 @@ def test_sweep_with_monte_carlo(tmp_path, capsys):
     mc_rows = read_rows(out / "monte_carlo.csv")
     assert len(mc_rows) == 5
     assert [r[0] for r in mc_rows[1:]] == ["50", "50", "125", "125"]
+
+
+def test_sweep_config_error_comes_before_any_output(tmp_path, capsys):
+    # the Monte-Carlo cost needs one flood; dualflood.cfg has two
+    out = tmp_path / "dual"
+    cfg = SCENARIOS / "dualflood.cfg"
+    assert main(["sweep", "--scenario", str(cfg), "--out", str(out), "--runs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: the cost experiment needs")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_rejects_bad_skip_list(tmp_path, capsys):

@@ -135,12 +135,11 @@ def test_write_outputs_and_determinism(tmp_path):
             "sqf_timeline.csv",
             "aam_events.csv",
             "summary.csv",
-            "plots.gp",
         ]
     )
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    files1 = write_outputs(run_simulation(scn), d1, gnuplot=True)
-    files2 = write_outputs(run_simulation(scn), d2, gnuplot=True)
+    files1 = write_outputs(run_simulation(scn), d1)
+    files2 = write_outputs(run_simulation(scn), d2)
     assert sorted(p.name for p in files1) == names
     assert sorted(p.name for p in files2) == names
     for name in names:

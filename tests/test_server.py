@@ -134,6 +134,22 @@ def test_simulate_server_empty_and_validation():
         simulate_server(np.array([5, 1]), model, NORMAL_ALWAYS, RngStream(1, 0))
 
 
+@pytest.mark.parametrize(
+    "arrivals, seq",
+    [
+        (np.arange(5), [7, 8]),
+        (np.arange(5), np.zeros((5, 2))),
+        (np.arange(5), 3),
+        (np.arange(5).reshape(5, 1), None),
+        (np.arange(6).reshape(2, 3), None),
+    ],
+    ids=["short-seq", "2d-seq", "scalar-seq", "column-arrivals", "2d-arrivals"],
+)
+def test_simulate_server_refuses_misshapen_inputs(arrivals, seq):
+    with pytest.raises(ValueError, match="1-d"):
+        simulate_server(arrivals, ServiceTimeModel(), NORMAL_ALWAYS, RngStream(1, 0), seq=seq)
+
+
 def test_summed_service_beyond_the_clock_is_a_config_error():
     # 10^6 s per packet: 9 000 packets end before the 9.2e9 s clock limit,
     # 9 210 pass it within int64, and 10 000 pass 2**63 ns, which int64 sums
