@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 configuration problem, 3 run invariant violated.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -160,8 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: for every argument added, argparse looks up its
+    # message catalogues on disk and the terminal size, ~1 ms that each call
+    # of main would repeat
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -366,6 +366,7 @@ def test_flood_within_one_window_is_quiet(tmp_path, command):
         ["optimal-m", "--m", "0"],
         ["optimal-m", "--m", "-20"],  # m + W = 0 in the window count
         ["optimal-m", "--m", str(10**23)],
+        ["sweep", "--scenario", "missing.cfg"],
         ["simulate", "--scenario", "missing.cfg"],
     ],
 )
