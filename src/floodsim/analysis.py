@@ -204,7 +204,7 @@ def monte_carlo_cost(scenario, skip: int, runs: int) -> McCost:
 
     Aggregation uses math.fsum, so results do not depend on summation order.
     """
-    from .scenario import build_trace  # late import; scenario builds on this module's types
+    from .scenario import build_trace  # late, so perfbench's wrapper on it counts each trial
 
     if runs < 1:
         raise ValueError("runs must be >= 1")

@@ -86,7 +86,8 @@ def _cmd_sweep(args) -> int:
     if args.m is not None:
         skips = _parse_skip_list(args.m)
     else:
-        skips = sorted({max(1, round(best * f)) for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)})
+        grid = {max(1, round(best * f)) for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)}
+        skips = sorted(m for m in grid if m < 2**63)  # the points the skip rule admits
     if args.runs < 0:
         raise ConfigError("--runs must be >= 0")
     # a trial costs at least one packet's work; huge counts clamp before the float product

@@ -26,6 +26,7 @@ class InvariantViolation(RuntimeError):
 
 
 MAX_TIME_S = 9.2e9  # a little under 2**63 ns, so every smaller time fits int64
+CLOCK_NS = int(MAX_TIME_S * NS_PER_S)  # no instant of a run may reach it
 MAX_ELEMENTS = 10**9  # cap on a scenario's expected packets
 MAX_SAMPLES = 10**7  # cap on a queue timeline's samples, ~40 bytes each while sampled
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import MAX_SAMPLES, ConfigError
+from .model import CLOCK_NS, MAX_SAMPLES, ConfigError
 
 
 def _as_times(x) -> np.ndarray:
@@ -29,13 +29,17 @@ def _as_times(x) -> np.ndarray:
 
 
 def max_plus(ready: np.ndarray, work_sum: np.ndarray, floor=None) -> np.ndarray:
-    """Solve s_k = max(ready_k, s_{k-1} + work_k) over int64 arrays (unchecked),
-    from s_{-1} = floor (-inf if None) and the partial sums W_k = work_0 + ...
-    + work_k: s_k = W_k + max(floor, max_{i<=k}(ready_i - W_i)), exact in integers."""
+    """Solve s_k = max(ready_k, s_{k-1} + work_k) over int64 arrays, from
+    s_{-1} = floor (-inf if None) and the partial sums W_k = work_0 + ... +
+    work_k of works >= 0: s_k = W_k + max(floor, max_{i<=k}(ready_i - W_i)),
+    exact in integers. An instant at or past CLOCK_NS is a ConfigError."""
     s = ready - work_sum
     np.maximum.accumulate(s, out=s)
     if floor is not None:
         np.maximum(s, floor, out=s)
+    # both terms are nondecreasing, so the last instant is the latest
+    if len(s) and s.item(-1) + work_sum.item(-1) >= CLOCK_NS:
+        raise ConfigError("max-plus instants pass the nanosecond clock")
     s += work_sum
     return s
 
@@ -49,6 +53,8 @@ def forward_times(arrival_ns, gap_ns: int) -> np.ndarray:
         raise ValueError("pacing gap must be positive")
     if np.any(np.diff(a) < 0):
         raise ValueError("arrivals must be sorted")
+    if (len(a) - 1) * gap >= CLOCK_NS:
+        raise ConfigError("the pacing gap carries departures past the clock")
     return max_plus(a, np.arange(len(a), dtype=np.int64) * gap)
 
 
@@ -58,8 +64,9 @@ def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int):
     entry/exit need not pair up one-to-one (drops remove packets through a
     different exit array); both must be sorted. The grid runs from 0 to at
     least one step past the last entry or exit, so a drained stage ends at zero;
-    a grid of over MAX_SAMPLES samples is a ConfigError, raised before it
-    is allocated. Returns (times_ns, counts) as int64 arrays.
+    a grid of over MAX_SAMPLES samples, or one that reaches CLOCK_NS, is a
+    ConfigError, raised before it is allocated. Returns (times_ns, counts) as
+    int64 arrays.
     """
     entry = _as_times(entry_ns)
     exits = _as_times(exit_ns)
@@ -70,6 +77,8 @@ def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int):
     n_steps = last // dt + 2
     if n_steps > MAX_SAMPLES:
         raise ConfigError(f"a queue timeline of {n_steps} samples is over {MAX_SAMPLES:.0e}")
+    if (n_steps - 1) * dt >= CLOCK_NS:
+        raise ConfigError(f"a queue timeline sampled every {dt} ns passes the clock")
     grid = dt * np.arange(n_steps, dtype=np.int64)
     n_in = np.searchsorted(entry, grid, side="right")
     n_out = np.searchsorted(exits, grid, side="left")

@@ -145,10 +145,6 @@ class Scenario:
                 raise ConfigError("flood.N.duration_s must come to at least 1 ns on the clock")
 
 
-_MS = 1e-3
-_MS2 = 1e-6  # ms^2 -> s^2
-
-
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "yes", "on", "1"):
@@ -171,35 +167,37 @@ def _finite(raw: str) -> float:
     return value
 
 
-# key -> (section of the parse state, field, converter, scale or None)
+# key -> (section of the parse state, field, converter); a key that ends in
+# _ms or _ms2 holds milliseconds or ms^2, and its field seconds or s^2
 _KEYS = {
-    "benign.enabled": ("benign", "enabled", _parse_bool, None),
-    "benign.period_s": ("benign", "period_s", _finite, None),
-    "benign.jitter_fraction": ("benign", "jitter_fraction", _finite, None),
-    "benign.num_sources": ("benign", "num_sources", _int64, None),
-    "service.mean_normal_ms": ("service", "mean_normal_s", _finite, _MS),
-    "service.var_normal_ms2": ("service", "var_normal_s2", _finite, _MS2),
-    "service.mean_attack_ms": ("service", "mean_attack_s", _finite, _MS),
-    "service.var_attack_ms2": ("service", "var_attack_s2", _finite, _MS2),
-    "service.outlier_prob": ("service", "outlier_prob", _finite, None),
-    "service.outlier_scale": ("service", "outlier_scale", _finite, None),
-    "service.ceiling_ms": ("service", "ceiling_s", _finite, _MS),
-    "sqf.enabled": ("plain", "sqf_enabled", _parse_bool, None),
-    "sqf.D_ms": ("plain", "pacing_gap_s", _finite, _MS),
-    "detector.tpr": ("detector", "tpr", _finite, None),
-    "detector.tnr": ("detector", "tnr", _finite, None),
-    "detector.window": ("detector", "window", _int64, None),
-    "aam.enabled": ("plain", "aam_enabled", _parse_bool, None),
-    "aam.m_mode": ("plain", "skip_mode", str, None),
-    "aam.m_fixed": ("plain", "fixed_skip", _int64, None),
-    "cost.alpha": ("plain", "alpha", _finite, None),
-    "cost.beta": ("plain", "beta", _finite, None),
-    "cost.tau_ms": ("plain", "tau_s", _finite, _MS),
-    "run.seed": ("plain", "seed", _int64, None),
-    "run.horizon_s": ("plain", "horizon_s", _finite, None),
-    "run.sample_dt_ms": ("plain", "sample_dt_s", _finite, _MS),
+    "benign.enabled": ("benign", "enabled", _parse_bool),
+    "benign.period_s": ("benign", "period_s", _finite),
+    "benign.jitter_fraction": ("benign", "jitter_fraction", _finite),
+    "benign.num_sources": ("benign", "num_sources", _int64),
+    "service.mean_normal_ms": ("service", "mean_normal_s", _finite),
+    "service.var_normal_ms2": ("service", "var_normal_s2", _finite),
+    "service.mean_attack_ms": ("service", "mean_attack_s", _finite),
+    "service.var_attack_ms2": ("service", "var_attack_s2", _finite),
+    "service.outlier_prob": ("service", "outlier_prob", _finite),
+    "service.outlier_scale": ("service", "outlier_scale", _finite),
+    "service.ceiling_ms": ("service", "ceiling_s", _finite),
+    "sqf.enabled": ("plain", "sqf_enabled", _parse_bool),
+    "sqf.D_ms": ("plain", "pacing_gap_s", _finite),
+    "detector.tpr": ("detector", "tpr", _finite),
+    "detector.tnr": ("detector", "tnr", _finite),
+    "detector.window": ("detector", "window", _int64),
+    "aam.enabled": ("plain", "aam_enabled", _parse_bool),
+    "aam.m_mode": ("plain", "skip_mode", str),
+    "aam.m_fixed": ("plain", "fixed_skip", _int64),
+    "cost.alpha": ("plain", "alpha", _finite),
+    "cost.beta": ("plain", "beta", _finite),
+    "cost.tau_ms": ("plain", "tau_s", _finite),
+    "run.seed": ("plain", "seed", _int64),
+    "run.horizon_s": ("plain", "horizon_s", _finite),
+    "run.sample_dt_ms": ("plain", "sample_dt_s", _finite),
 }
 _FLOOD_FIELDS = ("start_s", "duration_s", "rate_pps")
+_SCALES = {"ms": 1e-3, "ms2": 1e-6}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -216,31 +214,23 @@ def parse_scenario(text: str) -> Scenario:
         raw_val = raw_val.strip()
         if not raw_val:
             raise ScenarioError(f"empty value for {key!r}", line_no)
-        if key.startswith("flood."):
-            parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in _FLOOD_FIELDS:
-                raise ScenarioError(f"unknown key {key!r}", line_no)
-            try:
-                idx = int(parts[1])
-                val = _finite(raw_val)
-                if parts[2].endswith("_s"):
-                    to_ns(val)  # must fit the nanosecond clock
-            except ValueError as exc:
-                raise ScenarioError(str(exc), line_no) from exc
-            floods.setdefault(idx, {})[parts[2]] = val
-            continue
-        if key not in _KEYS:
-            raise ScenarioError(f"unknown key {key!r}", line_no)
-        section, name, conv, scale = _KEYS[key]
         try:
+            parts = key.split(".")
+            if key in _KEYS:
+                section, name, conv = _KEYS[key]
+                target = state[section]
+            elif len(parts) == 3 and parts[0] == "flood" and parts[2] in _FLOOD_FIELDS:
+                target, name, conv = floods.setdefault(int(parts[1]), {}), parts[2], _finite
+            else:
+                raise ValueError(f"unknown key {key!r}")
             val = conv(raw_val)
-            if scale:
+            if scale := _SCALES.get(key.rpartition("_")[2]):
                 val *= scale
             if name.endswith("_s"):
                 to_ns(val)  # must fit the nanosecond clock
         except ValueError as exc:
             raise ScenarioError(str(exc), line_no) from exc
-        state[section][name] = val
+        target[name] = val
 
     try:
         enabled = state["benign"].pop("enabled", True)

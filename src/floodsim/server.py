@@ -27,12 +27,11 @@ from functools import cached_property
 import numpy as np
 
 from .csvio import Seconds, write_columns
-from .model import MAX_TIME_S, NS_PER_S, ConfigError, InvariantViolation, Regime, RngStream
+from .model import CLOCK_NS, ConfigError, InvariantViolation, Regime, RngStream
 from .model import ServiceTimeModel
 from .pacing import _as_times, max_plus, queue_timeline
 
 _FIRST_SPAN = 1024  # packets in a chunk's first candidate span
-_CLOCK_NS = int(MAX_TIME_S * NS_PER_S)  # no start or departure may reach it
 
 
 @dataclass
@@ -133,7 +132,7 @@ def simulate_server(
             # a wrapped sum of services (each below 2**63) turns negative first; the
             # span's departures stay within its first start or last arrival plus the sum
             done = np.cumsum(t_cand)
-            if done.item(done.argmin()) < 0 or max(start, a.item(hi - 1)) + done.item(-1) >= _CLOCK_NS:
+            if done.item(done.argmin()) < 0 or max(start, a.item(hi - 1)) + done.item(-1) >= CLOCK_NS:
                 raise ConfigError("service.* sum beyond the clock")
             starts = max_plus(a[idx:hi], done - t_cand, start)
             take = hi - idx

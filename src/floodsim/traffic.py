@@ -68,24 +68,22 @@ class FloodSpec:
         return self.start_s + self.duration_s
 
 
-def _one_source(arrival_ns, klass: PacketClass, source_id: int) -> Trace:
-    n = len(arrival_ns)
-    return Trace(arrival_ns, np.full(n, int(klass), np.uint8), np.full(n, source_id, np.int32))
-
-
 def gen_benign(spec: BenignSpec, horizon_s: float, rng: RngStream) -> Trace:
     """Generate benign traffic on [0, horizon) from sources 1..num_sources.
-    Arrival k of a source sits at k*period + U[0, jitter_fraction*period)."""
+    Arrival k of a source sits at k*period + U[0, jitter_fraction*period);
+    the jitters are drawn source by source, each source's in arrival order."""
     if horizon_s < 0:
         raise ValueError("horizon must be >= 0")
     n_per = math.ceil(horizon_s / spec.period_s)
-    g = rng.generator
-    base = np.arange(n_per, dtype=np.float64) * spec.period_s
-    parts = []
-    for source in range(1, spec.num_sources + 1):
-        jitter = g.random(n_per) * (spec.jitter_fraction * spec.period_s)
-        parts.append(_one_source(to_ns(base + jitter), PacketClass.BENIGN, source))
-    return merge(parts)
+    grid = rng.generator.random((spec.num_sources, n_per))
+    grid *= spec.jitter_fraction * spec.period_s
+    grid += np.arange(n_per, dtype=np.float64) * spec.period_s
+    arrival = to_ns(grid).ravel()
+    # the stable sort of the source-major grid puts equal arrivals lower source first
+    order = np.argsort(arrival, kind="stable")
+    source = np.repeat(np.arange(1, spec.num_sources + 1, dtype=np.int32), n_per)
+    klass = np.full(len(order), int(PacketClass.BENIGN), np.uint8)
+    return Trace(arrival[order], klass, source[order])
 
 
 def gen_flood(spec: FloodSpec, rng: RngStream) -> Trace:
@@ -95,7 +93,8 @@ def gen_flood(spec: FloodSpec, rng: RngStream) -> Trace:
     g = rng.generator
     n = int(g.poisson(spec.rate_pps * spec.duration_s))
     offsets = np.sort(g.random(n)) * spec.duration_s
-    return _one_source(to_ns(spec.start_s + offsets), PacketClass.ATTACK, 0)
+    klass = np.full(n, int(PacketClass.ATTACK), np.uint8)
+    return Trace(to_ns(spec.start_s + offsets), klass, np.zeros(n, np.int32))
 
 
 def merge(traces: Sequence[Trace]) -> Trace:

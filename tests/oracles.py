@@ -9,8 +9,9 @@ The functions from window_decision on are earlier library code kept
 verbatim: the per-window majority vote, the one-verdict-at-a-time window
 machine that called it, the closed-form FCFS waits, the server chunk loop
 that redraws the whole remaining stream per chunk, the sort-based peak
-occupancy and the three-key lexsort merge. They use floodsim's types and
-primitives, and the faster versions must reproduce them exactly.
+occupancy, the three-key lexsort merge and the per-source benign generator.
+They use floodsim's types and primitives, and the faster versions must
+reproduce them exactly.
 """
 import heapq
 import math
@@ -35,6 +36,7 @@ from floodsim.model import (
     RngStream,
     ServiceTimeModel,
     Trace,
+    to_ns,
 )
 from floodsim.pacing import max_plus
 from floodsim.server import RegimeSchedule, ServerTrace
@@ -432,3 +434,17 @@ def reference_merge(traces) -> Trace:
     orig = np.concatenate([np.arange(len(t), dtype=np.int64) for t in traces])
     order = np.lexsort((orig, source, arrival))
     return Trace(arrival[order], klass[order], source[order])
+
+
+def reference_gen_benign(spec, horizon_s, rng) -> Trace:
+    """Benign traffic one source at a time: one random(n_per) call and one
+    Trace per source, in source order, joined by reference_merge."""
+    n_per = math.ceil(horizon_s / spec.period_s)
+    g = rng.generator
+    base = np.arange(n_per, dtype=np.float64) * spec.period_s
+    parts = []
+    for source in range(1, spec.num_sources + 1):
+        jitter = g.random(n_per) * (spec.jitter_fraction * spec.period_s)
+        klass = np.full(n_per, int(PacketClass.BENIGN), np.uint8)
+        parts.append(Trace(to_ns(base + jitter), klass, np.full(n_per, source, np.int32)))
+    return reference_merge(parts)

@@ -203,6 +203,10 @@ def test_non_finite_and_sub_ns_values_are_config_errors(tmp_path, capsys, line):
         # clock, but sampling the server queue to its last exit every 0.1 s
         # takes ~6e7 samples
         "service.mean_normal_ms = 10000000\n",
+        # 50 services of 10^8 s end by 5e9 s, and a grid one 4.7e9 s step
+        # past that runs beyond int64 nanoseconds
+        "benign.period_s = 0.1\nflood.1.rate_pps = 1e-9\naam.enabled = false\n"
+        "service.mean_normal_ms = 1e11\nservice.var_normal_ms2 = 0\nrun.sample_dt_ms = 4.7e12\n",
     ],
 )
 def test_runs_too_large_for_the_clock_or_memory_are_config_errors(tmp_path, capsys, lines):
@@ -468,6 +472,18 @@ def test_sweep_config_error_comes_before_any_output(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("configuration error: the cost experiment needs")
     assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_grid_keeps_to_the_skip_rule(tmp_path, capsys):
+    # the optimum fits int64, but three times it does not
+    path = tmp_path / "huge.cfg"
+    path.write_text("benign.enabled = false\nflood.1.start_s = 0\nflood.1.duration_s = 1\n"
+                    "flood.1.rate_pps = 1000\nrun.horizon_s = 1\ncost.beta = 9e32\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(path), "--out", str(out), "--runs", "1"]) == 0
+    skips = [int(row[0]) for row in read_rows(out / "sweep.csv")[1:]]
+    assert len(skips) == 6 and all(1 <= m < 2**63 for m in skips)
+    assert [int(row[0]) for row in read_rows(out / "monte_carlo.csv")[1:]] == skips
 
 
 def test_sweep_rejects_bad_skip_list(tmp_path, capsys):

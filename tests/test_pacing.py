@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from floodsim import ConfigError, RngStream, forward_times, peak_occupancy, to_ns
 from floodsim import pacing
+from floodsim.model import CLOCK_NS
 from floodsim.pacing import max_plus, queue_timeline, shaping_queue_timeline
 from floodsim.traffic import FloodSpec, gen_flood
 from oracles import occupancy_at, pacing_delays, reference_peak_occupancy
@@ -198,17 +199,40 @@ def max_plus_loop(ready, work, floor):
 @given(
     steps=st.lists(
         st.tuples(
-            st.integers(0, 10**15),  # ready time; a small range below makes ties
-            st.one_of(st.just(0), st.integers(0, 20), st.integers(0, 10**15)),
+            # ready time; a small range below makes ties
+            st.one_of(st.integers(0, 10**15), st.integers(0, CLOCK_NS - 1)),
+            # 60 works of at most CLOCK_NS // 60 sum to no more than the clock
+            st.one_of(st.just(0), st.integers(0, 20), st.integers(0, 10**15),
+                      st.integers(0, CLOCK_NS // 60)),
         ),
         min_size=1,
         max_size=60,
     ),
     tied=st.booleans(),
-    floor=st.one_of(st.none(), st.integers(-(10**15), 10**15)),
+    floor=st.one_of(st.none(), st.integers(-(10**15), 10**15), st.integers(-CLOCK_NS, CLOCK_NS)),
 )
 def test_max_plus_matches_literal_loop(steps, tied, floor):
     ready = np.array([r % 8 if tied else r for r, _ in steps], np.int64)
     work = np.array([w for _, w in steps], np.int64)
-    got = max_plus(ready, np.cumsum(work), floor)
-    np.testing.assert_array_equal(got, max_plus_loop(ready.tolist(), work.tolist(), floor))
+    want = max_plus_loop(ready.tolist(), work.tolist(), floor)
+    if want[-1] < CLOCK_NS:  # the literal loop's instants never fall
+        np.testing.assert_array_equal(max_plus(ready, np.cumsum(work), floor), want)
+    else:
+        with pytest.raises(ConfigError, match="past|pass"):
+            max_plus(ready, np.cumsum(work), floor)
+
+
+@pytest.mark.parametrize(
+    "arrival, gap, want",
+    [
+        ([0, 9 * 10**18], 10**17, [0, 9 * 10**18]),  # the last departure fits the clock
+        ([9 * 10**18] * 2, 5 * 10**17, None),  # the second would not
+        ([0, 0, 0], 2**62, None),  # 2 * gap does not fit int64
+    ],
+)
+def test_forward_times_stays_on_the_clock(arrival, gap, want):
+    if want is not None:
+        np.testing.assert_array_equal(forward_times(np.array(arrival, np.int64), gap), want)
+    else:
+        with pytest.raises(ConfigError):
+            forward_times(np.array(arrival, np.int64), gap)

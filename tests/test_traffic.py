@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from floodsim import ConfigError, RngStream, read_trace_csv, to_ns
 from floodsim.model import NS_PER_S, PacketClass, Trace
 from floodsim.traffic import BenignSpec, FloodSpec, gen_benign, gen_flood, merge, write_trace_csv
-from oracles import reference_merge
+from oracles import reference_gen_benign, reference_merge
 
 
 def test_benign_spec_validation():
@@ -55,6 +55,22 @@ def test_benign_multiple_sources():
 
 def test_benign_zero_horizon():
     assert len(gen_benign(BenignSpec(period_s=0.01), 0.0, RngStream(1, 0))) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_sources=st.integers(1, 50),
+    jitter=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),  # 0: every source ties each period
+    period_s=st.floats(0.01, 0.5),
+    horizon_s=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_benign_matches_per_source_reference(num_sources, jitter, period_s, horizon_s, seed):
+    spec = BenignSpec(period_s=period_s, jitter_fraction=jitter, num_sources=num_sources)
+    got = gen_benign(spec, horizon_s, RngStream(seed, 1))
+    want = reference_gen_benign(spec, horizon_s, RngStream(seed, 1))
+    for column in ("arrival_ns", "klass", "source_id"):
+        np.testing.assert_array_equal(getattr(got, column), getattr(want, column), strict=True)
 
 
 def test_flood_window_and_class():
