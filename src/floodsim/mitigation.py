@@ -49,7 +49,7 @@ import numpy as np
 
 from .csvio import Seconds, write_columns
 from .detector import DetectorModel, classify_stream
-from .model import InvariantViolation, PacketClass, RngStream, Trace, check_skip
+from .model import CLOCK_NS, ConfigError, InvariantViolation, PacketClass, RngStream, Trace, check_skip
 from .pacing import max_plus
 
 class Outcome(IntEnum):
@@ -308,7 +308,13 @@ def run_mitigation(
         else:
             starts, ends, k = np.array([c], np.int64), np.array([n - 1], np.int64), 1
         end = int(ends[-1]) + 1
-        now = max_plus(arrivals[ends], np.cumsum(ends - starts + 1) * pace, last_verdict_ns)
+        # work summed past the first verdict, whose wait joins the floor: no sum wraps
+        work = np.cumsum(ends - starts + 1)
+        head = work.item(0)
+        if (work.item(-1) - head) * pace >= CLOCK_NS:
+            raise ConfigError("verdict pacing carries the verdicts past the clock")
+        floor = None if last_verdict_ns is None else min(last_verdict_ns + head * pace, CLOCK_NS)
+        now = max_plus(arrivals[ends], (work - head) * pace, floor)
         skip_before = st.skip
         if recompute:
             arrived = int(arrivals.searchsorted(now[0], side="right"))

@@ -20,11 +20,22 @@ import numpy as np
 
 from .model import CLOCK_NS, MAX_SAMPLES, ConfigError
 
+_PEAK_BLOCK = 1 << 15  # entries per step of peak_occupancy; its temporaries stay cache-sized
+
 
 def _as_times(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-d array of nanosecond times")
+    return arr
+
+
+def _sorted(x) -> np.ndarray:
+    """The times themselves when they are already nondecreasing, else a
+    stable-sorted copy: a simulation's streams are mostly in order."""
+    arr = _as_times(x)
+    if np.any(arr[1:] < arr[:-1]):
+        arr = np.sort(arr, kind="stable")
     return arr
 
 
@@ -98,7 +109,7 @@ def shaping_queue_timeline(arrival_ns, forward_ns, sample_dt_ns: int):
     if np.any(t < a):
         raise ValueError("forwarding may not precede arrival")
     # counting only needs the multisets; held packets make t non-monotonic
-    return queue_timeline(np.sort(a), np.sort(t), sample_dt_ns)
+    return queue_timeline(_sorted(a), _sorted(t), sample_dt_ns)
 
 
 def peak_occupancy(entry_ns, exit_ns) -> int:
@@ -110,9 +121,15 @@ def peak_occupancy(entry_ns, exit_ns) -> int:
     count(entry <= e) - count(exit < e) over the entries e. Over the sorted
     entries, k + 1 stands in for count(entry <= entry[k]): it is exact at the
     last of equal entries and smaller before it, so the maximum is the same.
+    Entries go a block at a time, each searched only among the exits that can
+    precede it, so no temporary spans the stream.
     """
-    # timsort: linear on the (nearly) sorted streams a simulation passes in
-    entry = np.sort(_as_times(entry_ns), kind="stable")
-    exits = np.sort(_as_times(exit_ns), kind="stable")
-    entered = np.arange(1, len(entry) + 1, dtype=np.int64)
-    return int((entered - np.searchsorted(exits, entry, side="left")).max(initial=0))
+    entry, exits = _sorted(entry_ns), _sorted(exit_ns)
+    peak = 0
+    for k in range(0, len(entry), _PEAK_BLOCK):
+        block = entry[k : k + _PEAK_BLOCK]
+        lo, hi = exits.searchsorted(block[[0, -1]], side="left")
+        before = exits[lo:hi].searchsorted(block, side="left")
+        entered = np.arange(k + 1 - lo, k + 1 - lo + len(block), dtype=np.int64)
+        peak = max(peak, int((entered - before).max()))
+    return peak

@@ -83,15 +83,14 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
         # pace the released stream in (release instant, seq) order
         rel_idx = np.flatnonzero(~mit.dropped_mask())
         rel_idx = rel_idx[np.argsort(mit.release_ns[rel_idx], kind="stable")]
-        rel_times = mit.release_ns[rel_idx]
+        emitted = mit.release_ns[rel_idx]
     else:  # every packet is released at its arrival, already in order
         rel_idx = np.arange(n, dtype=np.int64)
-        rel_times = trace.arrival_ns
+        emitted = trace.arrival_ns
     if scenario.sqf_enabled:
-        emitted = forward_times(rel_times, gap_ns)
+        emitted = forward_times(emitted, gap_ns)
         serve_sched = NORMAL_ALWAYS
     else:  # the raw stream reaches the server, which slows down while a flood lasts
-        emitted = rel_times
         serve_sched = RegimeSchedule([(to_ns(f.start_s), to_ns(f.end_s)) for f in scenario.floods])
     emit_ns = np.full(n, -1, np.int64)
     emit_ns[rel_idx] = emitted

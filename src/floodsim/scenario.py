@@ -275,7 +275,9 @@ def build_trace(scenario: Scenario, rng: RngStream, run_key: int = 0) -> Trace:
     for k, flood in enumerate(scenario.floods):
         flood_rng = substream(rng, run_key + STREAM_FLOOD_BASE + k)
         parts.append(gen_flood(flood, flood_rng))
-    return merge(parts)
+    # one stream is already in merge order: the background's sort puts equal
+    # arrivals lower source first, and a flood is one source in draw order
+    return parts[0] if len(parts) == 1 else merge(parts)
 
 
 def expected_attack_packets(scenario: Scenario) -> float:

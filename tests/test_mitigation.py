@@ -332,6 +332,31 @@ def test_verdict_pacing_spaces_decisions():
     assert np.all(clears.time_ns >= trace.arrival_ns[clears.last])
 
 
+@pytest.mark.parametrize(
+    "labels, pace, want",
+    [
+        # one-packet windows at t = 0: all clear is one block of verdicts,
+        # alternating verdicts are one block each
+        ([0, 0, 0, 0], 2**61, [0, 2**61, 2**62, 3 * 2**61]),
+        ([1, 0, 1, 0], 2**61, [0, 2**61, 2**62, 3 * 2**61]),
+        # the block's work sum, 2 * pace, is past int64; its verdicts are not
+        ([0, 0], 3 * 2**61, [0, 3 * 2**61]),
+        # the last verdict, 3 * 2**62, would pass the clock
+        ([0, 0, 0, 0], 2**62, None),
+        ([1, 0, 1, 0], 2**62, None),
+    ],
+)
+def test_verdict_clock_stays_on_the_clock(labels, pace, want):
+    labels = np.array(labels, np.uint8)
+    trace = make_trace(labels, np.zeros(len(labels), np.int64))
+    if want is not None:
+        res = assert_matches_references(trace, labels, 1, FixedSkip(1), pace)
+        assert res.events.time_ns[::2].tolist() == want
+    else:
+        with pytest.raises(ConfigError, match="past|pass"):
+            run_mitigation(trace, perfect(1), FixedSkip(1), labels=labels, test_pacing_ns=pace)
+
+
 def test_events_csv_uses_one_based_positions(tmp_path):
     trace = flood_with_tail()
     res = run_mitigation(trace, perfect(20), FixedSkip(100), labels=trace.klass)

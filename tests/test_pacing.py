@@ -6,6 +6,8 @@ of the reflected delay recursion (oracles.pacing_delays), the max-plus
 kernel behind it against a literal per-element loop, and the timelines
 against brute-force occupancy counting.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +165,52 @@ def test_peak_occupancy_matches_reference(stays):
     peak = peak_occupancy(entry, exits)
     assert peak == reference_peak_occupancy(entry, exits)
     assert peak == max((occupancy_at(entry, exits, t) for t in entry), default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stays=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 12)), max_size=40),
+    block=st.integers(1, 4),
+    presorted=st.booleans(),
+)
+def test_peak_occupancy_across_blocks_matches_reference(stays, block, presorted):
+    # blocks of 1-4 entries: block edges fall between and inside groups of
+    # equal entries, and the exits before a block's first entry are many
+    entry = np.array([e for e, _ in stays], np.int64)
+    exits = np.array([e + d for e, d in stays], np.int64)
+    if presorted:
+        entry, exits = np.sort(entry), np.sort(exits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pacing, "_PEAK_BLOCK", block)
+        assert peak_occupancy(entry, exits) == reference_peak_occupancy(entry, exits)
+
+
+def test_peak_occupancy_allocates_no_whole_stream_temporary():
+    # two sorted 1 M-packet streams (8 MB each): the pass neither sorts nor
+    # searches them whole, so it allocates well under one stream's size
+    entry = np.arange(1_000_000, dtype=np.int64) * 10
+    exits = entry + 25
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert peak_occupancy(entry, exits) == 3
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_occupancy_leaves_its_inputs_alone(ordered):
+    a = np.array([0, 1, 2, 3, 5, 8], np.int64) * MS
+    t = a + np.array([9, 1, 1, 0, 4, 2], np.int64) * MS
+    if ordered:
+        t = np.maximum.accumulate(t)
+    a_was, t_was = a.copy(), t.copy()
+    peak_occupancy(a, t)
+    shaping_queue_timeline(a, t, MS)
+    np.testing.assert_array_equal(a, a_was)
+    np.testing.assert_array_equal(t, t_was)
 
 
 def test_peak_occupancy_counts_exit_instant():

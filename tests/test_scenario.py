@@ -16,8 +16,10 @@ from floodsim import (
     load_scenario,
     parse_scenario,
 )
+from floodsim.model import STREAM_BENIGN, STREAM_FLOOD_BASE, substream
 from floodsim.scenario import build_trace
-from floodsim.traffic import BenignSpec, FloodSpec
+from floodsim.traffic import BenignSpec, FloodSpec, gen_benign, gen_flood
+from oracles import reference_merge
 
 EXAMPLE = """\
 # background traffic
@@ -229,6 +231,26 @@ def test_build_trace_contents():
     assert attack.min() >= 1_000_000_000 and attack.max() < 2_000_000_000
     benign = trace.arrival_ns[trace.klass == 0]
     assert benign.size == 300 * scn.benign.num_sources
+
+
+@pytest.mark.parametrize("background", [True, False])
+def test_one_stream_is_already_in_merge_order(background):
+    # ns-scale arrivals tie often: across the six sources of a 3 ns period
+    # with jitter, and inside one flood of 2 packets per ns
+    rng = RngStream(7, 0)
+    if background:
+        benign = BenignSpec(period_s=3e-9, jitter_fraction=0.9, num_sources=6)
+        scn = Scenario(benign=benign, floods=[], horizon_s=3e-7)
+        part = gen_benign(benign, scn.horizon_s, substream(rng, STREAM_BENIGN))
+    else:
+        flood = FloodSpec(start_s=0.0, duration_s=5e-7, rate_pps=2e9)
+        scn = Scenario(benign=None, floods=[flood], horizon_s=1e-6)
+        part = gen_flood(flood, substream(rng, STREAM_FLOOD_BASE))
+    assert np.any(np.diff(part.arrival_ns) == 0)
+    got, want = build_trace(scn, rng), reference_merge([part])
+    np.testing.assert_array_equal(got.arrival_ns, want.arrival_ns)
+    np.testing.assert_array_equal(got.klass, want.klass)
+    np.testing.assert_array_equal(got.source_id, want.source_id)
 
 
 def test_expected_attack_volume():
