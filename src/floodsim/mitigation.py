@@ -251,8 +251,8 @@ def run_mitigation(
     labels may be precomputed; otherwise the whole stream is classified up
     front from rng (one draw per packet, so outcomes are reproducible no
     matter how the windows fall). test_pacing_ns > 0 spaces verdicts at
-    least window_len*test_pacing apart, modeling a detector that is fed
-    through the paced link; 0 decides at the window's last arrival.
+    least window_len*test_pacing apart, as for a detector fed through the
+    paced link; 0 decides at the window's last arrival, < 0 is a ValueError.
 
     The trailing partial window at stream end is tested when at least
     ceil(window/2) packets remain, otherwise the leftovers are forwarded
@@ -264,6 +264,9 @@ def run_mitigation(
     window = detector.window
     if window < 1:
         raise ValueError("window must be >= 1")
+    pace = int(test_pacing_ns)
+    if pace < 0:
+        raise ValueError("test_pacing_ns must be >= 0")
     n = len(trace)
     if labels is None:
         if rng is None:
@@ -282,7 +285,6 @@ def run_mitigation(
     drop_time_ns = np.full(n, -1, np.int64)
     st = MitigationState(skip=policy.skip if fixed else 0)
     log: list = []  # event column blocks, in log order
-    pace = max(int(test_pacing_ns), 0)
     min_tail = math.ceil(window / 2)  # a shorter partial window goes untested
 
     def block(attack: bool, last_verdict_ns):

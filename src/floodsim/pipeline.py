@@ -55,10 +55,6 @@ class SimulationResult:
     summary: dict
 
 
-def _empty_timeline():
-    return np.zeros(1, np.int64), np.zeros(1, np.int64)
-
-
 def run_simulation(scenario: Scenario) -> SimulationResult:
     scenario.validate()
     base = RngStream(scenario.seed, 0)
@@ -108,24 +104,7 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
             f"packet conservation broken: {dropped} dropped + {forwarded} forwarded != {n}"
         )
 
-    sqf_timeline = _empty_timeline() if scenario.sqf_enabled else None
-    sqf_peak = sqf_max_delay_ns = 0
-    if scenario.sqf_enabled and n:
-        # a packet leaves the shaper at its emission, or at the verdict that dropped it
-        exit_ns = emit_ns if mit is None else np.where(emit_ns < 0, mit.drop_time_ns, emit_ns)
-        sqf_timeline = shaping_queue_timeline(trace.arrival_ns, exit_ns, sample_dt_ns)
-        sqf_peak = peak_occupancy(trace.arrival_ns, exit_ns)
-        sqf_max_delay_ns = int((emitted - trace.arrival_ns[rel_idx]).max()) if len(rel_idx) else 0
-
-    server_timeline = _empty_timeline()
-    server_peak = max_wait_ns = mean_wait_ns = makespan_ns = 0
-    if n and len(server):
-        server_timeline = server.queue_timeline(sample_dt_ns)
-        server_peak = peak_occupancy(server.arrival_ns, server.departure_ns)
-        max_wait_ns = int(server.wait_ns.max())
-        mean_wait_ns = float(server.wait_ns.mean())
-        makespan_ns = int(server.departure_ns.max())
-
+    server_timeline = server.queue_timeline(sample_dt_ns)
     summary = {
         "packets_total": n,
         "packets_attack": trace.attack_count(),
@@ -134,14 +113,18 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
         "aam_enabled": int(scenario.aam_enabled),
         "packets_forwarded": forwarded,
         "packets_dropped": dropped,
-        "server_peak_queue": server_peak,
-        "server_max_wait_s": max_wait_ns / 1e9,
-        "server_mean_wait_s": mean_wait_ns / 1e9,
-        "makespan_s": makespan_ns / 1e9,
+        "server_peak_queue": peak_occupancy(server.arrival_ns, server.departure_ns),
+        "server_max_wait_s": int(server.wait_ns.max(initial=0)) / 1e9,
+        "server_mean_wait_s": float(server.wait_ns.mean()) / 1e9 if len(server) else 0.0,
+        "makespan_s": int(server.departure_ns.max(initial=0)) / 1e9,
     }
+    sqf_timeline = None
     if scenario.sqf_enabled:
-        summary["sqf_peak_queue"] = sqf_peak
-        summary["sqf_max_delay_s"] = sqf_max_delay_ns / 1e9
+        # a packet leaves the shaper at its emission, or at the verdict that dropped it
+        exit_ns = emit_ns if mit is None else np.where(emit_ns < 0, mit.drop_time_ns, emit_ns)
+        sqf_timeline = shaping_queue_timeline(trace.arrival_ns, exit_ns, sample_dt_ns)
+        summary["sqf_peak_queue"] = peak_occupancy(trace.arrival_ns, exit_ns)
+        summary["sqf_max_delay_s"] = int((emitted - trace.arrival_ns[rel_idx]).max(initial=0)) / 1e9
     if mit is not None:
         st = mit.state
         summary.update(

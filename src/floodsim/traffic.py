@@ -106,7 +106,7 @@ def merge(traces: Sequence[Trace]) -> Trace:
     for t in traces:
         if len(t) and np.any(np.diff(t.arrival_ns) < 0):
             raise ValueError("merge inputs must be sorted by arrival time")
-    if not traces or all(len(t) == 0 for t in traces):
+    if not traces:
         return Trace.empty()
     arrival = np.concatenate([t.arrival_ns for t in traces])
     source = np.concatenate([t.source_id for t in traces])

@@ -6,6 +6,7 @@ status either way). Tolerances are pinned in the assertions.
 """
 import dataclasses
 import math
+import statistics
 import time
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from floodsim import (
     ServiceTimeModel,
     brute_force_optimal,
     cost_report,
+    expected_attack_packets,
     forward_times,
     load_scenario,
     monte_carlo_cost,
@@ -28,6 +30,7 @@ from floodsim import (
 )
 from floodsim.analysis import (
     CostParams,
+    _t_quantile_975,
     exact_drop_count,
     exact_window_count,
 )
@@ -207,6 +210,33 @@ def test_monte_carlo_cost_curve_dips_at_closed_form_optimum():
         and ratio <= 1.10
         and elapsed < 60.0,
         f"m_hat={m_hat:.1f} argmin_m={grid[argmin]} cost@125/min={ratio:.3f} {elapsed:.1f}s",
+    )
+
+
+def test_paired_costs_rise_on_both_sides_of_the_closed_form_skip():
+    # run r of every skip draws the same traffic and labels, so the paired
+    # differences C_r(m) - C_r(m*) shed the flood volume's own spread, which
+    # hides these gaps from unpaired means at this many runs
+    t0 = time.perf_counter()
+    scn = load_scenario(SCENARIOS / "costsweep.cfg")
+    runs = 200
+    best = optimal_skip(scn.detector.window, scn.beta / scn.alpha, expected_attack_packets(scn))
+    assert best == 125
+    base = monte_carlo_cost(scn, best, runs).trials
+    t975 = _t_quantile_975(runs - 1)
+    ok, detail = True, []
+    for m in (80, 240):
+        trials = monte_carlo_cost(scn, m, runs).trials
+        diffs = [a.realized_cost - b.realized_cost for a, b in zip(trials, base)]
+        mean = math.fsum(diffs) / runs
+        half = t975 * statistics.stdev(diffs) / math.sqrt(runs)
+        ok = ok and mean - half > 0  # positive, and its 95% CI excludes 0
+        detail.append(f"C({m})-C({best})={mean:+.3f}+-{half:.3f}")
+    elapsed = time.perf_counter() - t0
+    report(
+        "Paired Monte Carlo costs rise on both sides of the closed-form skip",
+        ok and elapsed < 60.0,
+        f"{' '.join(detail)} {elapsed:.1f}s",
     )
 
 

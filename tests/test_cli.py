@@ -275,7 +275,7 @@ def test_simulate_survives_every_single_override():
     assert bad == []
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
                 min_size=2, max_size=2))
 def test_simulate_fuzz_exits_cleanly(overrides):
@@ -332,7 +332,7 @@ def test_every_flag_survives_every_single_value(command):
     assert bad == []
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.sampled_from(sorted(FLAG_BASE)).flatmap(
     lambda command: st.tuples(st.just(command),
                               st.lists(st.sampled_from(FLAG_ARGS[command]), min_size=2,

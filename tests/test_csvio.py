@@ -33,13 +33,13 @@ def seconds_lines(ns) -> list:
     return written(["t"], [Seconds(np.array(ns, np.int64))]).decode().split("\r\n")[1:-1]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.integers(-(10**14) + 1, 10**14 - 1), min_size=1, max_size=50))
 def test_seconds_match_float_formatting_below_1e14_ns(ns):
     assert seconds_lines(ns) == [f"{v / 1e9:.9f}" for v in ns]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(INT64, min_size=1, max_size=50))
 def test_seconds_are_exact_for_every_int64(ns):
     assert seconds_lines(ns) == [exact_seconds(v) for v in ns]
@@ -51,7 +51,7 @@ def test_seconds_edge_values():
     assert seconds_lines([-1])[0] == "-0.000000001"
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.tuples(INT64, st.integers(0, 2**64 - 1), st.text("AB_xyz09.- ")), max_size=30))
 def test_bytes_match_csv_writer(rows):
     buf = io.StringIO(newline="")
@@ -64,7 +64,7 @@ def test_bytes_match_csv_writer(rows):
     assert got == buf.getvalue().encode()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.integers(1, 7),
     st.lists(

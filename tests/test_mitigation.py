@@ -280,6 +280,8 @@ def test_run_mitigation_argument_errors():
         run_mitigation(trace, perfect(5), FixedSkip(5))
     with pytest.raises(ValueError, match="align"):
         run_mitigation(trace, perfect(5), FixedSkip(5), labels=labels[:-1])
+    with pytest.raises(ValueError, match="test_pacing_ns"):
+        run_mitigation(trace, perfect(5), FixedSkip(5), labels=labels, test_pacing_ns=-1)
 
     # a policy is one of the two skip records, not anything that looks like one
     for policy in (dataclasses.make_dataclass("OtherSkip", ["skip"])(5), 5, None):
@@ -450,7 +452,7 @@ def machine_cases(draw):
     return trace, labels, window, policy, pace
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(machine_cases())
 def test_machine_matches_reference_loop(case):
     assert_matches_references(*case)

@@ -74,7 +74,7 @@ def test_closed_forms_match_naive_recursion():
         np.testing.assert_array_equal(pacing_delays(a, gap), t - a)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     gaps=st.lists(st.integers(min_value=0, max_value=10 * MS), min_size=1, max_size=80),
     gap=st.integers(min_value=1, max_value=5 * MS),
@@ -155,7 +155,7 @@ def test_peak_occupancy_brute_force():
         assert peak == brute
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.tuples(st.integers(0, 200), st.integers(0, 60)), max_size=60))
 def test_peak_occupancy_matches_reference(stays):
     # packets in any order, each leaving no earlier than it entered; ties
@@ -167,7 +167,7 @@ def test_peak_occupancy_matches_reference(stays):
     assert peak == max((occupancy_at(entry, exits, t) for t in entry), default=0)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     stays=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 12)), max_size=40),
     block=st.integers(1, 4),
@@ -243,7 +243,7 @@ def max_plus_loop(ready, work, floor):
     return out
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     steps=st.lists(
         st.tuples(

@@ -1,19 +1,25 @@
 """End-to-end wiring: mitigation feeding the shaper feeding the server."""
 import dataclasses
+import gc
+import hashlib
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from floodsim import (
     Scenario,
     ServiceTimeModel,
     load_scenario,
+    parse_scenario,
     run_simulation,
     to_ns,
     write_outputs,
 )
 from floodsim.detector import DetectorModel
+from floodsim.pacing import queue_timeline
 from floodsim.traffic import BenignSpec, FloodSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -156,13 +162,69 @@ def test_summary_csv_format(tmp_path):
     assert re.fullmatch(r"\d+\.\d{9}", row["server_max_wait_s"])
 
 
-def test_empty_scenario_runs():
-    scn = Scenario(benign=None, floods=[], horizon_s=1.0)
-    res = run_simulation(scn)
-    assert res.summary["packets_total"] == 0
-    assert res.summary["makespan_s"] == 0.0
-    assert res.summary["server_peak_queue"] == 0
+# runs whose server sees no packet: the scenario text, and the pinned sha256 of
+# the summary.csv it writes
+NOTHING_SERVED = {
+    "no traffic": (
+        "benign.enabled = false\nrun.horizon_s = 1\n",
+        "da4a54a511203a15e352b196233ae23b7da39615c6bdff145ed38de4c796bb24",
+    ),
+    "two silent floods": (
+        "benign.enabled = false\n"
+        "flood.1.start_s = 1\nflood.1.duration_s = 0.001\nflood.1.rate_pps = 0.001\n"
+        "flood.2.start_s = 2\nflood.2.duration_s = 0.001\nflood.2.rate_pps = 0.001\n",
+        "da4a54a511203a15e352b196233ae23b7da39615c6bdff145ed38de4c796bb24",
+    ),
+    # 1 030 flood packets, every one dropped by a perfect detector
+    "all dropped": (
+        "benign.enabled = false\n"
+        "flood.1.start_s = 1\nflood.1.duration_s = 0.5\nflood.1.rate_pps = 2000\n"
+        "detector.tpr = 1\ndetector.tnr = 1\ndetector.window = 10\n"
+        "aam.m_mode = fixed\naam.m_fixed = 5\n",
+        "8617f4018e2973c0cac05916db6fb77bb4351450da0ead65bab71f5636a10307",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, summary_sha256", NOTHING_SERVED.values(), ids=NOTHING_SERVED)
+def test_empty_scenario_runs(text, summary_sha256, tmp_path):
+    res = run_simulation(parse_scenario(text))
     assert len(res.server) == 0
+    assert res.summary["packets_dropped"] == res.summary["packets_total"]
+    for key in ("server_peak_queue", "server_max_wait_s", "server_mean_wait_s", "makespan_s"):
+        assert res.summary[key] == 0
+
+    # every stage takes the one grid rule: 0 through one step past its last instant
+    dt = to_ns(res.scenario.sample_dt_s)
+    times, counts = res.server_timeline
+    assert len(times) == to_ns(res.summary["makespan_s"]) // dt + 2
+    np.testing.assert_array_equal(counts, 0)
+    np.testing.assert_array_equal(res.server_timeline, res.server.queue_timeline(dt))
+    exit_ns = np.sort(np.where(res.emit_ns < 0, res.mitigation.drop_time_ns, res.emit_ns))
+    np.testing.assert_array_equal(res.sqf_timeline, queue_timeline(res.trace.arrival_ns, exit_ns, dt))
+
+    write_outputs(res, tmp_path)
+    assert hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest() == summary_sha256
+
+
+def test_run_memory_peak_per_packet():
+    # benign_monitor's traffic over 2 s: 200 k packets, all windows clear.
+    # tracemalloc counts numpy's buffers, so the peak does not follow host load.
+    scn = parse_scenario(
+        "benign.period_s = 0.0001\nbenign.jitter_fraction = 0.3\nbenign.num_sources = 10\n"
+        "sqf.D_ms = 0.005\ndetector.window = 20\nrun.horizon_s = 2\n"
+    )
+    run_simulation(scn)  # warm-up: a process's first run also allocates one-time state
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = run_simulation(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = res.summary["packets_total"]
+    assert n == 200_000
+    assert peak / n <= 125
 
 
 def test_empty_aam_run_keeps_the_aam_outputs(tmp_path):

@@ -59,7 +59,7 @@ def test_lindley_matches_event_simulation():
         np.testing.assert_array_equal(lindley_waits(a, t), fcfs_waits_event_driven(a, t))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     gaps=st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=60),
     services=st.lists(st.integers(min_value=0, max_value=1500), min_size=60, max_size=60),
@@ -245,7 +245,7 @@ def assert_same_as_reference(arrivals, model, windows, seed):
     return got_sched.calls
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(0, 4000),
@@ -266,7 +266,7 @@ def test_simulate_server_matches_reference_loop(seed, n, n_windows):
 SPAN_EDGES = [1, 2] + [k * _FIRST_SPAN + d for k in (1, 2, 4) for d in (-1, 0, 1)]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     lengths=st.lists(st.sampled_from(SPAN_EDGES) | st.integers(1, 5000), min_size=1, max_size=6),
     seed=st.integers(0, 2**32 - 1),

@@ -57,7 +57,7 @@ def test_benign_zero_horizon():
     assert len(gen_benign(BenignSpec(period_s=0.01), 0.0, RngStream(1, 0))) == 0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     num_sources=st.integers(1, 50),
     jitter=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),  # 0: every source ties each period
@@ -150,7 +150,7 @@ def sorted_parts(draw):
     return parts
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(sorted_parts())
 def test_merge_matches_lexsort_reference(parts):
     got, want = merge(parts), reference_merge(parts)
