@@ -31,6 +31,12 @@ MAX_ELEMENTS = 10**9  # cap on a scenario's expected packets
 MAX_SAMPLES = 10**7  # cap on a queue timeline's samples, ~40 bytes each while sampled
 
 
+def is_sorted(times) -> bool:
+    """True when a 1-d array never steps down. Neighbours are compared in
+    place, so the test allocates one bool per element, not an int64 diff."""
+    return not np.any(times[1:] < times[:-1])
+
+
 def check_skip(skip, name: str) -> int:
     """The one rule for a skip length m, wherever it comes from: 1 <= m < 2**63,
     so the window cursors stay int64. Returns m; raises ConfigError naming it."""
@@ -108,7 +114,7 @@ class Trace:
     def validate(self) -> None:
         if np.any(self.arrival_ns[:1] < 0):  # the first arrival, if any
             raise ValueError("arrival times must be >= 0")
-        if np.any(np.diff(self.arrival_ns) < 0):
+        if not is_sorted(self.arrival_ns):
             raise ValueError("trace must be sorted by arrival time")
         bad = ~np.isin(self.klass, (int(PacketClass.BENIGN), int(PacketClass.ATTACK)))
         if np.any(bad):
@@ -153,7 +159,8 @@ class ServiceTimeModel:
 
     def draw_ns(self, regime: Regime, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Service times (int64 ns) under a regime, from pre-drawn standard
-        normals z and uniforms u (one of each per packet; u picks outliers).
+        normals z and uniforms u (one of each per packet; u picks outliers,
+        and is read only in the attack regime, so it may be None outside it).
         A draw that does not fit the nanosecond clock is a ConfigError."""
         attack = regime == Regime.ATTACK
         if attack:

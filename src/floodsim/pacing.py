@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import CLOCK_NS, MAX_SAMPLES, ConfigError
+from .model import CLOCK_NS, MAX_SAMPLES, ConfigError, is_sorted
 
-_PEAK_BLOCK = 1 << 15  # entries per step of peak_occupancy; its temporaries stay cache-sized
+# packets per step of a blockwise pass (peak_occupancy, the server's open
+# spans), so that no temporary outgrows the cache or spans the stream
+_BLOCK = 1 << 14
 
 
 def _as_times(x) -> np.ndarray:
@@ -34,7 +36,7 @@ def _sorted(x) -> np.ndarray:
     """The times themselves when they are already nondecreasing, else a
     stable-sorted copy: a simulation's streams are mostly in order."""
     arr = _as_times(x)
-    if np.any(arr[1:] < arr[:-1]):
+    if not is_sorted(arr):
         arr = np.sort(arr, kind="stable")
     return arr
 
@@ -62,7 +64,7 @@ def forward_times(arrival_ns, gap_ns: int) -> np.ndarray:
     gap = int(gap_ns)
     if gap <= 0:
         raise ValueError("pacing gap must be positive")
-    if np.any(np.diff(a) < 0):
+    if not is_sorted(a):
         raise ValueError("arrivals must be sorted")
     if (len(a) - 1) * gap >= CLOCK_NS:
         raise ConfigError("the pacing gap carries departures past the clock")
@@ -121,15 +123,19 @@ def peak_occupancy(entry_ns, exit_ns) -> int:
     count(entry <= e) - count(exit < e) over the entries e. Over the sorted
     entries, k + 1 stands in for count(entry <= entry[k]): it is exact at the
     last of equal entries and smaller before it, so the maximum is the same.
-    Entries go a block at a time, each searched only among the exits that can
-    precede it, so no temporary spans the stream.
+    Entries go a block at a time, each block merged with the exits that can
+    precede it: a stable sort of the block followed by those exits puts every
+    entry ahead of the exits at its own instant, so entry i's merged position
+    less i counts the exits before it. No temporary spans the stream.
     """
     entry, exits = _sorted(entry_ns), _sorted(exit_ns)
     peak = 0
-    for k in range(0, len(entry), _PEAK_BLOCK):
-        block = entry[k : k + _PEAK_BLOCK]
+    for k in range(0, len(entry), _BLOCK):
+        block = entry[k : k + _BLOCK]
         lo, hi = exits.searchsorted(block[[0, -1]], side="left")
-        before = exits[lo:hi].searchsorted(block, side="left")
+        order = np.concatenate((block, exits[lo:hi])).argsort(kind="stable")
+        # entries keep their own order, so the j-th entry merged is entry j
+        before = np.flatnonzero(order < len(block)) - np.arange(len(block))
         entered = np.arange(k + 1 - lo, k + 1 - lo + len(block), dtype=np.int64)
         peak = max(peak, int((entered - before).max()))
     return peak

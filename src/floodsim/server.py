@@ -17,7 +17,11 @@ runs the recursion over a candidate span of packets, doubling the span until
 the chunk's regime boundary falls inside it. The span carries over to the
 next chunk (halved after a chunk that used less than a quarter of it), which
 keeps the work linear in the stream length instead of proportional to the
-stream length times the chunk count.
+stream length times the chunk count. Once no boundary lies ahead (the whole
+of a shaped run, the tail of a raw one) the chunk is open: it runs to the end
+of the stream in spans of one cache-sized block, each starting where the
+last one's final service ends or at its own first arrival, whichever is
+later, so no temporary spans the stream.
 """
 from __future__ import annotations
 
@@ -28,8 +32,8 @@ import numpy as np
 
 from .csvio import Seconds, write_columns
 from .model import CLOCK_NS, ConfigError, InvariantViolation, Regime, RngStream
-from .model import ServiceTimeModel
-from .pacing import _as_times, max_plus, queue_timeline
+from .model import ServiceTimeModel, is_sorted
+from .pacing import _BLOCK, _as_times, max_plus, queue_timeline
 
 _FIRST_SPAN = 1024  # packets in a chunk's first candidate span
 
@@ -101,15 +105,18 @@ def simulate_server(
     """Serve a stream FCFS, sampling each service time under the regime in
     force at that packet's service start.
 
-    One standard normal and one uniform are pre-drawn per packet, so the
-    consumed randomness does not depend on where regime boundaries fall.
+    Packet k's service time is drawn from the k-th of n standard normals,
+    and in the attack regime also from the k-th of n uniforms drawn after
+    them, so the consumed randomness does not depend on where regime
+    boundaries fall. The uniforms are drawn only once an attack-regime chunk
+    needs them; a run that never leaves the normal regime draws none.
     """
     a = _as_times(arrival_ns)
     n = len(a)
     seq = np.arange(n, dtype=np.int64) if seq is None else np.asarray(seq, dtype=np.int64)
     if seq.shape != (n,):
         raise ValueError("seq must be a 1-d array with one entry per arrival")
-    if n and np.any(np.diff(a) < 0):
+    if not is_sorted(a):
         raise ValueError("arrivals must be sorted")
     waits = np.empty(n, np.int64)
     services = np.empty(n, np.int64)
@@ -118,17 +125,23 @@ def simulate_server(
 
     g = rng.generator
     z = g.standard_normal(n)
-    u = g.random(n)
+    u = None
 
     idx = 0
     start = int(a[0])  # service start of the chunk's first packet
     span = _FIRST_SPAN
+    bound = start  # any int: the first chunk looks up its regime
     while idx < n:
-        regime = Regime.ATTACK if schedule.in_attack(start) else Regime.NORMAL
-        bound = schedule.next_boundary(start)
+        # past the last boundary the chunk stays open to the end of the
+        # stream; it is served in spans of one block, with no more lookups
+        if bound is not None:
+            regime = Regime.ATTACK if schedule.in_attack(start) else Regime.NORMAL
+            bound = schedule.next_boundary(start)
+            if regime == Regime.ATTACK and u is None:
+                u = g.random(n)
         while True:
-            hi = n if bound is None else min(n, idx + span)
-            t_cand = model.draw_ns(regime, z[idx:hi], u[idx:hi])
+            hi = min(n, idx + (_BLOCK if bound is None else span))
+            t_cand = model.draw_ns(regime, z[idx:hi], None if u is None else u[idx:hi])
             # a wrapped sum of services (each below 2**63) turns negative first; the
             # span's departures stay within its first start or last arrival plus the sum
             done = np.cumsum(t_cand)
@@ -136,10 +149,11 @@ def simulate_server(
                 raise ConfigError("service.* sum beyond the clock")
             starts = max_plus(a[idx:hi], done - t_cand, start)
             take = hi - idx
-            if bound is not None:
-                # the chunk ends at the first packet whose service starts at
-                # or after the boundary; it must fall inside the span
-                take = int(np.searchsorted(starts, bound, side="left"))
+            if bound is None:
+                break
+            # the chunk ends at the first packet whose service starts at
+            # or after the boundary; it must fall inside the span
+            take = int(np.searchsorted(starts, bound, side="left"))
             if take < hi - idx or hi == n:
                 break
             span *= 2
@@ -152,9 +166,9 @@ def simulate_server(
             raise InvariantViolation(f"regime chunk at {start} ns is empty")
         np.subtract(starts[:take], a[idx : idx + take], out=waits[idx : idx + take])
         services[idx : idx + take] = t_cand[:take]
-        if idx + take < n:
-            start = int(starts[take])
         idx += take
+        if idx < n:
+            start = max(a.item(idx), starts.item(take - 1) + t_cand.item(take - 1))
     return ServerTrace(seq, a, waits, services)
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .csvio import Seconds, write_columns
-from .model import ConfigError, PacketClass, RngStream, Trace, to_ns
+from .model import ConfigError, PacketClass, RngStream, Trace, is_sorted, to_ns
 
 _LETTER_CLASS = {"B": int(PacketClass.BENIGN), "A": int(PacketClass.ATTACK)}
 _CLASS_LETTERS = np.array([b"B", b"A"])  # indexed by class value
@@ -104,7 +104,7 @@ def merge(traces: Sequence[Trace]) -> Trace:
     is fully deterministic. Unsorted input is a precondition error.
     """
     for t in traces:
-        if len(t) and np.any(np.diff(t.arrival_ns) < 0):
+        if not is_sorted(t.arrival_ns):
             raise ValueError("merge inputs must be sorted by arrival time")
     if not traces:
         return Trace.empty()

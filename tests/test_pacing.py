@@ -170,18 +170,23 @@ def test_peak_occupancy_matches_reference(stays):
 @settings(max_examples=300)
 @given(
     stays=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 12)), max_size=40),
+    ties=st.lists(st.tuples(st.integers(3, 30), st.integers(2, 6), st.integers(0, 3)), max_size=3),
     block=st.integers(1, 4),
     presorted=st.booleans(),
 )
-def test_peak_occupancy_across_blocks_matches_reference(stays, block, presorted):
+def test_peak_occupancy_across_blocks_matches_reference(stays, ties, block, presorted):
     # blocks of 1-4 entries: block edges fall between and inside groups of
-    # equal entries, and the exits before a block's first entry are many
+    # equal entries, and the exits before a block's first entry are many.
+    # Each tie (t, c, d) adds c packets that enter and leave at t and c that
+    # enter d ns earlier and leave at t, so a group of equal entries and
+    # exits longer than a block straddles a block cut
+    stays = stays + [stay for t, c, d in ties for stay in [(t, 0)] * c + [(t - d, d)] * c]
     entry = np.array([e for e, _ in stays], np.int64)
     exits = np.array([e + d for e, d in stays], np.int64)
     if presorted:
         entry, exits = np.sort(entry), np.sort(exits)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pacing, "_PEAK_BLOCK", block)
+        mp.setattr(pacing, "_BLOCK", block)
         assert peak_occupancy(entry, exits) == reference_peak_occupancy(entry, exits)
 
 

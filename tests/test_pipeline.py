@@ -224,7 +224,7 @@ def test_run_memory_peak_per_packet():
         tracemalloc.stop()
     n = res.summary["packets_total"]
     assert n == 200_000
-    assert peak / n <= 125
+    assert peak / n <= 100
 
 
 def test_empty_aam_run_keeps_the_aam_outputs(tmp_path):

@@ -17,6 +17,7 @@ from floodsim import (
 from floodsim.model import ConfigError, InvariantViolation
 from floodsim.pipeline import run_simulation
 from floodsim.scenario import parse_scenario
+from floodsim import server
 from floodsim.server import _FIRST_SPAN, RegimeSchedule
 from floodsim.traffic import FloodSpec, gen_flood
 from oracles import fcfs_waits_event_driven, lindley_waits, reference_simulate_server
@@ -282,6 +283,49 @@ def test_chunk_lengths_around_span_doubling(lengths, seed):
         bounds.append(n * 10 * MS)
     windows = list(zip(bounds[0::2], bounds[1::2]))
     assert assert_same_as_reference(a, model, windows, seed) == len(lengths)
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 4),
+    blocks=st.integers(0, 40),
+    extra=st.integers(-1, 1),
+    n_windows=st.integers(0, 3),
+)
+def test_open_span_walk_matches_reference(seed, block, blocks, extra, n_windows):
+    # blocks of 1-4 packets, streams of about a whole number of them: past
+    # the last boundary the walk serves the stream a block at a time, and a
+    # backlog carries its wait across every block edge
+    n = max(0, block * blocks + extra)
+    rng = np.random.default_rng(seed)
+    a = np.cumsum(rng.choice([0, 100_000, MS, 5 * MS], n)).astype(np.int64)
+    end = int(a[-1]) + 1 if n else 1
+    cuts = np.sort(rng.integers(0, end, 2 * n_windows))
+    windows = [(s, e) for s, e in zip(cuts[0::2], cuts[1::2]) if e > s]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(server, "_BLOCK", block)
+        assert_same_as_reference(a, ServiceTimeModel(), windows, seed)
+
+
+@pytest.mark.parametrize(
+    "windows, uniforms",
+    [([], False), ([(10 * S, 11 * S)], False), ([(0, MS)], True), ([(50 * MS, 60 * MS)], True)],
+    ids=["no-windows", "window-after-stream", "window-at-start", "window-inside"],
+)
+def test_uniforms_are_drawn_only_for_the_attack_regime(windows, uniforms):
+    # 1 000 packets over 1 s: a run with no attack-regime chunk leaves the
+    # service stream where the n normals alone would, one with such a chunk
+    # where n normals and then n uniforms would
+    n = 1_000
+    a = np.arange(n, dtype=np.int64) * MS
+    rng = RngStream(66, 0)
+    simulate_server(a, ServiceTimeModel(), RegimeSchedule(windows), rng)
+    want = RngStream(66, 0).generator
+    want.standard_normal(n)
+    if uniforms:
+        want.random(n)
+    assert rng.generator.bit_generator.state == want.bit_generator.state
 
 
 def test_server_work_is_linear_in_the_stream(monkeypatch):
