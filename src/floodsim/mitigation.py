@@ -205,13 +205,6 @@ class MitigationResult:
 _FIRST_SPAN_WINDOWS = 64  # windows in the first span searched for a verdict
 
 
-def _prefix_count(values: np.ndarray, code: int) -> np.ndarray:
-    """out[k] = how many of values[:k] equal code (int64, length n + 1)."""
-    out = np.zeros(len(values) + 1, np.int64)
-    np.cumsum(values == code, out=out[1:])
-    return out
-
-
 def _first_window(votes: np.ndarray, start: int, window: int, stride: int, count: int,
                   attack: bool) -> int:
     """Index of the first of `count` windows of `window` packets, starting
@@ -278,8 +271,8 @@ def run_mitigation(
             raise ValueError("labels must align with the trace")
 
     arrivals = trace.arrival_ns
-    votes = _prefix_count(labels, int(PacketClass.ATTACK))
-    attack_packets = _prefix_count(trace.klass, int(PacketClass.ATTACK))
+    votes = np.zeros(n + 1, np.int64)  # votes[k]: attack labels among the first k
+    np.cumsum(labels == int(PacketClass.ATTACK), out=votes[1:])
     outcomes = np.full(n, 255, np.uint8)
     release_ns = np.full(n, -1, np.int64)
     drop_time_ns = np.full(n, -1, np.int64)
@@ -333,7 +326,8 @@ def run_mitigation(
         if attack:
             outcomes[first:end] = int(Outcome.DROPPED)
             drop_time_ns[first:end] = now.repeat(ends - ranges + 1)
-            n_att = attack_packets.item(end) - attack_packets.item(first)
+            # each packet is dropped at most once, so these counts sum to at most n
+            n_att = int(np.count_nonzero(trace.klass[first:end] == int(PacketClass.ATTACK)))
             st.packets_dropped += end - first
             st.attack_dropped += n_att
             st.benign_dropped += end - first - n_att

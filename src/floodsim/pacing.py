@@ -18,11 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import CLOCK_NS, MAX_SAMPLES, ConfigError, is_sorted
-
-# packets per step of a blockwise pass (peak_occupancy, the server's open
-# spans), so that no temporary outgrows the cache or spans the stream
-_BLOCK = 1 << 14
+from .model import BLOCK, CLOCK_NS, MAX_SAMPLES, ConfigError, is_sorted
 
 
 def _as_times(x) -> np.ndarray:
@@ -130,8 +126,8 @@ def peak_occupancy(entry_ns, exit_ns) -> int:
     """
     entry, exits = _sorted(entry_ns), _sorted(exit_ns)
     peak = 0
-    for k in range(0, len(entry), _BLOCK):
-        block = entry[k : k + _BLOCK]
+    for k in range(0, len(entry), BLOCK):
+        block = entry[k : k + BLOCK]
         lo, hi = exits.searchsorted(block[[0, -1]], side="left")
         order = np.concatenate((block, exits[lo:hi])).argsort(kind="stable")
         # entries keep their own order, so the j-th entry merged is entry j

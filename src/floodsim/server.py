@@ -31,9 +31,9 @@ from functools import cached_property
 import numpy as np
 
 from .csvio import Seconds, write_columns
-from .model import CLOCK_NS, ConfigError, InvariantViolation, Regime, RngStream
+from .model import BLOCK, CLOCK_NS, ConfigError, InvariantViolation, Regime, RngStream
 from .model import ServiceTimeModel, is_sorted
-from .pacing import _BLOCK, _as_times, max_plus, queue_timeline
+from .pacing import _as_times, max_plus, queue_timeline
 
 _FIRST_SPAN = 1024  # packets in a chunk's first candidate span
 
@@ -140,7 +140,7 @@ def simulate_server(
             if regime == Regime.ATTACK and u is None:
                 u = g.random(n)
         while True:
-            hi = min(n, idx + (_BLOCK if bound is None else span))
+            hi = min(n, idx + (BLOCK if bound is None else span))
             t_cand = model.draw_ns(regime, z[idx:hi], None if u is None else u[idx:hi])
             # a wrapped sum of services (each below 2**63) turns negative first; the
             # span's departures stay within its first start or last arrival plus the sum

@@ -156,6 +156,19 @@ def strict_majority_prob(window, p):
     )
 
 
+def poisson_expected_windows(mean, window, skip):
+    """Exact E[ceil((X - W)/(m + W))] for X ~ Poisson(mean) > 0, the window
+    count being 0 when X <= W: summed over the pmf, exp(k ln mean - mean -
+    lgamma(k + 1)), from W + 1 to 40 standard deviations (plus 50) past the
+    mean, beyond which the mass is below double precision."""
+    top = int(mean + 40 * math.sqrt(mean)) + 50
+    log_mean = math.log(mean)
+    return math.fsum(
+        math.exp(k * log_mean - mean - math.lgamma(k + 1)) * -(-(k - window) // (skip + window))
+        for k in range(window + 1, top + 1)
+    )
+
+
 def occupancy_at(entry, exits, t):
     """Occupancy of a stage at one instant, closed [entry, exit] convention."""
     return sum(1 for e in entry if e <= t) - sum(1 for x in exits if x < t)

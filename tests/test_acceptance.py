@@ -19,6 +19,7 @@ from floodsim import (
     ServiceTimeModel,
     brute_force_optimal,
     cost_report,
+    expected_attack_fraction,
     expected_attack_packets,
     forward_times,
     load_scenario,
@@ -34,11 +35,12 @@ from floodsim.analysis import (
     exact_drop_count,
     exact_window_count,
 )
+from floodsim.cli import main
 from floodsim.detector import DetectorModel
 from floodsim.mitigation import FixedSkip, run_mitigation
 from floodsim.model import Trace
 from floodsim.traffic import BenignSpec, FloodSpec, gen_flood
-from oracles import fcfs_waits_event_driven, step_through_machine
+from oracles import fcfs_waits_event_driven, poisson_expected_windows, step_through_machine
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -252,6 +254,37 @@ def test_window_count_expectation_under_random_volume():
         "first-order window-count expectation holds under Poisson volume",
         rel < 0.02,
         f"mean={mean_n:.4f} formula={formula:.4f} rel={rel:.4%}",
+    )
+
+# cost_report's (E[X] - W)/(m + W) + 1/2 less the exact E[N], largest over
+# costsweep.cfg's default sweep grid; the README cost section cites it
+FIRST_ORDER_WINDOW_ERROR = 0.0191  # windows, at m = 250
+
+
+def test_first_order_window_count_error_over_the_sweep_grid(tmp_path):
+    # the exact E[ceil((X - W)/(m + W))] for Poisson X at the E[X] cost_report
+    # uses, on the skips `sweep` picks: the first order is high by 1/(2(m + W))
+    # from X's integer lattice, plus a ripple once m + W outgrows X's spread
+    cfg = SCENARIOS / "costsweep.cfg"
+    assert main(["sweep", "--scenario", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    skips = [int(row.split(",")[0]) for row in rows]
+    scn = load_scenario(cfg)
+    ex, w = expected_attack_packets(scn), scn.detector.window
+    params = CostParams(scn.alpha, scn.beta, expected_attack_fraction(scn), scn.tau_s, w, ex)
+    first = cost_report(params, skips).expected_windows
+    errors = {m: f - poisson_expected_windows(ex, w, m) for m, f in zip(skips, first)}
+    worst = max(errors, key=lambda m: abs(errors[m]))
+    # the oracle against the library's exact count of Poisson draws, within 4 SE
+    counts = exact_window_count(np.random.default_rng(8).poisson(ex, 100_000), w, worst)
+    se = counts.std() / math.sqrt(len(counts))
+    report(
+        "first-order window count vs the exact Poisson expectation on the sweep grid",
+        skips == [31, 62, 94, 125, 188, 250, 375]
+        and worst == 250
+        and abs(errors[worst] - FIRST_ORDER_WINDOW_ERROR) < 5e-5
+        and abs(counts.mean() - poisson_expected_windows(ex, w, worst)) < 4 * se,
+        " ".join(f"m={m}:{e:+.5f}" for m, e in errors.items()),
     )
 
 

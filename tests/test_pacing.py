@@ -186,7 +186,7 @@ def test_peak_occupancy_across_blocks_matches_reference(stays, ties, block, pres
     if presorted:
         entry, exits = np.sort(entry), np.sort(exits)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pacing, "_BLOCK", block)
+        mp.setattr(pacing, "BLOCK", block)
         assert peak_occupancy(entry, exits) == reference_peak_occupancy(entry, exits)
 
 

@@ -304,7 +304,7 @@ def test_open_span_walk_matches_reference(seed, block, blocks, extra, n_windows)
     cuts = np.sort(rng.integers(0, end, 2 * n_windows))
     windows = [(s, e) for s, e in zip(cuts[0::2], cuts[1::2]) if e > s]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(server, "_BLOCK", block)
+        mp.setattr(server, "BLOCK", block)
         assert_same_as_reference(a, ServiceTimeModel(), windows, seed)
 
 
