@@ -210,6 +210,7 @@ def monte_carlo_cost(scenario, skip: int, runs: int) -> McCost:
     """
     from .scenario import build_trace  # late, so perfbench's wrapper on it counts each trial
 
+    scenario.validate()
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if len(scenario.floods) != 1:

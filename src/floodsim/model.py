@@ -30,7 +30,7 @@ CLOCK_NS = int(MAX_TIME_S * NS_PER_S)  # no instant of a run may reach it
 MAX_ELEMENTS = 10**9  # cap on a scenario's expected packets
 MAX_SAMPLES = 10**7  # cap on a queue timeline's samples, ~40 bytes each while sampled
 # elements per step of every blockwise pass: pacing.peak_occupancy's entries,
-# the server's open spans and the CSV encoder's rows (about 250 B of scratch
+# the server's spans and the CSV encoder's rows (about 250 B of scratch
 # each), so that no temporary spans the stream and the arrays one pass
 # touches stay in one core's L2 cache (see csvio)
 BLOCK = 1 << 14

@@ -22,7 +22,10 @@ from .model import BLOCK, CLOCK_NS, MAX_SAMPLES, ConfigError, is_sorted
 
 
 def _as_times(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.int64)
+    arr = np.asarray(x)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("nanosecond times must be integers (convert seconds with to_ns)")
+    arr = arr.astype(np.int64, copy=False)
     if arr.ndim != 1:
         raise ValueError("expected a 1-d array of nanosecond times")
     return arr
@@ -82,6 +85,8 @@ def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int):
     dt = int(sample_dt_ns)
     if dt <= 0:
         raise ValueError("sample_dt must be positive")
+    if not (is_sorted(entry) and is_sorted(exits)):
+        raise ValueError("entry and exit times must be sorted")
     last = max([0] + [int(times[-1]) for times in (entry, exits) if len(times)])
     n_steps = last // dt + 2
     if n_steps > MAX_SAMPLES:

@@ -13,15 +13,14 @@ flood is in progress). The regime of packet n is decided by its service
 *start* instant, which itself depends on earlier waits, so the simulation
 walks the stream in regime-constant chunks, each chunk fully vectorized.
 A chunk's end is only known after its waits are, so each chunk draws and
-runs the recursion over a candidate span of packets, doubling the span until
-the chunk's regime boundary falls inside it. The span carries over to the
-next chunk (halved after a chunk that used less than a quarter of it), which
-keeps the work linear in the stream length instead of proportional to the
-stream length times the chunk count. Once no boundary lies ahead (the whole
-of a shaped run, the tail of a raw one) the chunk is open: it runs to the end
-of the stream in spans of one cache-sized block, each starting where the
-last one's final service ends or at its own first arrival, whichever is
-later, so no temporary spans the stream.
+runs the recursion over spans of packets: a _FIRST_SPAN span, then spans
+that double up to one cache-sized block, each starting where the last one's
+final service ends or at its own first arrival, whichever is later. The
+chunk keeps every packet whose service starts before its regime boundary;
+only the rest of its last span is drawn again, by the next chunk. So the
+work stays linear in the stream length, and no temporary spans the stream.
+Past the last boundary (the whole of a shaped run, the tail of a raw one)
+one open chunk serves the stream to its end.
 """
 from __future__ import annotations
 
@@ -35,18 +34,20 @@ from .model import BLOCK, CLOCK_NS, ConfigError, InvariantViolation, Regime, Rng
 from .model import ServiceTimeModel, is_sorted
 from .pacing import _as_times, max_plus, queue_timeline
 
-_FIRST_SPAN = 1024  # packets in a chunk's first candidate span
+_FIRST_SPAN = 1024  # packets in a regime chunk's first span
 
 
 @dataclass
 class RegimeSchedule:
-    """Piecewise regime over time: Attack inside any [start, end) window,
-    Normal elsewhere. Windows are merged and sorted on construction."""
+    """Piecewise regime over time: Attack inside any [start, end) window of
+    integer nanoseconds, Normal elsewhere. Windows are merged and sorted on
+    construction."""
 
     attack_windows_ns: list
 
     def __post_init__(self):
-        wins = sorted((int(s), int(e)) for s, e in self.attack_windows_ns)
+        bounds = _as_times([b for s, e in self.attack_windows_ns for b in (s, e)]).tolist()
+        wins = sorted(zip(bounds[0::2], bounds[1::2]))
         merged: list[tuple[int, int]] = []
         for s, e in wins:
             if e <= s:
@@ -127,48 +128,35 @@ def simulate_server(
     z = g.standard_normal(n)
     u = None
 
-    idx = 0
-    start = int(a[0])  # service start of the chunk's first packet
-    span = _FIRST_SPAN
-    bound = start  # any int: the first chunk looks up its regime
+    idx, start = 0, int(a[0])  # the next packet to serve and its service start
+    span = 0  # no span yet: the next one opens a regime chunk
     while idx < n:
-        # past the last boundary the chunk stays open to the end of the
-        # stream; it is served in spans of one block, with no more lookups
-        if bound is not None:
+        if not span:
             regime = Regime.ATTACK if schedule.in_attack(start) else Regime.NORMAL
             bound = schedule.next_boundary(start)
+            if bound is not None and bound <= start:
+                raise InvariantViolation(f"regime chunk at {start} ns is empty")
             if regime == Regime.ATTACK and u is None:
                 u = g.random(n)
-        while True:
-            hi = min(n, idx + (BLOCK if bound is None else span))
-            t_cand = model.draw_ns(regime, z[idx:hi], None if u is None else u[idx:hi])
-            # a wrapped sum of services (each below 2**63) turns negative first; the
-            # span's departures stay within its first start or last arrival plus the sum
-            done = np.cumsum(t_cand)
-            if done.item(done.argmin()) < 0 or max(start, a.item(hi - 1)) + done.item(-1) >= CLOCK_NS:
-                raise ConfigError("service.* sum beyond the clock")
-            starts = max_plus(a[idx:hi], done - t_cand, start)
-            take = hi - idx
-            if bound is None:
-                break
-            # the chunk ends at the first packet whose service starts at
-            # or after the boundary; it must fall inside the span
-            take = int(np.searchsorted(starts, bound, side="left"))
-            if take < hi - idx or hi == n:
-                break
-            span *= 2
-        # shrink after a short chunk, so one long chunk cannot inflate the
-        # spans of all the chunks after it
-        if take < span // 4:
-            span = max(_FIRST_SPAN, span // 2)
-        if take < 1:
-            # the first packet's start defines the regime, so it must fit
-            raise InvariantViolation(f"regime chunk at {start} ns is empty")
+        span = min(BLOCK, 2 * span or _FIRST_SPAN)
+        hi = min(n, idx + span)
+        t_cand = model.draw_ns(regime, z[idx:hi], None if u is None else u[idx:hi])
+        # a wrapped sum of services (each below 2**63) turns negative first; the
+        # span's departures stay within its first start or last arrival plus the sum
+        done = np.cumsum(t_cand)
+        if done.item(done.argmin()) < 0 or max(start, a.item(hi - 1)) + done.item(-1) >= CLOCK_NS:
+            raise ConfigError("service.* sum beyond the clock")
+        starts = max_plus(a[idx:hi], done - t_cand, start)
+        # the chunk keeps the packets whose service starts before its boundary
+        take = hi - idx if bound is None else int(np.searchsorted(starts, bound, side="left"))
         np.subtract(starts[:take], a[idx : idx + take], out=waits[idx : idx + take])
         services[idx : idx + take] = t_cand[:take]
         idx += take
-        if idx < n:
-            start = max(a.item(idx), starts.item(take - 1) + t_cand.item(take - 1))
+        if take < len(starts):
+            # the boundary fell inside: the rest of the span is drawn again
+            start, span = starts.item(take), 0
+        elif idx < n:
+            start = max(a.item(idx), starts.item(-1) + t_cand.item(-1))
     return ServerTrace(seq, a, waits, services)
 
 

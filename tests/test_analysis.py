@@ -29,7 +29,7 @@ from floodsim.analysis import (
 )
 from floodsim.detector import DetectorModel, classify_stream
 from floodsim.mitigation import FixedSkip, run_mitigation
-from floodsim.model import STREAM_DETECTOR, substream
+from floodsim.model import STREAM_DETECTOR, InvariantViolation, substream
 from floodsim.scenario import build_trace
 from floodsim.traffic import BenignSpec, FloodSpec
 
@@ -310,6 +310,15 @@ def test_monte_carlo_cost_argument_errors():
     )
     with pytest.raises(ConfigError):
         monte_carlo_cost(two, 125, 2)
+
+
+def test_monte_carlo_cost_validates_the_scenario():
+    # the same scenario rules as run_simulation, before any run is priced
+    scn = one_flood_scenario()
+    with pytest.raises(InvariantViolation, match="does not cover"):
+        monte_carlo_cost(dataclasses.replace(scn, horizon_s=3.0), 125, 2)
+    with pytest.raises(ConfigError, match="run.seed"):
+        monte_carlo_cost(dataclasses.replace(scn, seed=-5), 125, 2)
 
 
 # scipy.stats.t.ppf(0.975, df), recorded so the check holds without scipy

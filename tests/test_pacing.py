@@ -52,6 +52,7 @@ def test_interarrival_at_gap_means_zero_delay():
 
 def test_empty_input():
     assert len(forward_times(np.empty(0, np.int64), 5)) == 0
+    assert len(forward_times([], 5)) == 0
 
 
 def test_input_validation():
@@ -61,6 +62,29 @@ def test_input_validation():
         forward_times([1, 3], 0)
     with pytest.raises(ValueError):
         forward_times(np.zeros((2, 2), np.int64), 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: forward_times([0.001, 0.002, 0.0035], 3 * MS),
+        lambda: forward_times(np.array([0.0, 1.0]), 3 * MS),
+        lambda: queue_timeline([0.5], [1], 1),
+        lambda: shaping_queue_timeline([0], [True], 1),
+        lambda: peak_occupancy([0], [1.5]),
+    ],
+    ids=["float-list", "whole-floats", "float-entry", "bool-exit", "float-exit"],
+)
+def test_nanosecond_inputs_must_be_integers(call):
+    # float seconds would truncate to nanosecond 0; the error names to_ns
+    with pytest.raises(ValueError, match="to_ns"):
+        call()
+
+
+def test_queue_timeline_refuses_unsorted_inputs():
+    for entry, exits in (([5, 1], [6, 7]), ([1, 5], [6, 2])):
+        with pytest.raises(ValueError, match="sorted"):
+            queue_timeline(entry, exits, 1)
 
 
 def test_closed_forms_match_naive_recursion():

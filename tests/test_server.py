@@ -14,7 +14,7 @@ from floodsim import (
     simulate_server,
     to_ns,
 )
-from floodsim.model import ConfigError, InvariantViolation
+from floodsim.model import BLOCK, ConfigError, InvariantViolation
 from floodsim.pipeline import run_simulation
 from floodsim.scenario import parse_scenario
 from floodsim import server
@@ -102,6 +102,14 @@ def test_regime_schedule_merges_overlaps():
     assert sched.attack_windows_ns == [(0, 20), (30, 40)]
     with pytest.raises(ValueError):
         RegimeSchedule([(5, 5)])
+    assert RegimeSchedule([(np.int64(5), 7)]).attack_windows_ns == [(5, 7)]
+
+
+@pytest.mark.parametrize("window", [(0.5, 1.5), (0.2, 0.9), (0, 2.0)])
+def test_regime_schedule_refuses_float_bounds(window):
+    # seconds would truncate: (0.5, 1.5) to (0, 1), (0.2, 0.9) to an empty window
+    with pytest.raises(ValueError, match="to_ns"):
+        RegimeSchedule([window])
 
 
 def test_regime_schedule_boundaries_half_open():
@@ -133,6 +141,9 @@ def test_simulate_server_empty_and_validation():
     assert len(out) == 0
     with pytest.raises(ValueError):
         simulate_server(np.array([5, 1]), model, NORMAL_ALWAYS, RngStream(1, 0))
+    # float seconds would all truncate to a start at 0
+    with pytest.raises(ValueError, match="to_ns"):
+        simulate_server(np.array([0.001, 0.004]), model, NORMAL_ALWAYS, RngStream(1, 0))
 
 
 @pytest.mark.parametrize(
@@ -264,7 +275,10 @@ def test_simulate_server_matches_reference_loop(seed, n, n_windows):
     assert_same_as_reference(a, ServiceTimeModel(), windows, seed)
 
 
-SPAN_EDGES = [1, 2] + [k * _FIRST_SPAN + d for k in (1, 2, 4) for d in (-1, 0, 1)]
+# a chunk's spans end at 1024, 3072, 7168, 15360 and 31744 packets: the first
+# span, three doublings and the first span capped at one block
+SPAN_ENDS = np.cumsum([min(BLOCK, _FIRST_SPAN << k) for k in range(5)])
+SPAN_EDGES = [1, 2] + [int(end) + d for end in SPAN_ENDS for d in (-1, 0, 1)]
 
 
 @settings(max_examples=40)
@@ -288,15 +302,17 @@ def test_chunk_lengths_around_span_doubling(lengths, seed):
 @settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    block=st.integers(1, 4),
+    first=st.integers(1, 3),
+    block=st.integers(1, 8),
     blocks=st.integers(0, 40),
     extra=st.integers(-1, 1),
     n_windows=st.integers(0, 3),
 )
-def test_open_span_walk_matches_reference(seed, block, blocks, extra, n_windows):
-    # blocks of 1-4 packets, streams of about a whole number of them: past
-    # the last boundary the walk serves the stream a block at a time, and a
-    # backlog carries its wait across every block edge
+def test_open_span_walk_matches_reference(seed, first, block, blocks, extra, n_windows):
+    # first spans of 1-3 packets and blocks of 1-8, streams of about a whole
+    # number of blocks: every chunk's first span, its doublings and the cap
+    # at one block fall inside the stream, and a backlog carries its wait
+    # across every span edge
     n = max(0, block * blocks + extra)
     rng = np.random.default_rng(seed)
     a = np.cumsum(rng.choice([0, 100_000, MS, 5 * MS], n)).astype(np.int64)
@@ -304,6 +320,7 @@ def test_open_span_walk_matches_reference(seed, block, blocks, extra, n_windows)
     cuts = np.sort(rng.integers(0, end, 2 * n_windows))
     windows = [(s, e) for s, e in zip(cuts[0::2], cuts[1::2]) if e > s]
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(server, "_FIRST_SPAN", first)
         mp.setattr(server, "BLOCK", block)
         assert_same_as_reference(a, ServiceTimeModel(), windows, seed)
 
@@ -328,17 +345,23 @@ def test_uniforms_are_drawn_only_for_the_attack_regime(windows, uniforms):
     assert rng.generator.bit_generator.state == want.bit_generator.state
 
 
-def test_server_work_is_linear_in_the_stream(monkeypatch):
-    # 100 short floods served raw: the regime switches ~150 times, and the
-    # service times drawn over all chunks must stay within a few per packet
-    drawn = []
+@pytest.fixture
+def drawn(monkeypatch):
+    """The length of every span of service times drawn, in order."""
+    spans = []
     draw_ns = ServiceTimeModel.draw_ns
 
     def counting_draw(self, regime, z, u):
-        drawn.append(len(z))
+        spans.append(len(z))
         return draw_ns(self, regime, z, u)
 
     monkeypatch.setattr(ServiceTimeModel, "draw_ns", counting_draw)
+    return spans
+
+
+def test_server_work_is_linear_in_the_stream(drawn):
+    # 100 short floods served raw: the regime switches ~150 times, and the
+    # service times drawn over all chunks must stay within a few per packet
     lines = ["benign.period_s = 0.01", "sqf.enabled = false", "aam.enabled = false",
              "run.seed = 1", "run.horizon_s = 101"]
     for k in range(1, 101):
@@ -348,3 +371,21 @@ def test_server_work_is_linear_in_the_stream(monkeypatch):
     n = len(res.server)
     assert len(drawn) > 100  # at least one draw per chunk
     assert sum(drawn) <= 4 * n
+
+
+def test_long_chunks_redraw_only_their_last_span(drawn):
+    # two 80 s floods served raw, each a chunk of ~120 000 packets: the walk
+    # draws no span longer than one block, and redraws at most the tail of
+    # each chunk's last span (a candidate span doubled until it held the
+    # whole chunk drew 2.64 service times per packet, in spans of 131 072)
+    lines = ["sqf.enabled = false", "aam.enabled = false", "run.seed = 1",
+             "run.horizon_s = 200", "service.mean_attack_ms = 0.5",
+             "service.var_attack_ms2 = 0.0001"]
+    for k, start in enumerate((10, 100), 1):
+        lines += [f"flood.{k}.start_s = {start}", f"flood.{k}.duration_s = 80",
+                  f"flood.{k}.rate_pps = 1500"]
+    res = run_simulation(parse_scenario("\n".join(lines)))
+    n = len(res.server)
+    assert n > 250_000
+    assert max(drawn) <= BLOCK
+    assert sum(drawn) <= 1.5 * n
