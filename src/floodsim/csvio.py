@@ -19,15 +19,17 @@ blockwise pass in floodsim, is encoded in one column-major (width, rows)
 uint8 buffer: every field owns a few contiguous buffer rows, one per
 character slot, and writes its digits straight into them, right-aligned.
 The slots before a value's first digit hold NUL, with '-' just before the
-first digit of a negative value, so one
-``buf.T.tobytes().translate(None, b"\\0")`` turns the buffer into the rows'
-bytes. The scratch memory stays flat however long the table is: about 250 B
-per block row for a server trace (each field's digit arrays, the buffer, its
-transposed copy and the translated bytes). A block is sized so that the
-arrays one pass touches fit in one core's L2 cache, 2 MB on the reference
-VM: at 2^14 rows a digit pass's 26 B a row at most is 0.4 MB, and the
-transposing copy's 2 x 60 B a row is 2 MB. At 2^16 rows both streamed from
-L3, and the server-trace and trace writers ran about 30 % slower.
+first digit of a negative value. ``buf.T.tobytes()`` turns the buffer into
+the rows' bytes, and ``translate(None, b"\\0")`` drops the padding only from
+a block that holds a NUL: no field may hold a real one, so a block without
+NUL has no padding. The buffer's rows lie rows + 64 bytes apart, not 2^14,
+so the transposing copy does not read every byte through one L1 cache set;
+a row-major buffer filled through strided views, which needs no transpose,
+wrote 60-90 % slower. The scratch memory stays flat however
+long the table is: under 250 B per block row for a server trace. A block is
+sized so that one digit pass's arrays, 26 B a row at most, fit in one core's
+L2 cache, 2 MB on the reference VM; at 2^16 rows the server-trace and trace
+writers ran about 30 % slower.
 """
 from __future__ import annotations
 
@@ -54,9 +56,10 @@ class Seconds:
 
 def _magnitude(v: np.ndarray):
     """(|v| as uint64, indices of the negative values); exact for the int64 minimum."""
-    if v.dtype.kind == "u":
-        return v.astype(np.uint64, copy=False), np.flatnonzero(v < 0)
-    return np.abs(v.astype(np.int64, copy=False)).view(np.uint64), np.flatnonzero(v < 0)
+    v = v.astype(np.uint64 if v.dtype.kind == "u" else np.int64, copy=False)
+    if v.min() >= 0:  # blocks are never empty
+        return v.view(np.uint64), np.empty(0, np.intp)
+    return np.abs(v).view(np.uint64), np.flatnonzero(v < 0)
 
 
 def _put_digits(out: np.ndarray, mag: np.ndarray, zero_fill: bool = False) -> None:
@@ -158,11 +161,13 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
 
 def _encode_block(rows: int, fields) -> bytes:
     """One block of rendered (width, fill) fields -> the bytes of its CSV rows."""
-    buf = np.zeros((sum(w for w, _ in fields) + len(fields) + 1, rows), np.uint8)
+    # rows 2^k bytes apart would put every byte the transposing copy reads in one L1 set
+    buf = np.zeros((sum(w for w, _ in fields) + len(fields) + 1, rows + 64), np.uint8)[:, :rows]
     at = 0
     for width, fill in fields:
         fill(buf[at : at + width])
         buf[at + width] = _COMMA  # the last one becomes the CR
         at += width + 1
     buf[-2:] = [[_CR], [_LF]]
-    return buf.T.tobytes().translate(None, b"\0")
+    data = buf.T.tobytes()
+    return data.translate(None, b"\0") if b"\0" in data else data  # no NUL, no padding

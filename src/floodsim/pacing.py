@@ -82,11 +82,16 @@ def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int):
     """
     entry = _as_times(entry_ns)
     exits = _as_times(exit_ns)
+    if not (is_sorted(entry) and is_sorted(exits)):
+        raise ValueError("entry and exit times must be sorted")
+    return _timeline(entry, exits, sample_dt_ns)
+
+
+def _timeline(entry: np.ndarray, exits: np.ndarray, sample_dt_ns: int):
+    """queue_timeline of int64 times already known to be sorted."""
     dt = int(sample_dt_ns)
     if dt <= 0:
         raise ValueError("sample_dt must be positive")
-    if not (is_sorted(entry) and is_sorted(exits)):
-        raise ValueError("entry and exit times must be sorted")
     last = max([0] + [int(times[-1]) for times in (entry, exits) if len(times)])
     n_steps = last // dt + 2
     if n_steps > MAX_SAMPLES:
@@ -112,7 +117,7 @@ def shaping_queue_timeline(arrival_ns, forward_ns, sample_dt_ns: int):
     if np.any(t < a):
         raise ValueError("forwarding may not precede arrival")
     # counting only needs the multisets; held packets make t non-monotonic
-    return queue_timeline(_sorted(a), _sorted(t), sample_dt_ns)
+    return _timeline(_sorted(a), _sorted(t), sample_dt_ns)
 
 
 def peak_occupancy(entry_ns, exit_ns) -> int:

@@ -169,6 +169,17 @@ def poisson_expected_windows(mean, window, skip):
     )
 
 
+def mg1_mean_wait(rate, mean, var):
+    """Pollaczek-Khinchine mean wait in queue of an M/G/1 FCFS server:
+    rate * E[S^2] / (2 (1 - rate * E[S])), with E[S^2] = var + mean^2."""
+    return rate * (var + mean**2) / (2 * (1 - rate * mean))
+
+
+def md1_mean_wait(rate, service):
+    """The M/D/1 case of mg1_mean_wait: a constant service time."""
+    return mg1_mean_wait(rate, service, 0.0)
+
+
 def occupancy_at(entry, exits, t):
     """Occupancy of a stage at one instant, closed [entry, exit] convention."""
     return sum(1 for e in entry if e <= t) - sum(1 for x in exits if x < t)

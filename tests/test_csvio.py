@@ -99,6 +99,61 @@ def test_many_small_blocks_match_csv_writer(block, rows):
     assert got == buf.getvalue().encode()
 
 
+# Blocks of three rows for write_columns. In an unpadded block every value
+# of a field has the same width; a padded block breaks that in each field. A
+# block with a single negative value is always padded, since its field
+# keeps a sign slot that the other values leave empty.
+UNPADDED = {
+    "i": [[-5, -7, -3], [0, 5, 9], [-(2**63), -(2**63) + 1, -(10**18)]],
+    "u": [[2**64 - 1, 10**19, 2**64 - 2], [7, 8, 9]],
+    "t": [[-1, -2, -(10**9) + 1], [0, 10**9 - 1, 5], [-(2**63), -(2**63) + 1, -(9 * 10**18)]],
+    "s": [["abc", "abc", "xyz"], ["a b", "x.y", "-_-"]],
+}
+PADDED = {
+    "i": [[-1, 22, 33], [-5, -70, -3], [0, 10, 5], [1, -100, 7]],
+    "u": [[2**63, 9 * 10**18, 2**64 - 1], [0, 1, 10]],
+    "t": [[-1, 0, 1], [9 * 10**9, 10 * 10**9, 0], [-(10**10), -1, -(10**9)]],
+    "s": [["abc", "ab", "abc"], ["", "x", ""]],
+}
+
+
+def test_padded_and_unpadded_blocks_match_csv_writer():
+    """Blocks alternate between needing no padding and needing some; the
+    seq column's block crosses 9 -> 10 and 99 -> 100 in padded ones."""
+    blocks = 36
+    cols = {k: [] for k in "iuts"}
+    for b in range(blocks):
+        for k, values in cols.items():
+            pick = (PADDED if b % 2 else UNPADDED)[k]
+            values += pick[(b // 2) % len(pick)]
+    seq = np.arange(3 * blocks)
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["seq", "i", "u", "t", "s"])
+    w.writerows(zip(seq, cols["i"], cols["u"], map(exact_seconds, cols["t"]), cols["s"]))
+    columns = [
+        seq,
+        np.array(cols["i"], np.int64),
+        np.array(cols["u"], np.uint64),
+        Seconds(np.array(cols["t"], np.int64)),
+        cols["s"],
+    ]
+    padded = []
+    encode = csvio._encode_block
+
+    def spy(rows, fields):
+        out = encode(rows, fields)
+        padded.append(len(out) < rows * (sum(w for w, _ in fields) + len(fields) + 1))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "BLOCK", 3)
+        mp.setattr(csvio, "_encode_block", spy)
+        got = written(["seq", "i", "u", "t", "s"], columns)
+    assert got == buf.getvalue().encode()
+    assert padded == [b % 2 == 1 for b in range(blocks)]
+
+
 @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1], ids=["block-1", "block", "block+1"])
 def test_block_boundary_does_not_change_bytes(n):
     assert csvio.BLOCK == BLOCK == 1 << 14
