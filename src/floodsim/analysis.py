@@ -202,9 +202,7 @@ def monte_carlo_cost(scenario, skip: int, runs: int) -> McCost:
         cost = alpha * tau*W * ceil((B + max(0, delta - X)) / W)
              + beta * N * tau*W
 
-    On scenarios/costsweep.cfg (200 runs) the round-up adds 0.0235-0.0283 to
-    the mean for m in 31..375, near alpha*tau*W/2 = 0.03; paired, C_r(80) -
-    C_r(125) = +0.054 +- 0.022 and C_r(240) - C_r(125) = +0.114 +- 0.036 (95% CI).
+    The README's sweep section gives the round-up's measured size.
 
     Aggregation uses math.fsum, so results do not depend on summation order.
     """

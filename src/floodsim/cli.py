@@ -24,7 +24,7 @@ from .analysis import (
     write_sweep_csv,
 )
 from .mitigation import optimal_skip
-from .model import MAX_ELEMENTS, ConfigError, InvariantViolation, check_skip
+from .model import ConfigError, InvariantViolation, check_skip
 from .pipeline import run_simulation, write_outputs
 from .scenario import (
     Scenario,
@@ -32,6 +32,9 @@ from .scenario import (
     expected_attack_packets,
     load_scenario,
 )
+
+# caps runs x skips x packets per run: work, not memory (one trial at a time)
+MAX_TRIAL_PACKETS = 10**9
 
 
 def _parse_skip_list(raw: str) -> list[int]:
@@ -92,9 +95,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--runs must be >= 0")
     # a trial costs at least one packet's work; huge counts clamp before the float product
     trial_packets = max(scn.expected_run_packets(), 1.0) * len(skips)
-    if args.runs > 0 and min(args.runs, MAX_ELEMENTS + 1) * trial_packets > MAX_ELEMENTS:
+    if args.runs > 0 and min(args.runs, MAX_TRIAL_PACKETS + 1) * trial_packets > MAX_TRIAL_PACKETS:
         raise ConfigError(f"--runs {args.runs} over {len(skips)} skips asks for over "
-                          f"{MAX_ELEMENTS:.0e} packets")
+                          f"{MAX_TRIAL_PACKETS:.0e} packets")
     out = _out_dir(args.out)
     # every Monte-Carlo trial runs, and may fail, before anything is written
     results = [monte_carlo_cost(scn, m, args.runs) for m in skips] if args.runs > 0 else []

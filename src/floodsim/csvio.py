@@ -14,22 +14,16 @@ stdlib csv module's default writer produces for these fields. A string it
 would quote (one holding a comma, a double quote, CR or LF) or one holding
 NUL is rejected with ValueError instead.
 
-Each block of at most model.BLOCK rows, the one block size of every
-blockwise pass in floodsim, is encoded in one column-major (width, rows)
-uint8 buffer: every field owns a few contiguous buffer rows, one per
-character slot, and writes its digits straight into them, right-aligned.
-The slots before a value's first digit hold NUL, with '-' just before the
-first digit of a negative value. ``buf.T.tobytes()`` turns the buffer into
-the rows' bytes, and ``translate(None, b"\\0")`` drops the padding only from
-a block that holds a NUL: no field may hold a real one, so a block without
-NUL has no padding. The buffer's rows lie rows + 64 bytes apart, not 2^14,
-so the transposing copy does not read every byte through one L1 cache set;
-a row-major buffer filled through strided views, which needs no transpose,
-wrote 60-90 % slower. The scratch memory stays flat however
-long the table is: under 250 B per block row for a server trace. A block is
-sized so that one digit pass's arrays, 26 B a row at most, fit in one core's
-L2 cache, 2 MB on the reference VM; at 2^16 rows the server-trace and trace
-writers ran about 30 % slower.
+Each block of at most model.BLOCK rows is encoded in one column-major
+(width, rows) uint8 buffer: every field owns a few contiguous buffer rows,
+one per character slot, and writes its digits straight into them,
+right-aligned, NUL before a value's first digit and '-' just before it if
+negative. ``buf.T.tobytes()`` turns the buffer into the rows' bytes, and
+``translate(None, b"\\0")`` drops the padding only from a block that holds a
+NUL (no field may hold a real one). The buffer's rows lie rows + 64 bytes
+apart, off the power of two that puts every byte the transposing copy reads
+in one L1 cache set. The scratch stays flat however long the table is; the
+README's csvio notes give the measurements behind these choices.
 """
 from __future__ import annotations
 

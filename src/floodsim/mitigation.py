@@ -20,24 +20,16 @@ changes. The queue estimate at a verdict is "packets arrived so far, minus
 packets disposed through the current window end" -- released-but-unpaced
 packets count as gone, a documented desk-scale simplification.
 
-The machine runs in time linear in the stream. Prefix sums of the detector
-labels and of the packet classes give every window's vote and every drop
-span's benign/attack split in O(1). One block step decides a run of
-windows with one verdict, the same way for both verdicts. Clear windows
-tile the stream back to back from the test cursor; attack windows under
-FixedSkip start W - 1 + m apart, since the skip never changes, and
-AdaptiveSkip recomputes the skip at each verdict, so its attack runs are one
-window long. A doubling search over prefix-sum votes finds the run's end,
-one pacing.max_plus call gives its verdict instants
-v_j = max(a_end_j, v_{j-1} + len_j*D), and each window logs its verdict, a
-RECALC_M row if the skip changed, and the range from the pending cursor
-through its end. Only the effect on that range depends on the verdict: an
-attack drops it, a clear verdict forwards it and releases its untested
-prefix at the verdict. A partial tail window is a run of its own.
-
-The event log is an EventLog: parallel columns of verdict instants, kind
-codes, index ranges and skip lengths. Iterating it, or indexing it with an
-integer, yields MitigationEvent rows.
+The machine runs in time linear in the stream, on prefix sums of the
+detector labels. One block step decides a run of windows with one verdict,
+the same way for both verdicts. Clear windows tile the stream back to back
+from the test cursor; attack windows under FixedSkip start W - 1 + m apart,
+and AdaptiveSkip recomputes the skip at each verdict, so its attack runs are
+one window long. A doubling search over the votes finds the run's end, one
+pacing.max_plus call gives its verdict instants v_j = max(a_end_j, v_{j-1} +
+len_j*D), and each window logs its verdict, a RECALC_M row if the skip
+changed, and the range from the pending cursor through its end, which the
+verdict drops or forwards. A partial tail window is a run of its own.
 """
 from __future__ import annotations
 
@@ -192,14 +184,41 @@ class MitigationState:
 
 @dataclass
 class MitigationResult:
-    outcomes: np.ndarray      # uint8 of Outcome, one per packet
-    release_ns: np.ndarray    # int64; instant a packet became forwardable, -1 if dropped
-    drop_time_ns: np.ndarray  # int64; verdict instant that dropped it, -1 otherwise
+    """Per-packet outcomes, final counters and the event log. release_ns and
+    drop_time_ns are computed on each read: the DROP_RANGE and FORWARD_RANGE
+    rows tile the stream in order, each with its packets' verdict instant."""
+
+    outcomes: np.ndarray    # uint8 of Outcome, one per packet
     state: MitigationState
     events: EventLog
+    arrival_ns: np.ndarray  # the trace's arrivals, not a copy
 
     def dropped_mask(self) -> np.ndarray:
         return self.outcomes == int(Outcome.DROPPED)
+
+    def drop_instants(self) -> np.ndarray:
+        """The verdict instant of each dropped packet, in seq order (nondecreasing)."""
+        drops = self.events[self.events.kind == _DROP]
+        return drops.time_ns.repeat(drops.last - drops.first + 1)
+
+    @property
+    def drop_time_ns(self) -> np.ndarray:
+        """int64 verdict instant that dropped a packet, -1 otherwise."""
+        out = np.full(len(self.outcomes), -1, np.int64)
+        out[self.dropped_mask()] = self.drop_instants()
+        return out
+
+    @property
+    def release_ns(self) -> np.ndarray:
+        """int64 instant a packet became forwardable, -1 if dropped: its range
+        row's instant, or its arrival if tested or flushed from the final test cursor on."""
+        ranges = self.events[np.isin(self.events.kind, (_DROP, _FORWARD))]
+        out = ranges.time_ns.repeat(ranges.last - ranges.first + 1)
+        at_arrival = self.outcomes == int(Outcome.TESTED_FORWARDED)
+        at_arrival[min(self.state.test_cursor, len(out)) :] = True
+        np.copyto(out, self.arrival_ns, where=at_arrival)
+        out[self.dropped_mask()] = -1
+        return out
 
 
 _FIRST_SPAN_WINDOWS = 64  # windows in the first span searched for a verdict
@@ -274,23 +293,15 @@ def run_mitigation(
     votes = np.zeros(n + 1, np.int64)  # votes[k]: attack labels among the first k
     np.cumsum(labels == int(PacketClass.ATTACK), out=votes[1:])
     outcomes = np.full(n, 255, np.uint8)
-    release_ns = np.full(n, -1, np.int64)
-    drop_time_ns = np.full(n, -1, np.int64)
     st = MitigationState(skip=policy.skip if fixed else 0)
     log: list = []  # event column blocks, in log order
     min_tail = math.ceil(window / 2)  # a shorter partial window goes untested
 
     def block(attack: bool, last_verdict_ns):
         """Decide the run of windows from the test cursor up to the first
-        whose verdict is not `attack` as one block, then drop (attack) or
-        forward (clear) everything pending through its end. Returns the last
-        verdict instant.
-
-        Clear windows tile the stream back to back. Attack windows under
-        FixedSkip start window - 1 + skip apart; AdaptiveSkip recomputes the
-        skip from the arrivals at each verdict, so its attack run is one
-        window long. The partial tail window is a run of its own.
-        """
+        whose verdict is not `attack` as one block (see the module notes),
+        then drop (attack) or forward (clear) everything pending through its
+        end. Returns the last verdict instant."""
         first, c = st.pending_cursor, st.test_cursor
         recompute = attack and not fixed  # the skip may change at this verdict
         # an adaptive skip is 0 until its first verdict, so it never sets a stride
@@ -317,15 +328,13 @@ def run_mitigation(
         # only a one-window run changes the skip; its verdict row keeps the old one
         kinds = _WINDOW_ROWS[attack, st.skip != skip_before]
         r = len(kinds)
-        ranges = np.concatenate(([first], ends[:-1] + 1))
         firsts = starts.repeat(r)
-        firsts[r - 1 :: r] = ranges
+        firsts[r - 1 :: r] = np.concatenate(([first], ends[:-1] + 1))  # the range rows
         skips = np.full(k * r, st.skip, np.int64)
         skips[0] = skip_before
         log.append((now.repeat(r), np.tile(kinds, k), firsts, ends.repeat(r), skips))
         if attack:
             outcomes[first:end] = int(Outcome.DROPPED)
-            drop_time_ns[first:end] = now.repeat(ends - ranges + 1)
             # each packet is dropped at most once, so these counts sum to at most n
             n_att = int(np.count_nonzero(trace.klass[first:end] == int(PacketClass.ATTACK)))
             st.packets_dropped += end - first
@@ -333,12 +342,8 @@ def run_mitigation(
             st.benign_dropped += end - first - n_att
             st.test_cursor = end - 1 + st.skip
         else:
-            # untested packets released by the verdict leave at the verdict
-            # instant; tested ones were already flowing and keep their arrival
             outcomes[first:c] = int(Outcome.FORWARDED)
-            release_ns[first:c] = now[0]
             outcomes[c:end] = int(Outcome.TESTED_FORWARDED)
-            release_ns[c:end] = arrivals[c:end]
             st.packets_forwarded += end - first
             st.test_cursor = end
         # a window counts as mitigation when the verdict before it was an attack
@@ -359,17 +364,14 @@ def run_mitigation(
     # stream end: flush leftovers untested
     if st.pending_cursor < n:
         first = st.pending_cursor
-        end_ns = int(arrivals[n - 1])
-        log.append(np.array([[end_ns], [_FORWARD], [first], [n - 1], [st.skip]], np.int64))
+        log.append(np.array([[arrivals[n - 1]], [_FORWARD], [first], [n - 1], [st.skip]], np.int64))
         outcomes[first:n] = int(Outcome.FORWARDED)
-        held = np.arange(first, n) < st.test_cursor
-        release_ns[first:n] = np.where(held, end_ns, arrivals[first:n])
         st.packets_forwarded += n - first
         st.pending_cursor = n
 
     if n and np.any(outcomes == 255):
         raise InvariantViolation("disposition partition violated")
-    return MitigationResult(outcomes, release_ns, drop_time_ns, st, _event_log(log))
+    return MitigationResult(outcomes, st, _event_log(log), arrivals)
 
 
 def write_events_csv(path, events: EventLog) -> None:

@@ -27,12 +27,12 @@ class InvariantViolation(RuntimeError):
 
 MAX_TIME_S = 9.2e9  # a little under 2**63 ns, so every smaller time fits int64
 CLOCK_NS = int(MAX_TIME_S * NS_PER_S)  # no instant of a run may reach it
-MAX_ELEMENTS = 10**9  # cap on a scenario's expected packets
+MEMORY_BUDGET = 2 * 10**9  # bytes one run may take at its peak (README "Limits")
+RUN_BYTES_PER_PACKET = 66  # a run's tracemalloc peak bound, as tier-1 holds it
+MAX_ELEMENTS = MEMORY_BUDGET // RUN_BYTES_PER_PACKET  # cap on a scenario's expected packets
 MAX_SAMPLES = 10**7  # cap on a queue timeline's samples, ~40 bytes each while sampled
-# elements per step of every blockwise pass: pacing.peak_occupancy's entries,
-# the server's spans and the CSV encoder's rows (about 250 B of scratch
-# each), so that no temporary spans the stream and the arrays one pass
-# touches stay in one core's L2 cache (see csvio)
+# elements per step of every blockwise pass (peak_occupancy, the server's spans,
+# the CSV encoder): no temporary spans the stream, one pass's arrays fit L2
 BLOCK = 1 << 14
 
 

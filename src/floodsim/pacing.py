@@ -4,9 +4,7 @@ are at least one gap apart, plus queue-length timelines for any FIFO stage.
 Forwarding recursion: t_0 = a_0, t_{n+1} = max(t_n + gap, a_{n+1}), one
 case of the max-plus recursion that max_plus solves in closed form over
 int64 nanoseconds for the forwarder, the mitigation verdict clock and the
-FCFS server alike. The shaping delay t_n - a_n is cross-checked in tests
-against a literal loop of its own reflected recursion
-q_{n+1} = max(0, q_n + gap - (a_{n+1} - a_n)).
+FCFS server alike.
 
 Queue-occupancy convention used throughout the library: a packet occupies a
 stage during the closed interval [entry, exit], i.e. a sample taken exactly

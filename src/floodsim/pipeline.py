@@ -46,6 +46,11 @@ from .traffic import write_trace_csv
 
 @dataclass
 class SimulationResult:
+    """One run's stages and summary. mitigation.release_ns, drop_time_ns and
+    server.departure_ns are computed on each read. With every packet released
+    in seq order, emit_ns is one read-only array with server.arrival_ns (and
+    with trace.arrival_ns too when no shaper paces the stream)."""
+
     scenario: Scenario
     trace: Trace
     mitigation: MitigationResult | None
@@ -77,6 +82,11 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
             substream(base, STREAM_DETECTOR),
             test_pacing_ns=gap_ns,
         )
+    # with no drop there was no attack verdict, so no packet was held: each is
+    # released at its arrival, in seq order
+    if in_order := mit is None or not mit.state.packets_dropped:
+        rel_idx, emitted = np.arange(n, dtype=np.int64), trace.arrival_ns
+    else:
         # pace the released stream in (release instant, seq) order; it is
         # mostly in seq order already, and then needs no sort
         rel_idx = np.flatnonzero(~mit.dropped_mask())
@@ -84,16 +94,28 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
         if not is_sorted(emitted):
             order = np.argsort(emitted, kind="stable")
             rel_idx, emitted = rel_idx[order], emitted[order]
-    else:  # every packet is released at its arrival, already in order
-        rel_idx = np.arange(n, dtype=np.int64)
-        emitted = trace.arrival_ns
+    sqf_timeline, sqf_summary = None, {}
     if scenario.sqf_enabled:
         emitted = forward_times(emitted, gap_ns)
         serve_sched = NORMAL_ALWAYS
+        # a packet leaves the shaper at its emission, or at the verdict that
+        # dropped it; occupancy counts the exits' multiset, so the sorted drop
+        # instants are merged into the sorted emissions, not scattered by seq
+        drops = np.empty(0, np.int64) if mit is None else mit.drop_instants()
+        exit_ns = np.insert(emitted, emitted.searchsorted(drops, side="right"), drops)
+        sqf_timeline = shaping_queue_timeline(trace.arrival_ns, exit_ns, sample_dt_ns)
+        sqf_summary["sqf_peak_queue"] = peak_occupancy(trace.arrival_ns, exit_ns)
+        sqf_summary["sqf_max_delay_s"] = int((emitted - trace.arrival_ns[rel_idx]).max(initial=0)) / 1e9
+        del exit_ns  # not held while the server runs
     else:  # the raw stream reaches the server, which slows down while a flood lasts
         serve_sched = RegimeSchedule([(to_ns(f.start_s), to_ns(f.end_s)) for f in scenario.floods])
-    emit_ns = np.full(n, -1, np.int64)
-    emit_ns[rel_idx] = emitted
+    # in seq order the scatter is the identity, so emit_ns is the emission
+    # array itself, shared by several names: none may write to it
+    emitted.flags.writeable = False
+    emit_ns = emitted
+    if not in_order:
+        emit_ns = np.full(n, -1, np.int64)
+        emit_ns[rel_idx] = emitted
 
     server = simulate_server(
         emitted, scenario.service, serve_sched, substream(base, STREAM_SERVICE), seq=rel_idx
@@ -109,6 +131,7 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
         )
 
     server_timeline = server.queue_timeline(sample_dt_ns)
+    departure_ns = server.departure_ns  # computed on read: not held by the result
     summary = {
         "packets_total": n,
         "packets_attack": trace.attack_count(),
@@ -117,21 +140,12 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
         "aam_enabled": int(scenario.aam_enabled),
         "packets_forwarded": forwarded,
         "packets_dropped": dropped,
-        "server_peak_queue": peak_occupancy(server.arrival_ns, server.departure_ns),
+        "server_peak_queue": peak_occupancy(server.arrival_ns, departure_ns),
         "server_max_wait_s": int(server.wait_ns.max(initial=0)) / 1e9,
         "server_mean_wait_s": float(server.wait_ns.mean()) / 1e9 if len(server) else 0.0,
-        "makespan_s": int(server.departure_ns.max(initial=0)) / 1e9,
+        "makespan_s": int(departure_ns.max(initial=0)) / 1e9,
+        **sqf_summary,
     }
-    sqf_timeline = None
-    if scenario.sqf_enabled:
-        # a packet leaves the shaper at its emission, or at the verdict that dropped it
-        exit_ns = emit_ns if mit is None else np.where(emit_ns < 0, mit.drop_time_ns, emit_ns)
-        sqf_timeline = shaping_queue_timeline(trace.arrival_ns, exit_ns, sample_dt_ns)
-        summary["sqf_peak_queue"] = peak_occupancy(trace.arrival_ns, exit_ns)
-        del exit_ns  # free it before the delays' temporary
-        delay = trace.arrival_ns[rel_idx]
-        np.subtract(emitted, delay, out=delay)
-        summary["sqf_max_delay_s"] = int(delay.max(initial=0)) / 1e9
     if mit is not None:
         st = mit.state
         summary.update(
@@ -143,16 +157,8 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
             final_skip=st.skip,
         )
 
-    return SimulationResult(
-        scenario=scenario,
-        trace=trace,
-        mitigation=mit,
-        emit_ns=emit_ns,
-        server=server,
-        sqf_timeline=sqf_timeline,
-        server_timeline=server_timeline,
-        summary=summary,
-    )
+    return SimulationResult(scenario, trace, mit, emit_ns, server, sqf_timeline, server_timeline,
+                            summary)
 
 
 def write_summary_csv(path, summary: dict) -> None:

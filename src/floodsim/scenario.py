@@ -116,7 +116,7 @@ class Scenario:
             raise ConfigError("run.seed must be >= 0 and fit int64")
         packets = self.expected_run_packets()
         if packets > MAX_ELEMENTS:
-            raise ConfigError(f"benign.* and flood.N.* ask for over {MAX_ELEMENTS:.0e} packets")
+            raise ConfigError(f"benign.* and flood.N.* ask for over {MAX_ELEMENTS:.3g} packets")
         # the shaper emits, and the detector decides, the k-th packet within
         # k gaps of the last arrival, and the server ends within the sum of
         # the service times after that, nominally the normal-regime mean each;

@@ -9,23 +9,18 @@ T_{n-1}), which pacing.max_plus solves with W_n = T_0 + ... + T_{n-1}.
 
 simulate_server draws service times from a regime-dependent model where the
 regime is a function of wall-clock time (the load a real server sees while a
-flood is in progress). The regime of packet n is decided by its service
-*start* instant, which itself depends on earlier waits, so the simulation
-walks the stream in regime-constant chunks, each chunk fully vectorized.
-A chunk's end is only known after its waits are, so each chunk draws and
-runs the recursion over spans of packets: a _FIRST_SPAN span, then spans
-that double up to one cache-sized block, each starting where the last one's
-final service ends or at its own first arrival, whichever is later. The
-chunk keeps every packet whose service starts before its regime boundary;
-only the rest of its last span is drawn again, by the next chunk. So the
-work stays linear in the stream length, and no temporary spans the stream.
-Past the last boundary (the whole of a shaped run, the tail of a raw one)
-one open chunk serves the stream to its end.
+flood is in progress), decided by each packet's service *start* instant. So
+the simulation walks the stream in regime-constant chunks, each over spans
+of packets: a _FIRST_SPAN span, then spans that double up to one block,
+each starting at the later of its first arrival and the last one's final
+departure. A chunk keeps every packet whose service starts before its
+regime boundary; only the rest of its last span is drawn again, by the next
+chunk, so the work stays linear and no temporary spans the stream. Past
+the last boundary one open chunk serves the stream to its end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +71,9 @@ NORMAL_ALWAYS = RegimeSchedule([])
 
 @dataclass
 class ServerTrace:
-    """Per-packet result of a server run, in service (arrival) order."""
+    """Per-packet result of a server run, in service (arrival) order.
+    departure_ns is computed on each read; in a run, arrival_ns may be one
+    read-only array with the run's emit_ns (see SimulationResult)."""
 
     seq: np.ndarray         # original stream seq of each served packet
     arrival_ns: np.ndarray  # arrival at the server
@@ -86,13 +83,12 @@ class ServerTrace:
     def __len__(self) -> int:
         return len(self.arrival_ns)
 
-    @cached_property
+    @property
     def departure_ns(self) -> np.ndarray:
         return self.arrival_ns + self.wait_ns + self.service_ns
 
     def queue_timeline(self, sample_dt_ns: int):
-        """Queue length sampled every sample_dt from 0, counting waiting plus
-        in-service packets."""
+        """Queue length (waiting plus in service) sampled every sample_dt from 0."""
         return queue_timeline(self.arrival_ns, self.departure_ns, sample_dt_ns)
 
 

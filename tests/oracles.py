@@ -16,6 +16,7 @@ reproduce them exactly.
 import heapq
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from floodsim.detector import DetectorModel, classify_stream
 from floodsim.mitigation import (
     FixedSkip,
     MitigationEvent,
-    MitigationResult,
     MitigationState,
     Mode,
     Outcome,
@@ -180,6 +180,57 @@ def md1_mean_wait(rate, service):
     return mg1_mean_wait(rate, service, 0.0)
 
 
+def floored_normal_moments(mean, var, floor):
+    """E[S] and E[S^2] of S = max(X, floor), X normal with the given mean and
+    variance. With a = (floor - mean)/sd, Phi and phi the standard normal cdf
+    and pdf: E[S] = floor Phi(a) + mean (1 - Phi(a)) + sd phi(a), and
+    E[S^2] = floor^2 Phi(a) + (mean^2 + var)(1 - Phi(a)) + sd (mean + floor) phi(a)."""
+    sd = math.sqrt(var)
+    a = (floor - mean) / sd
+    cdf = (1 + math.erf(a / math.sqrt(2))) / 2
+    pdf = math.exp(-a * a / 2) / math.sqrt(2 * math.pi)
+    first = floor * cdf + mean * (1 - cdf) + sd * pdf
+    second = floor**2 * cdf + (mean**2 + var) * (1 - cdf) + sd * (mean + floor) * pdf
+    return first, second
+
+
+def t_central_quantile(prob, df):
+    """t with P(|T| <= t) = prob for Student's t with df degrees of freedom:
+    bisection on Simpson's rule over the density, 2 000 panels from 0 to t."""
+    log_norm = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - math.log(df * math.pi) / 2
+
+    def central(t):
+        h = t / 2000
+        weights = [1] + [4, 2] * 999 + [4, 1]
+        return 2 * h / 3 * math.fsum(
+            w * math.exp(log_norm - (df + 1) / 2 * math.log1p((k * h) ** 2 / df))
+            for k, w in enumerate(weights)
+        )
+
+    lo, hi = 0.0, 100.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if central(mid) < prob else (lo, mid)
+    return (lo + hi) / 2
+
+
+def occupancy_integral(entry_ns, exit_ns):
+    """Exact time integral, in ns^2, of a stage's occupancy count(entry <= t)
+    - count(exit < t): an event sweep, each event moving the count by one and
+    the count held until the next event."""
+    times = np.concatenate([entry_ns, exit_ns]).astype(np.int64)
+    steps = np.concatenate([np.ones(len(entry_ns), np.int64), -np.ones(len(exit_ns), np.int64)])
+    order = np.argsort(times, kind="stable")
+    times, count = times[order], np.cumsum(steps[order])
+    return int((count[:-1] * np.diff(times)).sum())
+
+
+def grid_points_within(entry_ns, exit_ns, dt):
+    """Per packet, the instants k*dt (k >= 0) inside its [entry, exit]."""
+    entry, exits = np.asarray(entry_ns, np.int64), np.asarray(exit_ns, np.int64)
+    return np.maximum(0, exits // dt - (entry + dt - 1) // dt + 1)
+
+
 def occupancy_at(entry, exits, t):
     """Occupancy of a stage at one instant, closed [entry, exit] convention."""
     return sum(1 for e in entry if e <= t) - sum(1 for x in exits if x < t)
@@ -201,6 +252,19 @@ def window_decision(labels, expected_len: int | None = None) -> bool:
     return 2 * n_attack > len(arr)
 
 
+@dataclass
+class ReferenceMitigation:
+    """What reference_run_mitigation returns: the library's MitigationResult
+    fields, with release and drop instants assigned per packet as stored
+    arrays, and the event log as a list of MitigationEvent rows."""
+
+    outcomes: np.ndarray      # uint8 of Outcome, one per packet
+    release_ns: np.ndarray    # int64; instant a packet became forwardable, -1 if dropped
+    drop_time_ns: np.ndarray  # int64; verdict instant that dropped it, -1 otherwise
+    state: MitigationState
+    events: list
+
+
 def reference_run_mitigation(
     trace: Trace,
     detector: DetectorModel,
@@ -209,10 +273,10 @@ def reference_run_mitigation(
     *,
     test_pacing_ns: int = 0,
     labels: np.ndarray | None = None,
-) -> MitigationResult:
+) -> ReferenceMitigation:
     """Run the index machine over a stream and return per-packet outcomes,
-    an event log and final counters, testing windows of detector.window
-    packets.
+    release and drop instants, an event log and final counters, testing
+    windows of detector.window packets.
 
     labels may be precomputed; otherwise the whole stream is classified up
     front from rng (one draw per packet, so outcomes are reproducible no
@@ -334,7 +398,7 @@ def reference_run_mitigation(
 
     if n and np.any(outcomes == 255):
         raise InvariantViolation("disposition partition violated")
-    return MitigationResult(outcomes, release_ns, drop_time_ns, st, events)
+    return ReferenceMitigation(outcomes, release_ns, drop_time_ns, st, events)
 
 
 def _lindley_from(a: np.ndarray, t: np.ndarray, initial_wait: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from floodsim import ConfigError, RngStream, optimal_skip, to_ns
 from floodsim.analysis import exact_drop_count, exact_window_count
@@ -456,6 +456,77 @@ def machine_cases(draw):
 @given(machine_cases())
 def test_machine_matches_reference_loop(case):
     assert_matches_references(*case)
+
+
+def split_flush(res, n):
+    """(first packet flushed, final test cursor) when the stream-end flush
+    leaves packets both behind the cursor and from it on, else None."""
+    last = res.events[-1] if len(res.events) else None
+    if last and last.kind == "FORWARD_RANGE" and last.first < res.state.test_cursor < n:
+        return last.first, res.state.test_cursor
+    return None
+
+
+def next_cursors(res):
+    """The test cursor after each attack verdict: the window end plus the skip."""
+    drops = res.events[res.events.is_kind("DROP_RANGE")]
+    return (drops.last + drops.skip).tolist()
+
+
+@st.composite
+def split_flush_cases(draw):
+    """A flood under a fixed or adaptive skip, cut where its stream-end flush
+    is split: the last verdict is an attack whose skip passes over packets
+    behind the final test cursor, and fewer than half a window remain from
+    the cursor on. The cut is searched a few packets past each attack
+    verdict's cursor on the uncut stream; under an adaptive skip the cut
+    moves the cursor, so the search follows it a few steps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(200, 3000))
+    labels = (rng.random(n) < draw(st.sampled_from([1.0, 0.9, 0.7]))).astype(np.uint8)
+    gaps = rng.choice([0, 1_000, 1_000_000], n, p=[0.4, 0.4, 0.2])
+    trace = Trace(np.cumsum(gaps).astype(np.int64), labels, np.zeros(n, np.int32))
+    window = draw(st.integers(3, 25))
+    past = draw(st.integers(1, (window + 1) // 2 - 1))  # packets from the final cursor on
+    # a cut stream's queue estimate counts only the packets left in it, so an
+    # adaptive skip passes over packets at its last verdict only under a
+    # large cost ratio and verdicts that lag the arrivals
+    policy, pace = draw(
+        st.tuples(st.builds(FixedSkip, st.integers(2, 300)), st.sampled_from([0, 1_000, 1_000_000]))
+        | st.tuples(st.builds(AdaptiveSkip, st.floats(5.0, 50.0)), st.just(1_000_000))
+    )
+
+    def run(cut):
+        part = Trace(trace.arrival_ns[:cut], labels[:cut], trace.source_id[:cut])
+        return part, run_mitigation(part, perfect(window), policy, labels=labels[:cut],
+                                    test_pacing_ns=pace)
+
+    for cut in [c + past for c in next_cursors(run(n)[1]) if c + past <= n][:20]:
+        for _ in range(4):
+            part, res = run(cut)
+            if split_flush(res, cut):
+                return part, labels[:cut], window, policy, pace
+            cursors = next_cursors(res)
+            moved = cursors[-1] + past if cursors else cut
+            if moved == cut or moved > n:
+                break
+            cut = moved
+    assume(False)
+
+
+@settings(max_examples=60)
+@given(split_flush_cases())
+def test_split_stream_end_flush_matches_reference_loop(case):
+    trace, labels, window, policy, pace = case
+    event(type(policy).__name__)
+    res = assert_matches_references(*case)
+    first, cursor = split_flush(res, len(trace))
+    # behind the final test cursor the flush leaves at its instant, the
+    # stream's last arrival; from the cursor on each packet at its arrival
+    release = res.release_ns
+    assert np.all(release[first:cursor] == trace.arrival_ns[-1])
+    np.testing.assert_array_equal(release[cursor:], trace.arrival_ns[cursor:])
+    assert np.all(res.drop_time_ns[first:] == -1)
 
 
 def flood(n, share=1.0, seed=0):

@@ -130,9 +130,10 @@ def test_simulate_server_spaced_arrivals_zero_waits():
     assert out.wait_ns.max() == 0
     np.testing.assert_array_equal(out.service_ns, np.full(200, to_ns(model.mean_normal_s)))
     assert np.all(np.diff(out.departure_ns) >= 0)
-    # built once, then shared by every reader
-    assert out.departure_ns is out.departure_ns
+    # computed on each read, not cached on the trace
     np.testing.assert_array_equal(out.departure_ns, out.arrival_ns + out.wait_ns + out.service_ns)
+    assert out.departure_ns is not out.departure_ns
+    assert "departure_ns" not in vars(out)
 
 
 def test_simulate_server_empty_and_validation():
