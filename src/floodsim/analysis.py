@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_columns
-from .detector import classify_stream
+from .detector import classify_stream  # unused: kept with run_mitigation for perfbench's tracer
 from .mitigation import FixedSkip, optimal_skip, run_mitigation
-from .model import STREAM_DETECTOR, ConfigError, RngStream, substream, to_ns
+from .model import ConfigError, RngStream, check_skip, to_ns
+from .pipeline import drive_run
 
 
 @dataclass
@@ -119,8 +120,8 @@ def brute_force_optimal(params: CostParams) -> int:
 
 
 def sweep_skip(params: CostParams, skips) -> CostReport:
-    """Closed-form cost table over a list of skip values: one report of arrays."""
-    skips = [int(m) for m in skips]
+    """Closed-form cost table over skip values under the skip rule: one report of arrays."""
+    skips = [check_skip(m, "skip") for m in skips]
     if not skips:
         raise ValueError("skip sweep needs at least one value")
     return cost_report(params, skips)
@@ -186,18 +187,19 @@ def _t_quantile_975(df: int) -> float:
 def monte_carlo_cost(scenario, skip: int, runs: int) -> McCost:
     """Realized mitigation cost over seeded runs of a one-flood scenario.
 
-    Run r draws fresh traffic from keys (r + 1) * 1000 + STREAM_* of the
-    (run.seed, 0) stream that run_simulation draws from with key 0: common
-    random numbers across skip values, so sweep points are comparable. It
-    runs the index machine with a fixed skip. The run is then priced with
-    the cost function at its realized quantities: X = arrivals during the
-    flood interval, B = benign packets actually dropped, and N = windows
-    tested in mitigation mode. Reprocessing charges B plus the commitment
-    overhang delta - X, where delta = ceil((X-W)/(m+W)) * (m+W) prices the
-    skipped spans at full length; the machine itself hands the last span
-    back on the closing clear verdict, so counting only realized drops
-    would hide the cost of over-skipping entirely. Rounded up to whole
-    windows:
+    Run r is pipeline.drive_run at key (r + 1) * 1000 of the (run.seed, 0)
+    stream, the driver run_simulation calls at key 0, on the same verdict
+    clock; keys shared across skip values give common random numbers, so
+    sweep points are comparable. Outcomes under FixedSkip(skip) do not
+    depend on the clock; a skip that is not an integer is a ConfigError.
+    The run is then priced with the cost function at its realized
+    quantities: X = arrivals during the flood interval, B = benign packets
+    actually dropped, and N = windows tested in mitigation mode.
+    Reprocessing charges B plus the commitment overhang delta - X, where
+    delta = ceil((X-W)/(m+W)) * (m+W) prices the skipped spans at full
+    length; the machine itself hands the last span back on the closing
+    clear verdict, so counting only realized drops would hide the cost of
+    over-skipping entirely. Rounded up to whole windows:
 
         cost = alpha * tau*W * ceil((B + max(0, delta - X)) / W)
              + beta * N * tau*W
@@ -206,8 +208,6 @@ def monte_carlo_cost(scenario, skip: int, runs: int) -> McCost:
 
     Aggregation uses math.fsum, so results do not depend on summation order.
     """
-    from .scenario import build_trace  # late, so perfbench's wrapper on it counts each trial
-
     scenario.validate()
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -215,22 +215,17 @@ def monte_carlo_cost(scenario, skip: int, runs: int) -> McCost:
         raise ConfigError("the cost experiment needs a scenario with exactly one flood")
     flood = scenario.floods[0]
     lo, hi = to_ns(flood.start_s), to_ns(flood.end_s)
-    w = scenario.detector.window
-    tau = scenario.tau_s
-    rng = RngStream(scenario.seed, 0)
+    w, tau = scenario.detector.window, scenario.tau_s
+    base = RngStream(scenario.seed, 0)
     trials: list[CostTrial] = []
     for r in range(runs):
         run_key = (r + 1) * 1000
-        trace = build_trace(scenario, rng, run_key)
-        det_rng = substream(rng, run_key + STREAM_DETECTOR)
-        labels = classify_stream(trace.klass, scenario.detector, det_rng)
-        res = run_mitigation(trace, scenario.detector, FixedSkip(int(skip)), labels=labels)
-        b = res.state.benign_dropped
-        mwin = res.state.mitigation_windows
+        trace, res = drive_run(scenario, base, run_key, FixedSkip(skip))
+        b, mwin = res.state.benign_dropped, res.state.mitigation_windows
         x_flood = int(np.searchsorted(trace.arrival_ns, hi, side="left")
                       - np.searchsorted(trace.arrival_ns, lo, side="left"))
-        n_cover = exact_window_count(x_flood, w, int(skip))
-        overhang = max(0, exact_drop_count(n_cover, w, int(skip)) - x_flood)
+        n_cover = exact_window_count(x_flood, w, skip)
+        overhang = max(0, exact_drop_count(n_cover, w, skip) - x_flood)
         cost = (scenario.alpha * tau * w * math.ceil((b + overhang) / w)
                 + scenario.beta * mwin * tau * w)
         trials.append(CostTrial(r, run_key, cost, b, mwin))
@@ -243,7 +238,7 @@ def monte_carlo_cost(scenario, skip: int, runs: int) -> McCost:
     else:
         std = 0.0
         ci = float("inf")
-    return McCost(int(skip), trials, mean, std, ci)
+    return McCost(skip, trials, mean, std, ci)
 
 
 def write_monte_carlo_csv(path, results) -> None:

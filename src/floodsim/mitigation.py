@@ -87,7 +87,7 @@ class FixedSkip:
     skip: int
 
     def __post_init__(self):
-        check_skip(self.skip, "skip")
+        self.skip = check_skip(self.skip, "skip")
 
 
 @dataclass

@@ -9,6 +9,7 @@ resolution, so round-tripping through files is lossless.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -43,11 +44,11 @@ def is_sorted(times) -> bool:
 
 
 def check_skip(skip, name: str) -> int:
-    """The one rule for a skip length m, wherever it comes from: 1 <= m < 2**63,
-    so the window cursors stay int64. Returns m; raises ConfigError naming it."""
-    if not 1 <= skip < 2**63:
-        raise ConfigError(f"{name} must be >= 1 and fit int64")
-    return skip
+    """The one rule for a skip length m, wherever it comes from: an integer, not a
+    bool, 1 <= m < 2**63. Returns m as a Python int, whose cursor sums never wrap."""
+    if isinstance(skip, bool) or not isinstance(skip, numbers.Integral) or not 1 <= skip < 2**63:
+        raise ConfigError(f"{name} must be an integer >= 1 that fits int64, not {skip!r}")
+    return int(skip)
 
 
 def to_ns(seconds):

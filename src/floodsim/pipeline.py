@@ -61,27 +61,29 @@ class SimulationResult:
     summary: dict
 
 
+def drive_run(scenario: Scenario, base: RngStream, run_key: int, policy):
+    """A run's trace from its keys of the base stream and, under a skip policy
+    (None: no mitigation), the machine on labels from its detector key, with
+    verdicts paced at the shaper gap if the shaper is on, else at 0."""
+    trace = build_trace(scenario, base, run_key)
+    if policy is None:
+        return trace, None
+    pace = to_ns(scenario.pacing_gap_s) if scenario.sqf_enabled else 0
+    rng = substream(base, run_key + STREAM_DETECTOR)
+    return trace, run_mitigation(trace, scenario.detector, policy, rng, test_pacing_ns=pace)
+
+
 def run_simulation(scenario: Scenario) -> SimulationResult:
     scenario.validate()
     base = RngStream(scenario.seed, 0)
-    trace = build_trace(scenario, base)
+    policy = None
+    if scenario.aam_enabled:
+        policy = (FixedSkip(scenario.fixed_skip) if scenario.skip_mode == "fixed"
+                  else AdaptiveSkip(scenario.beta / scenario.alpha))
+    trace, mit = drive_run(scenario, base, 0, policy)
     n = len(trace)
-    gap_ns = to_ns(scenario.pacing_gap_s)
     sample_dt_ns = to_ns(scenario.sample_dt_s)
 
-    mit = None
-    if scenario.aam_enabled:
-        if scenario.skip_mode == "fixed":
-            policy = FixedSkip(scenario.fixed_skip)
-        else:
-            policy = AdaptiveSkip(scenario.beta / scenario.alpha)
-        mit = run_mitigation(
-            trace,
-            scenario.detector,
-            policy,
-            substream(base, STREAM_DETECTOR),
-            test_pacing_ns=gap_ns,
-        )
     # with no drop there was no attack verdict, so no packet was held: each is
     # released at its arrival, in seq order
     if in_order := mit is None or not mit.state.packets_dropped:
@@ -96,7 +98,7 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
             rel_idx, emitted = rel_idx[order], emitted[order]
     sqf_timeline, sqf_summary = None, {}
     if scenario.sqf_enabled:
-        emitted = forward_times(emitted, gap_ns)
+        emitted = forward_times(emitted, to_ns(scenario.pacing_gap_s))
         serve_sched = NORMAL_ALWAYS
         # a packet leaves the shaper at its emission, or at the verdict that
         # dropped it; occupancy counts the exits' multiset, so the sorted drop

@@ -30,6 +30,7 @@ from floodsim.analysis import (
 from floodsim.detector import DetectorModel, classify_stream
 from floodsim.mitigation import FixedSkip, run_mitigation
 from floodsim.model import STREAM_DETECTOR, InvariantViolation, substream
+from floodsim.pipeline import drive_run
 from floodsim.scenario import build_trace
 from floodsim.traffic import BenignSpec, FloodSpec
 
@@ -243,6 +244,8 @@ def test_sweep_skip():
         assert table.total[i] == pytest.approx(cost_report(p, m).total)
     with pytest.raises(ValueError):
         sweep_skip(p, [])
+    with pytest.raises(ConfigError, match="integer"):
+        sweep_skip(p, [125.9])  # not skip 125 under another name
 
 
 @pytest.mark.parametrize("ex", [10.0, 10805.0])
@@ -284,16 +287,23 @@ def test_monte_carlo_cost_is_reproducible():
     assert a.std_cost == 0.0
     assert math.isinf(a.ci95_halfwidth)
     assert a.trials[0].stream_key == 1000
-    # run r draws from key (r + 1) * 1000 of the scenario's (run.seed, 0) stream
-    scn = dataclasses.replace(scn, seed=7)
-    for trial in monte_carlo_cost(scn, 125, 2).trials:
+    # run r is the driver's run at key (r + 1) * 1000 of the scenario's
+    # (run.seed, 0) stream: its labels come from that key's detector stream,
+    # and a detector this noisy makes the outcomes depend on which one
+    scn = dataclasses.replace(scn, seed=7, detector=DetectorModel(tpr=0.75, tnr=0.75, window=20))
+    for r, trial in enumerate(monte_carlo_cost(scn, 125, 2).trials):
         base = RngStream(7, 0)
-        trace = build_trace(scn, base, trial.stream_key)
+        assert trial.stream_key == (r + 1) * 1000
+        trace, res = drive_run(scn, base, trial.stream_key, FixedSkip(125))
+        assert (trial.benign_dropped, trial.mitigation_windows) == (
+            res.state.benign_dropped, res.state.mitigation_windows)
+        np.testing.assert_array_equal(trace.arrival_ns,
+                                      build_trace(scn, base, trial.stream_key).arrival_ns)
         labels = classify_stream(trace.klass, scn.detector,
                                  substream(base, trial.stream_key + STREAM_DETECTOR))
-        st = run_mitigation(trace, scn.detector, FixedSkip(125), labels=labels).state
-        assert (trial.benign_dropped, trial.mitigation_windows) == (
-            st.benign_dropped, st.mitigation_windows)
+        by_hand = run_mitigation(trace, scn.detector, FixedSkip(125), labels=labels)
+        np.testing.assert_array_equal(res.outcomes, by_hand.outcomes)
+        assert dataclasses.asdict(res.state) == dataclasses.asdict(by_hand.state)
 
 
 def test_monte_carlo_cost_argument_errors():
@@ -310,6 +320,12 @@ def test_monte_carlo_cost_argument_errors():
     )
     with pytest.raises(ConfigError):
         monte_carlo_cost(two, 125, 2)
+
+
+def test_monte_carlo_cost_refuses_a_fractional_skip():
+    # truncated, 125.9 would price skip 125 under another name
+    with pytest.raises(ConfigError, match="integer"):
+        monte_carlo_cost(one_flood_scenario(), 125.9, 1)
 
 
 def test_monte_carlo_cost_validates_the_scenario():

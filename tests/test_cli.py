@@ -486,6 +486,23 @@ def test_sweep_grid_keeps_to_the_skip_rule(tmp_path, capsys):
     assert [int(row[0]) for row in read_rows(out / "monte_carlo.csv")[1:]] == skips
 
 
+def test_sweep_without_the_shaper_ignores_its_gap(tmp_path, capsys):
+    # with the shaper off, the Monte Carlo decides verdicts at each window's
+    # last arrival: a gap paced in would carry them past the clock
+    text = (SCENARIOS / "costsweep.cfg").read_text()
+    for key, value in (("sqf.enabled", "true"), ("sqf.D_ms", "3.0"), ("aam.enabled", "true")):
+        assert f"{key} = {value}\n" in text
+    text = text.replace("sqf.enabled = true\n", "sqf.enabled = false\n")
+    text = text.replace("sqf.D_ms = 3.0\n", "sqf.D_ms = 1e12\n")
+    text = text.replace("aam.enabled = true\n", "aam.enabled = false\n")
+    path = tmp_path / "raw.cfg"
+    path.write_text(text)
+    out = tmp_path / "o"
+    argv = ["sweep", "--scenario", str(path), "--out", str(out), "--runs", "2", "--m", "125"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert len(read_rows(out / "monte_carlo.csv")) == 3
+
+
 def test_sweep_rejects_bad_skip_list(tmp_path, capsys):
     cfg = SCENARIOS / "costsweep.cfg"
     out = tmp_path / "bad"

@@ -269,6 +269,20 @@ def test_skip_policies():
         assert res.events[1] == MitigationEvent(0, "RECALC_M", 0, 19, want)
 
 
+# 3.5 would reach a slice deep in run_mitigation as a raw TypeError, and
+# True is an int to Python that would run as skip 1
+@pytest.mark.parametrize("skip", [3.5, True])
+def test_skip_must_be_an_integer(skip):
+    with pytest.raises(ConfigError, match="integer"):
+        FixedSkip(skip)
+    # a numpy integer is held as a Python int: at 2**63 - 1 its cursor sums
+    # would wrap, and the first attack verdict would drop the whole burst
+    big = FixedSkip(np.int64(2**63 - 1))
+    assert type(big.skip) is int
+    trace, hot = burst(200)
+    assert run_mitigation(trace, perfect(20), big, labels=hot).state.packets_dropped == 20
+
+
 def test_run_mitigation_argument_errors():
     labels = np.zeros(30, np.uint8)
     trace = make_trace(labels)
@@ -456,6 +470,23 @@ def machine_cases(draw):
 @given(machine_cases())
 def test_machine_matches_reference_loop(case):
     assert_matches_references(*case)
+
+
+@settings(max_examples=100)
+@given(machine_cases().filter(lambda case: isinstance(case[3], FixedSkip)), st.integers(1, 10**9))
+def test_fixed_skip_does_not_depend_on_the_verdict_clock(case, pace):
+    """Under a fixed skip the verdict clock moves only the events' instants,
+    and only later, so the Monte Carlo's costs are those of any clock."""
+    trace, labels, window, policy, _ = case
+    paced, unpaced = (
+        run_mitigation(trace, perfect(window), policy, labels=labels, test_pacing_ns=p)
+        for p in (pace, 0)
+    )
+    np.testing.assert_array_equal(paced.outcomes, unpaced.outcomes)
+    assert dataclasses.asdict(paced.state) == dataclasses.asdict(unpaced.state)
+    for name in ("kind", "first", "last", "skip"):
+        np.testing.assert_array_equal(getattr(paced.events, name), getattr(unpaced.events, name))
+    assert np.all(paced.events.time_ns >= unpaced.events.time_ns)
 
 
 def split_flush(res, n):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from floodsim import (
+    RngStream,
     Scenario,
     ServiceTimeModel,
     load_scenario,
@@ -19,8 +20,10 @@ from floodsim import (
     write_outputs,
 )
 from floodsim.detector import DetectorModel
+from floodsim.mitigation import AdaptiveSkip
 from floodsim.model import MAX_ELEMENTS, MEMORY_BUDGET, RUN_BYTES_PER_PACKET
 from floodsim.pacing import queue_timeline
+from floodsim.pipeline import drive_run
 from floodsim.traffic import BenignSpec, FloodSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -276,3 +279,21 @@ def test_empty_aam_run_keeps_the_aam_outputs(tmp_path):
     assert names == [p.name for p in write_outputs(full, tmp_path / "full")]
     events = (tmp_path / "empty" / "aam_events.csv").read_bytes()
     assert events == b"event_time_s,event,from_seq,to_seq,m_value\r\n"
+
+
+def test_run_key_zero_is_the_simulate_run():
+    # dualflood.cfg runs the adaptive skip, whose verdicts read the clock
+    scn = load_scenario(SCENARIOS / "dualflood.cfg")
+    want = run_simulation(scn)
+    trace, mit = drive_run(scn, RngStream(scn.seed, 0), 0, AdaptiveSkip(scn.beta / scn.alpha))
+    for name in ("arrival_ns", "klass", "source_id"):
+        np.testing.assert_array_equal(getattr(trace, name), getattr(want.trace, name))
+    np.testing.assert_array_equal(mit.outcomes, want.mitigation.outcomes)
+    for name in ("time_ns", "kind", "first", "last", "skip"):
+        np.testing.assert_array_equal(getattr(mit.events, name),
+                                      getattr(want.mitigation.events, name))
+    assert want.summary["windows_tested"] == mit.state.windows_tested > 0
+    # no policy: the same trace, and no machine
+    bare, none = drive_run(scn, RngStream(scn.seed, 0), 0, None)
+    assert none is None
+    np.testing.assert_array_equal(bare.arrival_ns, want.trace.arrival_ns)
