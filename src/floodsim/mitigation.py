@@ -27,15 +27,17 @@ from the test cursor; attack windows under FixedSkip start W - 1 + m apart,
 and AdaptiveSkip recomputes the skip at each verdict, so its attack runs are
 one window long. A doubling search over the votes finds the run's end, one
 pacing.max_plus call gives its verdict instants v_j = max(a_end_j, v_{j-1} +
-len_j*D), and each window logs its verdict, a RECALC_M row if the skip
-changed, and the range from the pending cursor through its end, which the
-verdict drops or forwards. A partial tail window is a run of its own.
+len_j*D), and the block records them with its window starts and ends, the
+first packet it drops or forwards and the skip before and after it; a partial
+tail window is a run of its own. MitigationResult.events expands the records
+into the event log on first read, and the per-packet outcomes follow from it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -113,13 +115,6 @@ class MitigationEvent:
 EVENT_KINDS = ("WINDOW_ATTACK", "WINDOW_CLEAR", "RECALC_M", "DROP_RANGE", "FORWARD_RANGE")
 _ATTACK, _CLEAR, _RECALC, _DROP, _FORWARD = range(len(EVENT_KINDS))
 _KIND_BYTES = np.array([k.encode() for k in EVENT_KINDS])
-# the log rows of one window by (attack verdict, skip changed): the verdict,
-# RECALC_M if the skip changed, and the range the verdict drops or forwards
-_WINDOW_ROWS = {
-    (False, False): np.array([_CLEAR, _FORWARD], np.uint8),
-    (True, False): np.array([_ATTACK, _DROP], np.uint8),
-    (True, True): np.array([_ATTACK, _RECALC, _DROP], np.uint8),
-}
 
 
 @dataclass(eq=False)
@@ -157,14 +152,36 @@ class EventLog:
         return self.kind == EVENT_KINDS.index(kind)
 
 
-def _event_log(blocks: list) -> EventLog:
-    """The EventLog of (time, kind, first, last, skip) column blocks, in order."""
-    dtypes = (np.int64, np.uint8, np.int64, np.int64, np.int64)
-    return EventLog(*(
-        np.concatenate([b[c] for b in blocks]).astype(dt, copy=False) if blocks
-        else np.empty(0, dt)
-        for c, dt in enumerate(dtypes)
-    ))
+def _expand_log(blocks: list, flush_first: int, arrivals: np.ndarray, skip: int) -> EventLog:
+    """The EventLog of run_mitigation's block records, in one pass: each window's
+    verdict, RECALC_M if the skip changed, its range; then the flush's range."""
+    n, flush = len(arrivals), flush_first < len(arrivals)
+    if not n:
+        return EventLog(*(np.empty(0, dt) for dt in (np.int64, np.uint8, np.int64, np.int64, np.int64)))
+    tail = [(False, flush_first, n, skip, skip, [flush_first], [n - 1], arrivals[-1:])] * flush
+    attack, first, _, before, after, starts, ends, now = zip(*blocks + tail)
+    k = np.fromiter(map(len, ends), np.int64, len(ends))
+    attack, before, after = (np.repeat(np.array(c), k) for c in (attack, before, after))
+    starts, ends, now = map(np.concatenate, (starts, ends, now))
+    rows = 2 + (attack & (before != after))  # per window
+    rows[-1] -= flush  # the flush has no verdict row
+    verdict = np.cumsum(rows) - rows
+    ranged = verdict + rows - 1
+    kind = np.full(ranged[-1] + 1, _RECALC, np.uint8)
+    kind[verdict] = np.where(attack, _ATTACK, _CLEAR)
+    kind[ranged] = np.where(attack, _DROP, _FORWARD)
+    range_first = np.concatenate(([0], ends[:-1] + 1))  # from the window before
+    range_first[np.cumsum(k) - k] = first  # or from the pending cursor
+    firsts, skips = starts.repeat(rows), after.repeat(rows)
+    firsts[ranged], skips[verdict] = range_first, before
+    return EventLog(now.repeat(rows), kind, firsts, ends.repeat(rows), skips)
+
+
+def _check_partition(blocks: list, flush_first: int, n: int) -> None:
+    """Raise InvariantViolation unless the block records' ranges and the
+    flush from flush_first (n: none) tile the n packets in order."""
+    if [0, *(b[2] for b in blocks)] != [*(b[1] for b in blocks), flush_first]:
+        raise InvariantViolation("disposition partition violated")
 
 
 @dataclass
@@ -184,17 +201,30 @@ class MitigationState:
 
 @dataclass
 class MitigationResult:
-    """Per-packet outcomes, final counters and the event log. release_ns and
-    drop_time_ns are computed on each read: the DROP_RANGE and FORWARD_RANGE
-    rows tile the stream in order, each with its packets' verdict instant."""
+    """Final counters and the block records. events is the event log, built
+    on first read and then held; outcomes, release_ns and drop_time_ns are
+    computed from it on each read: its DROP_RANGE and FORWARD_RANGE rows tile
+    the stream in order, each with its packets' verdict instant."""
 
-    outcomes: np.ndarray    # uint8 of Outcome, one per packet
     state: MitigationState
-    events: EventLog
     arrival_ns: np.ndarray  # the trace's arrivals, not a copy
+    blocks: list            # one record per block step, see run_mitigation
+    flush_first: int        # first packet of the untested stream-end flush, n if none
 
-    def dropped_mask(self) -> np.ndarray:
-        return self.outcomes == int(Outcome.DROPPED)
+    @cached_property
+    def events(self) -> EventLog:
+        return _expand_log(self.blocks, self.flush_first, self.arrival_ns, self.state.skip)
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        """uint8 of Outcome, one per packet: a range row's packets are dropped or
+        forwarded, those of a WINDOW_CLEAR row just before it tested."""
+        kind, first, last = self.events.kind, self.events.first, self.events.last
+        at = np.flatnonzero(kind >= _DROP)  # the range rows
+        tested = np.where(kind[at - 1] == _CLEAR, first[at - 1], last[at] + 1)
+        codes = np.full((len(at), 2), Outcome.TESTED_FORWARDED, np.uint8)
+        codes[:, 0] = np.where(kind[at] == _DROP, Outcome.DROPPED, Outcome.FORWARDED)
+        return codes.ravel().repeat(np.column_stack((tested - first[at], last[at] + 1 - tested)).ravel())
 
     def drop_instants(self) -> np.ndarray:
         """The verdict instant of each dropped packet, in seq order (nondecreasing)."""
@@ -204,20 +234,19 @@ class MitigationResult:
     @property
     def drop_time_ns(self) -> np.ndarray:
         """int64 verdict instant that dropped a packet, -1 otherwise."""
-        out = np.full(len(self.outcomes), -1, np.int64)
-        out[self.dropped_mask()] = self.drop_instants()
-        return out
+        ranges = self.events[self.events.kind >= _DROP]
+        return np.where(ranges.kind == _DROP, ranges.time_ns, -1).repeat(ranges.last - ranges.first + 1)
 
     @property
     def release_ns(self) -> np.ndarray:
         """int64 instant a packet became forwardable, -1 if dropped: its range
         row's instant, or its arrival if tested or flushed from the final test cursor on."""
-        ranges = self.events[np.isin(self.events.kind, (_DROP, _FORWARD))]
-        out = ranges.time_ns.repeat(ranges.last - ranges.first + 1)
+        ranges = self.events[self.events.kind >= _DROP]
+        out = np.where(ranges.kind == _DROP, -1, ranges.time_ns).repeat(ranges.last - ranges.first + 1)
+        # no packet at or past the final test cursor is dropped
         at_arrival = self.outcomes == int(Outcome.TESTED_FORWARDED)
         at_arrival[min(self.state.test_cursor, len(out)) :] = True
         np.copyto(out, self.arrival_ns, where=at_arrival)
-        out[self.dropped_mask()] = -1
         return out
 
 
@@ -256,9 +285,9 @@ def run_mitigation(
     test_pacing_ns: int = 0,
     labels: np.ndarray | None = None,
 ) -> MitigationResult:
-    """Run the index machine over a stream and return per-packet outcomes,
-    an event log and final counters, testing windows of detector.window
-    packets.
+    """Run the index machine over a stream and return its final counters and
+    block records, from which the event log and per-packet outcomes are read,
+    testing windows of detector.window packets.
 
     labels may be precomputed; otherwise the whole stream is classified up
     front from rng (one draw per packet, so outcomes are reproducible no
@@ -292,9 +321,8 @@ def run_mitigation(
     arrivals = trace.arrival_ns
     votes = np.zeros(n + 1, np.int64)  # votes[k]: attack labels among the first k
     np.cumsum(labels == int(PacketClass.ATTACK), out=votes[1:])
-    outcomes = np.full(n, 255, np.uint8)
     st = MitigationState(skip=policy.skip if fixed else 0)
-    log: list = []  # event column blocks, in log order
+    blocks: list = []  # (attack, first, end, skip before, skip after, starts, ends, verdicts)
     min_tail = math.ceil(window / 2)  # a shorter partial window goes untested
 
     def block(attack: bool, last_verdict_ns):
@@ -325,16 +353,8 @@ def run_mitigation(
         if recompute:
             arrived = int(arrivals.searchsorted(now[0], side="right"))
             st.skip = optimal_skip(window, policy.beta_over_alpha, float(max(0, arrived - end)))
-        # only a one-window run changes the skip; its verdict row keeps the old one
-        kinds = _WINDOW_ROWS[attack, st.skip != skip_before]
-        r = len(kinds)
-        firsts = starts.repeat(r)
-        firsts[r - 1 :: r] = np.concatenate(([first], ends[:-1] + 1))  # the range rows
-        skips = np.full(k * r, st.skip, np.int64)
-        skips[0] = skip_before
-        log.append((now.repeat(r), np.tile(kinds, k), firsts, ends.repeat(r), skips))
+        blocks.append((attack, first, end, skip_before, st.skip, starts, ends, now))
         if attack:
-            outcomes[first:end] = int(Outcome.DROPPED)
             # each packet is dropped at most once, so these counts sum to at most n
             n_att = int(np.count_nonzero(trace.klass[first:end] == int(PacketClass.ATTACK)))
             st.packets_dropped += end - first
@@ -342,8 +362,6 @@ def run_mitigation(
             st.benign_dropped += end - first - n_att
             st.test_cursor = end - 1 + st.skip
         else:
-            outcomes[first:c] = int(Outcome.FORWARDED)
-            outcomes[c:end] = int(Outcome.TESTED_FORWARDED)
             st.packets_forwarded += end - first
             st.test_cursor = end
         # a window counts as mitigation when the verdict before it was an attack
@@ -362,16 +380,10 @@ def run_mitigation(
         last_verdict_ns = block(2 * (votes.item(end) - votes.item(c)) > end - c, last_verdict_ns)
 
     # stream end: flush leftovers untested
-    if st.pending_cursor < n:
-        first = st.pending_cursor
-        log.append(np.array([[arrivals[n - 1]], [_FORWARD], [first], [n - 1], [st.skip]], np.int64))
-        outcomes[first:n] = int(Outcome.FORWARDED)
-        st.packets_forwarded += n - first
-        st.pending_cursor = n
-
-    if n and np.any(outcomes == 255):
-        raise InvariantViolation("disposition partition violated")
-    return MitigationResult(outcomes, st, _event_log(log), arrivals)
+    flush_first, st.pending_cursor = st.pending_cursor, n
+    st.packets_forwarded += n - flush_first
+    _check_partition(blocks, flush_first, n)
+    return MitigationResult(st, arrivals, blocks, flush_first)
 
 
 def write_events_csv(path, events: EventLog) -> None:

@@ -57,6 +57,10 @@ def to_ns(seconds):
     Raises ValueError on a non-finite time or one of MAX_TIME_S (about 290
     years) or more in magnitude, which the int64 cast would wrap.
     """
+    if isinstance(seconds, numbers.Real):  # a scalar in Python floats, no 0-d array
+        x = float(seconds)
+        if -MAX_TIME_S < x < MAX_TIME_S:  # else the array path below raises
+            return round(x * NS_PER_S)  # ties to even, as np.rint
     arr = np.asarray(seconds, dtype=np.float64)
     # written so that nan fails the comparison too
     if arr.size and not (-MAX_TIME_S < arr.min() and arr.max() < MAX_TIME_S):

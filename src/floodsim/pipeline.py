@@ -46,10 +46,11 @@ from .traffic import write_trace_csv
 
 @dataclass
 class SimulationResult:
-    """One run's stages and summary. mitigation.release_ns, drop_time_ns and
-    server.departure_ns are computed on each read. With every packet released
-    in seq order, emit_ns is one read-only array with server.arrival_ns (and
-    with trace.arrival_ns too when no shaper paces the stream)."""
+    """One run's stages and summary. mitigation.outcomes, release_ns and
+    drop_time_ns, and server.departure_ns, are computed on each read, and
+    mitigation.events on the first. With every packet released in seq order,
+    emit_ns is one read-only array with server.arrival_ns (and with
+    trace.arrival_ns too when no shaper paces the stream)."""
 
     scenario: Scenario
     trace: Trace
@@ -91,8 +92,9 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
     else:
         # pace the released stream in (release instant, seq) order; it is
         # mostly in seq order already, and then needs no sort
-        rel_idx = np.flatnonzero(~mit.dropped_mask())
-        emitted = mit.release_ns[rel_idx]
+        release_ns = mit.release_ns  # -1 if dropped: one read of the outcomes
+        rel_idx = np.flatnonzero(release_ns >= 0)
+        emitted = release_ns[rel_idx]
         if not is_sorted(emitted):
             order = np.argsort(emitted, kind="stable")
             rel_idx, emitted = rel_idx[order], emitted[order]
@@ -103,7 +105,7 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
         # a packet leaves the shaper at its emission, or at the verdict that
         # dropped it; occupancy counts the exits' multiset, so the sorted drop
         # instants are merged into the sorted emissions, not scattered by seq
-        drops = np.empty(0, np.int64) if mit is None else mit.drop_instants()
+        drops = np.empty(0, np.int64) if in_order else mit.drop_instants()
         exit_ns = np.insert(emitted, emitted.searchsorted(drops, side="right"), drops)
         sqf_timeline = shaping_queue_timeline(trace.arrival_ns, exit_ns, sample_dt_ns)
         sqf_summary["sqf_peak_queue"] = peak_occupancy(trace.arrival_ns, exit_ns)

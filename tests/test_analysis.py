@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,11 +28,12 @@ from floodsim.analysis import (
     write_monte_carlo_csv,
     write_sweep_csv,
 )
+from floodsim import mitigation
 from floodsim.detector import DetectorModel, classify_stream
 from floodsim.mitigation import FixedSkip, run_mitigation
 from floodsim.model import STREAM_DETECTOR, InvariantViolation, substream
 from floodsim.pipeline import drive_run
-from floodsim.scenario import build_trace
+from floodsim.scenario import build_trace, load_scenario
 from floodsim.traffic import BenignSpec, FloodSpec
 
 
@@ -304,6 +306,21 @@ def test_monte_carlo_cost_is_reproducible():
         by_hand = run_mitigation(trace, scn.detector, FixedSkip(125), labels=labels)
         np.testing.assert_array_equal(res.outcomes, by_hand.outcomes)
         assert dataclasses.asdict(res.state) == dataclasses.asdict(by_hand.state)
+
+
+def test_monte_carlo_trials_build_no_event_log(monkeypatch):
+    # a trial reads only the machine's counters: expanding its block records
+    # into the event log (and the outcomes read from it) would be wasted work
+    def refuse(*args):
+        raise AssertionError("a Monte Carlo trial expanded its event log")
+
+    scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "costsweep.cfg")
+    want = [monte_carlo_cost(scn, m, 3) for m in (1, 64)]
+    monkeypatch.setattr(mitigation, "_expand_log", refuse)
+    got = [monte_carlo_cost(scn, m, 3) for m in (1, 64)]
+    assert got == want
+    with pytest.raises(AssertionError, match="expanded"):
+        drive_run(scn, RngStream(scn.seed, 0), 1000, FixedSkip(64))[1].outcomes
 
 
 def test_monte_carlo_cost_argument_errors():

@@ -22,7 +22,7 @@ from floodsim.mitigation import (
     write_events_csv,
 )
 from floodsim import mitigation
-from floodsim.model import Trace
+from floodsim.model import InvariantViolation, Trace
 from floodsim.pacing import max_plus
 from oracles import reference_run_mitigation, step_through_machine
 
@@ -76,7 +76,7 @@ def test_flood_with_benign_tail_frozen_walk():
     assert st.packets_dropped == 972
     assert st.attack_dropped == 972 and st.benign_dropped == 0
     assert st.packets_forwarded == 228
-    assert int(res.dropped_mask().sum()) == 972
+    assert int((res.outcomes == Outcome.DROPPED).sum()) == 972
 
     out = res.outcomes
     assert np.all(out[:972] == int(Outcome.DROPPED))
@@ -487,6 +487,49 @@ def test_fixed_skip_does_not_depend_on_the_verdict_clock(case, pace):
     for name in ("kind", "first", "last", "skip"):
         np.testing.assert_array_equal(getattr(paced.events, name), getattr(unpaced.events, name))
     assert np.all(paced.events.time_ns >= unpaced.events.time_ns)
+
+
+READS = ("events", "outcomes", "release_ns", "drop_time_ns")
+
+
+@settings(max_examples=100)
+@given(machine_cases(), st.permutations(READS))
+def test_reads_in_any_order_match_the_reference(case, order):
+    """The log is expanded from the block records on its first read, whichever
+    field that is, and held; the per-packet fields are derived on each read."""
+    trace, labels, window, policy, pace = case
+    got = run_mitigation(trace, perfect(window), policy, labels=labels, test_pacing_ns=pace)
+    want = reference_run_mitigation(
+        trace, perfect(window), policy, labels=labels, test_pacing_ns=pace
+    )
+    assert "events" not in vars(got)  # nothing expanded by the run itself
+    for name in order + order:
+        value = getattr(got, name)
+        if name == "events":
+            assert list(value) == want.events
+        else:
+            np.testing.assert_array_equal(value, getattr(want, name))
+            assert value.dtype == getattr(want, name).dtype
+    assert got.events is got.events
+
+
+def test_partition_check_refuses_gaps_and_overlaps():
+    def record(first, end):
+        return (False, first, end, 1, 1, np.array([first]), np.array([end - 1]), np.array([0]))
+
+    mitigation._check_partition([record(0, 20), record(20, 40)], 40, 40)
+    mitigation._check_partition([record(0, 20), record(20, 30)], 30, 40)  # flushed from 30
+    mitigation._check_partition([], 0, 0)
+    for blocks, flush_first in (
+        ([record(0, 20), record(21, 40)], 40),  # a gap between blocks
+        ([record(0, 20), record(19, 40)], 40),  # an overlap
+        ([record(1, 20), record(20, 40)], 40),  # the first packet left out
+        ([record(0, 20), record(20, 30)], 31),  # a gap before the flush
+        ([record(0, 20), record(20, 30)], 40),  # no flush, short of the end
+        ([record(0, 20), record(20, 40)], 39),  # a flush over decided packets
+    ):
+        with pytest.raises(InvariantViolation, match="partition"):
+            mitigation._check_partition(blocks, flush_first, 40)
 
 
 def split_flush(res, n):

@@ -1,6 +1,7 @@
 """Core types: time conversion, traces, service model, rng streams."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from floodsim import ConfigError, RngStream, ServiceTimeModel, to_ns, to_seconds
 from floodsim.model import NS_PER_S, PacketClass, Regime, Trace, substream
@@ -29,6 +30,33 @@ def test_to_ns_rejects_non_finite():
         to_ns(float("nan"))
     with pytest.raises(ValueError):
         to_ns([1.0, float("inf")])
+
+
+def convert(seconds):
+    """to_ns's result, or the message of the ValueError it raises."""
+    try:
+        return to_ns(seconds)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(-9.3e9, 9.3e9)
+    | st.floats(-10.0, 10.0)
+    # half-nanosecond ties and their neighbours, either sign
+    | st.integers(-10**15, 10**15).map(lambda k: (k + 0.5) / NS_PER_S)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), 9.3e9, -9.3e9, -0.0, 2.5e-9])
+)
+def test_scalar_to_ns_is_the_array_path_in_python_floats(x):
+    # a scalar converts in plain floats, an array in numpy: the same integer,
+    # bit for bit, or the same error
+    got, want = convert(x), convert([x])
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert type(got) is int and got == int(want[0])
+    assert convert(np.float64(x)) == got
 
 
 def test_to_seconds_round_trip():
