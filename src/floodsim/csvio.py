@@ -6,6 +6,7 @@ Every table floodsim writes goes through write_columns. A column is one of
   fractional digits, exactly, from divmod(|ns|, 10**9) -- no float round
   trip, so the last digit is right at any horizon;
 * a numpy integer array: plain decimal integers;
+* a ``range``: the same, each block's integers built as the block is encoded;
 * a numpy string array or a sequence of str: written as is. Floats are
   formatted by the caller (``format(x, ".9f")`` and friends) into strings.
 
@@ -121,6 +122,8 @@ def _as_column(col):
     """(renderer, array) for one input column."""
     if isinstance(col, Seconds):
         return _render_seconds, col.ns
+    if isinstance(col, range):  # sliced per block, a range stays a range
+        return lambda r: _render_ints(np.arange(r.start, r.stop, r.step, dtype=np.int64)), col
     arr = np.asarray(col)
     if arr.dtype.kind == "U":
         # numpy drops a str's trailing NULs, so look for NUL before it does

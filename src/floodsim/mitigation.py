@@ -29,8 +29,8 @@ one window long. A doubling search over the votes finds the run's end, one
 pacing.max_plus call gives its verdict instants v_j = max(a_end_j, v_{j-1} +
 len_j*D), and the block records them with its window starts and ends, the
 first packet it drops or forwards and the skip before and after it; a partial
-tail window is a run of its own. MitigationResult.events expands the records
-into the event log on first read, and the per-packet outcomes follow from it.
+tail window is a run of its own. MitigationResult reads the event log and the
+per-packet outcomes from one per-window table of the records.
 """
 from __future__ import annotations
 
@@ -152,26 +152,33 @@ class EventLog:
         return self.kind == EVENT_KINDS.index(kind)
 
 
-def _expand_log(blocks: list, flush_first: int, arrivals: np.ndarray, skip: int) -> EventLog:
-    """The EventLog of run_mitigation's block records, in one pass: each window's
-    verdict, RECALC_M if the skip changed, its range; then the flush's range."""
-    n, flush = len(arrivals), flush_first < len(arrivals)
-    if not n:
-        return EventLog(*(np.empty(0, dt) for dt in (np.int64, np.uint8, np.int64, np.int64, np.int64)))
-    tail = [(False, flush_first, n, skip, skip, [flush_first], [n - 1], arrivals[-1:])] * flush
-    attack, first, _, before, after, starts, ends, now = zip(*blocks + tail)
+def _windows(res: "MitigationResult") -> tuple:
+    """Per-window table of a result's block records, the flush last as a clear
+    window that tests no packet: range first, window start, end (inclusive),
+    verdict instant, attack, and the skip before and after the verdict."""
+    n, skip = len(res.arrival_ns), res.state.skip
+    flush = [(False, res.flush_first, n, skip, skip, [n], [n - 1], res.arrival_ns[-1:])]
+    rows = res.blocks + flush * (res.flush_first < n)
+    if not rows:
+        return (np.empty(0, np.int64),) * 4 + (np.empty(0, bool),) + (np.empty(0, np.int64),) * 2
+    attack, _, _, before, after, starts, ends, now = zip(*rows)
     k = np.fromiter(map(len, ends), np.int64, len(ends))
-    attack, before, after = (np.repeat(np.array(c), k) for c in (attack, before, after))
     starts, ends, now = map(np.concatenate, (starts, ends, now))
+    first = np.concatenate(([0], ends[:-1] + 1))  # each range starts past the end before
+    return first, starts, ends, now, *(np.repeat(c, k) for c in (attack, before, after))
+
+
+def _expand_log(res: "MitigationResult") -> EventLog:
+    """The EventLog of a result's block records, in one pass: each window's
+    verdict, RECALC_M if the skip changed, its range; then the flush's range."""
+    range_first, starts, ends, now, attack, before, after = _windows(res)
     rows = 2 + (attack & (before != after))  # per window
-    rows[-1] -= flush  # the flush has no verdict row
+    rows[-1:] -= res.flush_first < len(res.arrival_ns)  # the flush has no verdict row
     verdict = np.cumsum(rows) - rows
     ranged = verdict + rows - 1
-    kind = np.full(ranged[-1] + 1, _RECALC, np.uint8)
+    kind = np.full(rows.sum(), _RECALC, np.uint8)
     kind[verdict] = np.where(attack, _ATTACK, _CLEAR)
     kind[ranged] = np.where(attack, _DROP, _FORWARD)
-    range_first = np.concatenate(([0], ends[:-1] + 1))  # from the window before
-    range_first[np.cumsum(k) - k] = first  # or from the pending cursor
     firsts, skips = starts.repeat(rows), after.repeat(rows)
     firsts[ranged], skips[verdict] = range_first, before
     return EventLog(now.repeat(rows), kind, firsts, ends.repeat(rows), skips)
@@ -203,8 +210,8 @@ class MitigationState:
 class MitigationResult:
     """Final counters and the block records. events is the event log, built
     on first read and then held; outcomes, release_ns and drop_time_ns are
-    computed from it on each read: its DROP_RANGE and FORWARD_RANGE rows tile
-    the stream in order, each with its packets' verdict instant."""
+    computed on each read from the per-window table of the records, whose
+    ranges tile the stream in order, each with its packets' verdict instant."""
 
     state: MitigationState
     arrival_ns: np.ndarray  # the trace's arrivals, not a copy
@@ -213,39 +220,41 @@ class MitigationResult:
 
     @cached_property
     def events(self) -> EventLog:
-        return _expand_log(self.blocks, self.flush_first, self.arrival_ns, self.state.skip)
+        return _expand_log(self)
 
     @property
     def outcomes(self) -> np.ndarray:
-        """uint8 of Outcome, one per packet: a range row's packets are dropped or
-        forwarded, those of a WINDOW_CLEAR row just before it tested."""
-        kind, first, last = self.events.kind, self.events.first, self.events.last
-        at = np.flatnonzero(kind >= _DROP)  # the range rows
-        tested = np.where(kind[at - 1] == _CLEAR, first[at - 1], last[at] + 1)
-        codes = np.full((len(at), 2), Outcome.TESTED_FORWARDED, np.uint8)
-        codes[:, 0] = np.where(kind[at] == _DROP, Outcome.DROPPED, Outcome.FORWARDED)
-        return codes.ravel().repeat(np.column_stack((tested - first[at], last[at] + 1 - tested)).ravel())
+        """uint8 of Outcome, one per packet: an attack window's range is dropped;
+        a clear one's is forwarded, its window's own packets tested."""
+        first, start, end, _, attack, *_ = _windows(self)
+        codes = np.where(attack[:, None], Outcome.DROPPED, [Outcome.FORWARDED, Outcome.TESTED_FORWARDED])
+        lengths = np.column_stack((start - first, end + 1 - start))
+        return codes.astype(np.uint8).ravel().repeat(lengths.ravel())
 
     def drop_instants(self) -> np.ndarray:
         """The verdict instant of each dropped packet, in seq order (nondecreasing)."""
-        drops = self.events[self.events.kind == _DROP]
-        return drops.time_ns.repeat(drops.last - drops.first + 1)
+        first, _, end, now, attack, *_ = _windows(self)
+        return now[attack].repeat((end + 1 - first)[attack])
 
     @property
     def drop_time_ns(self) -> np.ndarray:
         """int64 verdict instant that dropped a packet, -1 otherwise."""
-        ranges = self.events[self.events.kind >= _DROP]
-        return np.where(ranges.kind == _DROP, ranges.time_ns, -1).repeat(ranges.last - ranges.first + 1)
+        if not self.state.packets_dropped:
+            return np.full(len(self.arrival_ns), -1, np.int64)
+        first, _, end, now, attack, *_ = _windows(self)
+        return np.where(attack, now, -1).repeat(end + 1 - first)
 
     @property
     def release_ns(self) -> np.ndarray:
-        """int64 instant a packet became forwardable, -1 if dropped: its range
-        row's instant, or its arrival if tested or flushed from the final test cursor on."""
-        ranges = self.events[self.events.kind >= _DROP]
-        out = np.where(ranges.kind == _DROP, -1, ranges.time_ns).repeat(ranges.last - ranges.first + 1)
-        # no packet at or past the final test cursor is dropped
-        at_arrival = self.outcomes == int(Outcome.TESTED_FORWARDED)
-        at_arrival[min(self.state.test_cursor, len(out)) :] = True
+        """int64 instant a packet became forwardable, -1 if dropped: its range's
+        verdict instant, or its arrival if tested or flushed from the final test
+        cursor on. With none dropped none was held: a read-only view of the arrivals."""
+        if not self.state.packets_dropped:
+            return np.broadcast_to(self.arrival_ns, self.arrival_ns.shape)  # a read-only view
+        first, _, end, now, attack, *_ = _windows(self)
+        out = np.where(attack, -1, now).repeat(end + 1 - first)
+        at_arrival = self.outcomes == Outcome.TESTED_FORWARDED
+        at_arrival[self.state.test_cursor :] = True  # none dropped there
         np.copyto(out, self.arrival_ns, where=at_arrival)
         return out
 

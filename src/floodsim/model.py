@@ -29,7 +29,7 @@ class InvariantViolation(RuntimeError):
 MAX_TIME_S = 9.2e9  # a little under 2**63 ns, so every smaller time fits int64
 CLOCK_NS = int(MAX_TIME_S * NS_PER_S)  # no instant of a run may reach it
 MEMORY_BUDGET = 2 * 10**9  # bytes one run may take at its peak (README "Limits")
-RUN_BYTES_PER_PACKET = 66  # a run's tracemalloc peak bound, as tier-1 holds it
+RUN_BYTES_PER_PACKET = 52  # a run's tracemalloc peak bound, as tier-1 holds it
 MAX_ELEMENTS = MEMORY_BUDGET // RUN_BYTES_PER_PACKET  # cap on a scenario's expected packets
 MAX_SAMPLES = 10**7  # cap on a queue timeline's samples, ~40 bytes each while sampled
 # elements per step of every blockwise pass (peak_occupancy, the server's spans,

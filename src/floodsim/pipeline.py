@@ -47,10 +47,10 @@ from .traffic import write_trace_csv
 @dataclass
 class SimulationResult:
     """One run's stages and summary. mitigation.outcomes, release_ns and
-    drop_time_ns, and server.departure_ns, are computed on each read, and
-    mitigation.events on the first. With every packet released in seq order,
-    emit_ns is one read-only array with server.arrival_ns (and with
-    trace.arrival_ns too when no shaper paces the stream)."""
+    drop_time_ns, and server.departure_ns and seq, are computed on each read
+    or are read-only views, and mitigation.events on its first read. With
+    every packet released in seq order, emit_ns is one read-only array with
+    server.arrival_ns (and with trace.arrival_ns when no shaper paces it)."""
 
     scenario: Scenario
     trace: Trace
@@ -85,16 +85,16 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
     n = len(trace)
     sample_dt_ns = to_ns(scenario.sample_dt_s)
 
-    # with no drop there was no attack verdict, so no packet was held: each is
-    # released at its arrival, in seq order
-    if in_order := mit is None or not mit.state.packets_dropped:
-        rel_idx, emitted = np.arange(n, dtype=np.int64), trace.arrival_ns
+    # with no mitigation, or none held (release_ns is then a view of the
+    # arrivals), or no packet, the stream is released in seq order
+    emitted = trace.arrival_ns if mit is None else mit.release_ns  # -1 if dropped
+    if in_order := not n or np.may_share_memory(emitted, trace.arrival_ns):
+        rel_idx, emitted = None, trace.arrival_ns
     else:
         # pace the released stream in (release instant, seq) order; it is
         # mostly in seq order already, and then needs no sort
-        release_ns = mit.release_ns  # -1 if dropped: one read of the outcomes
-        rel_idx = np.flatnonzero(release_ns >= 0)
-        emitted = release_ns[rel_idx]
+        rel_idx = np.flatnonzero(emitted >= 0)
+        emitted = emitted[rel_idx]
         if not is_sorted(emitted):
             order = np.argsort(emitted, kind="stable")
             rel_idx, emitted = rel_idx[order], emitted[order]
@@ -106,11 +106,12 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
         # dropped it; occupancy counts the exits' multiset, so the sorted drop
         # instants are merged into the sorted emissions, not scattered by seq
         drops = np.empty(0, np.int64) if in_order else mit.drop_instants()
-        exit_ns = np.insert(emitted, emitted.searchsorted(drops, side="right"), drops)
+        exit_ns = emitted if in_order else np.insert(emitted, emitted.searchsorted(drops, "right"), drops)
+        arrived = trace.arrival_ns if in_order else trace.arrival_ns[rel_idx]
         sqf_timeline = shaping_queue_timeline(trace.arrival_ns, exit_ns, sample_dt_ns)
         sqf_summary["sqf_peak_queue"] = peak_occupancy(trace.arrival_ns, exit_ns)
-        sqf_summary["sqf_max_delay_s"] = int((emitted - trace.arrival_ns[rel_idx]).max(initial=0)) / 1e9
-        del exit_ns  # not held while the server runs
+        sqf_summary["sqf_max_delay_s"] = int((emitted - arrived).max(initial=0)) / 1e9
+        del exit_ns, arrived  # not held while the server runs
     else:  # the raw stream reaches the server, which slows down while a flood lasts
         serve_sched = RegimeSchedule([(to_ns(f.start_s), to_ns(f.end_s)) for f in scenario.floods])
     # in seq order the scatter is the identity, so emit_ns is the emission
@@ -125,11 +126,11 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
         emitted, scenario.service, serve_sched, substream(base, STREAM_SERVICE), seq=rel_idx
     )
 
-    if len(server) != len(rel_idx):
+    if len(server) != len(emitted):
         raise InvariantViolation("served packet count diverged from forwarded count")
     dropped = int(mit.state.packets_dropped) if mit is not None else 0
     forwarded = int(mit.state.packets_forwarded) if mit is not None else n
-    if dropped + forwarded != n or forwarded != len(rel_idx):
+    if dropped + forwarded != n or forwarded != len(emitted):
         raise InvariantViolation(
             f"packet conservation broken: {dropped} dropped + {forwarded} forwarded != {n}"
         )
@@ -138,8 +139,8 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
     departure_ns = server.departure_ns  # computed on read: not held by the result
     summary = {
         "packets_total": n,
-        "packets_attack": trace.attack_count(),
-        "packets_benign": n - trace.attack_count(),
+        "packets_attack": (n_attack := trace.attack_count()),
+        "packets_benign": n - n_attack,
         "sqf_enabled": int(scenario.sqf_enabled),
         "aam_enabled": int(scenario.aam_enabled),
         "packets_forwarded": forwarded,

@@ -72,13 +72,17 @@ NORMAL_ALWAYS = RegimeSchedule([])
 @dataclass
 class ServerTrace:
     """Per-packet result of a server run, in service (arrival) order.
-    departure_ns is computed on each read; in a run, arrival_ns may be one
-    read-only array with the run's emit_ns (see SimulationResult)."""
+    departure_ns, and seq in stream order, are computed on each read; in a
+    run, arrival_ns may be one read-only array with emit_ns (SimulationResult)."""
 
-    seq: np.ndarray         # original stream seq of each served packet
     arrival_ns: np.ndarray  # arrival at the server
     wait_ns: np.ndarray
     service_ns: np.ndarray
+    order: np.ndarray | None = None  # stream seq of each served packet, None: in stream order
+
+    @property
+    def seq(self) -> np.ndarray:
+        return np.arange(len(self), dtype=np.int64) if self.order is None else self.order
 
     def __len__(self) -> int:
         return len(self.arrival_ns)
@@ -110,15 +114,14 @@ def simulate_server(
     """
     a = _as_times(arrival_ns)
     n = len(a)
-    seq = np.arange(n, dtype=np.int64) if seq is None else np.asarray(seq, dtype=np.int64)
-    if seq.shape != (n,):
+    if seq is not None and (seq := np.asarray(seq, dtype=np.int64)).shape != (n,):
         raise ValueError("seq must be a 1-d array with one entry per arrival")
     if not is_sorted(a):
         raise ValueError("arrivals must be sorted")
     waits = np.empty(n, np.int64)
     services = np.empty(n, np.int64)
     if n == 0:
-        return ServerTrace(seq, a, waits, services)
+        return ServerTrace(a, waits, services, seq)
 
     g = rng.generator
     z = g.standard_normal(n)
@@ -153,7 +156,7 @@ def simulate_server(
             start, span = starts.item(take), 0
         elif idx < n:
             start = max(a.item(idx), starts.item(-1) + t_cand.item(-1))
-    return ServerTrace(seq, a, waits, services)
+    return ServerTrace(a, waits, services, seq)
 
 
 def write_server_trace_csv(path, trace: ServerTrace) -> None:
@@ -162,7 +165,7 @@ def write_server_trace_csv(path, trace: ServerTrace) -> None:
         path,
         ["seq", "arrival_s", "wait_s", "service_s", "departure_s"],
         [
-            trace.seq,
+            range(len(trace)) if trace.order is None else trace.order,
             Seconds(trace.arrival_ns),
             Seconds(trace.wait_ns),
             Seconds(trace.service_ns),

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .csvio import Seconds, write_columns
-from .model import ConfigError, PacketClass, RngStream, Trace, is_sorted, to_ns
+from .model import NS_PER_S, ConfigError, PacketClass, RngStream, Trace, is_sorted, to_ns
 
 _LETTER_CLASS = {"B": int(PacketClass.BENIGN), "A": int(PacketClass.ATTACK)}
 _CLASS_LETTERS = np.array([b"B", b"A"])  # indexed by class value
@@ -78,12 +78,16 @@ def gen_benign(spec: BenignSpec, horizon_s: float, rng: RngStream) -> Trace:
     grid = rng.generator.random((spec.num_sources, n_per))
     grid *= spec.jitter_fraction * spec.period_s
     grid += np.arange(n_per, dtype=np.float64) * spec.period_s
-    arrival = to_ns(grid).ravel()
+    to_ns(grid.max(initial=0.0))  # to_ns's range check; its rounding follows, in place
+    grid *= NS_PER_S
+    arrival = np.rint(grid, out=grid).ravel().view(np.int64)
+    np.copyto(arrival, grid.ravel(), casting="unsafe")
+    del grid  # so the gather below frees the unsorted arrivals
     # the stable sort of the source-major grid puts equal arrivals lower source first
     order = np.argsort(arrival, kind="stable")
-    source = np.repeat(np.arange(1, spec.num_sources + 1, dtype=np.int32), n_per)
-    klass = np.full(len(order), int(PacketClass.BENIGN), np.uint8)
-    return Trace(arrival[order], klass, source[order])
+    arrival = arrival[order]
+    source = np.repeat(np.arange(1, spec.num_sources + 1, dtype=np.int32), n_per)[order]
+    return Trace(arrival, np.full(len(order), int(PacketClass.BENIGN), np.uint8), source)
 
 
 def gen_flood(spec: FloodSpec, rng: RngStream) -> Trace:
@@ -132,7 +136,7 @@ def write_trace_csv(path, trace: Trace) -> None:
     write_columns(
         path,
         _TRACE_HEADER,
-        [np.arange(len(trace)), Seconds(trace.arrival_ns), _CLASS_LETTERS[trace.klass], trace.source_id],
+        [range(len(trace)), Seconds(trace.arrival_ns), _CLASS_LETTERS[trace.klass], trace.source_id],
     )
 
 

@@ -9,7 +9,8 @@ The functions from window_decision on are earlier library code kept
 verbatim: the per-window majority vote, the one-verdict-at-a-time window
 machine that called it, the closed-form FCFS waits, the server chunk loop
 that redraws the whole remaining stream per chunk, the sort-based peak
-occupancy, the three-key lexsort merge and the per-source benign generator.
+occupancy, the three-key lexsort merge, the per-source benign generator and
+the readers that took a machine result's per-packet arrays from its event log.
 They use floodsim's types and primitives, and the faster versions must
 reproduce them exactly.
 """
@@ -22,6 +23,8 @@ import numpy as np
 
 from floodsim.detector import DetectorModel, classify_stream
 from floodsim.mitigation import (
+    _CLEAR,
+    _DROP,
     FixedSkip,
     MitigationEvent,
     MitigationState,
@@ -459,7 +462,7 @@ def reference_simulate_server(
     waits = np.empty(n, np.int64)
     services = np.empty(n, np.int64)
     if n == 0:
-        return ServerTrace(seq, a, waits, services)
+        return ServerTrace(a, waits, services, seq)
 
     g = rng.generator
     z = g.standard_normal(n)
@@ -486,7 +489,7 @@ def reference_simulate_server(
         if idx + take < n:
             wait = int(w_cand[take])
         idx += take
-    return ServerTrace(seq, a, waits, services)
+    return ServerTrace(a, waits, services, seq)
 
 
 def reference_peak_occupancy(entry_ns, exit_ns) -> int:
@@ -536,3 +539,37 @@ def reference_gen_benign(spec, horizon_s, rng) -> Trace:
         klass = np.full(n_per, int(PacketClass.BENIGN), np.uint8)
         parts.append(Trace(to_ns(base + jitter), klass, np.full(n_per, source, np.int32)))
     return reference_merge(parts)
+
+
+# The per-packet readers of a MitigationResult as they read its event log,
+# kept verbatim: a range row's packets take its instant, those of a
+# WINDOW_CLEAR row just before it were tested.
+
+
+def log_outcomes(res) -> np.ndarray:
+    kind, first, last = res.events.kind, res.events.first, res.events.last
+    at = np.flatnonzero(kind >= _DROP)  # the range rows
+    tested = np.where(kind[at - 1] == _CLEAR, first[at - 1], last[at] + 1)
+    codes = np.full((len(at), 2), Outcome.TESTED_FORWARDED, np.uint8)
+    codes[:, 0] = np.where(kind[at] == _DROP, Outcome.DROPPED, Outcome.FORWARDED)
+    return codes.ravel().repeat(np.column_stack((tested - first[at], last[at] + 1 - tested)).ravel())
+
+
+def log_drop_instants(res) -> np.ndarray:
+    drops = res.events[res.events.kind == _DROP]
+    return drops.time_ns.repeat(drops.last - drops.first + 1)
+
+
+def log_drop_time_ns(res) -> np.ndarray:
+    ranges = res.events[res.events.kind >= _DROP]
+    return np.where(ranges.kind == _DROP, ranges.time_ns, -1).repeat(ranges.last - ranges.first + 1)
+
+
+def log_release_ns(res) -> np.ndarray:
+    ranges = res.events[res.events.kind >= _DROP]
+    out = np.where(ranges.kind == _DROP, -1, ranges.time_ns).repeat(ranges.last - ranges.first + 1)
+    # no packet at or past the final test cursor is dropped
+    at_arrival = log_outcomes(res) == int(Outcome.TESTED_FORWARDED)
+    at_arrival[min(res.state.test_cursor, len(out)) :] = True
+    np.copyto(out, res.arrival_ns, where=at_arrival)
+    return out

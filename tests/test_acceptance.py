@@ -409,23 +409,32 @@ def test_shaper_absorbs_congestion_and_drains_linearly():
 
 
 def test_adaptive_skip_scales_with_flood_size():
+    # the skip set at each attack verdict, from the block records (an adaptive
+    # attack block is one window), split by flood. At its first verdict each
+    # flood's queue estimate is small and both skips may be 1; from the
+    # second verdict on the larger flood's skip must be the longer at every
+    # verdict index the two floods share. RECALC_M rows would not do: one is
+    # logged only when the skip changes, so a flood whose first skip equals
+    # the one left from the flood before logs its second as its first.
     res = run_simulation(load_scenario(SCENARIOS / "dualflood.cfg"))
-    events = res.mitigation.events
-    recalcs = events[events.is_kind("RECALC_M")]
+    verdicts = [(int(now[0]), after) for attack, *_, after, _, _, now in res.mitigation.blocks if attack]
     split = to_ns(25.0)
-    first = recalcs.skip[recalcs.time_ns < split].tolist()
-    second = recalcs.skip[recalcs.time_ns >= split].tolist()
+    first = [m for t, m in verdicts if t < split]
+    second = [m for t, m in verdicts if t >= split]
+    pairs = list(zip(first, second))
     ok = (
         bool(first)
         and bool(second)
-        and second[0] > first[0]
+        and second[0] >= first[0]
+        and all(b > a for a, b in pairs[1:])
         and max(second) > max(first)
         and res.summary["server_peak_queue"] <= 25
     )
     report(
         "the recomputed skip grows with the larger flood",
         ok,
-        f"first_flood_m first={first[0] if first else None} max={max(first, default=None)} "
-        f"second_flood_m first={second[0] if second else None} max={max(second, default=None)} "
+        f"first_flood_m verdicts={len(first)} first={first[:1]} max={max(first, default=None)} "
+        f"second_flood_m verdicts={len(second)} first={second[:1]} max={max(second, default=None)} "
+        f"shorter_or_equal_after_first={sum(b <= a for a, b in pairs[1:])} "
         f"server_peak={res.summary['server_peak_queue']}",
     )

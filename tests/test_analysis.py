@@ -310,17 +310,21 @@ def test_monte_carlo_cost_is_reproducible():
 
 def test_monte_carlo_trials_build_no_event_log(monkeypatch):
     # a trial reads only the machine's counters: expanding its block records
-    # into the event log (and the outcomes read from it) would be wasted work
+    # into the event log or the per-window table the outcomes are read from
+    # would be wasted work
     def refuse(*args):
-        raise AssertionError("a Monte Carlo trial expanded its event log")
+        raise AssertionError("a Monte Carlo trial expanded its block records")
 
     scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "costsweep.cfg")
     want = [monte_carlo_cost(scn, m, 3) for m in (1, 64)]
     monkeypatch.setattr(mitigation, "_expand_log", refuse)
+    monkeypatch.setattr(mitigation, "_windows", refuse)
     got = [monte_carlo_cost(scn, m, 3) for m in (1, 64)]
     assert got == want
-    with pytest.raises(AssertionError, match="expanded"):
-        drive_run(scn, RngStream(scn.seed, 0), 1000, FixedSkip(64))[1].outcomes
+    mit = drive_run(scn, RngStream(scn.seed, 0), 1000, FixedSkip(64))[1]
+    for name in ("events", "outcomes"):
+        with pytest.raises(AssertionError, match="expanded"):
+            getattr(mit, name)
 
 
 def test_monte_carlo_cost_argument_errors():

@@ -164,6 +164,34 @@ def test_block_boundary_does_not_change_bytes(n):
     assert written(["seq", "t"], [seq, Seconds(ns)]) == expected.encode()
 
 
+@settings(max_examples=100)
+@given(
+    st.sampled_from([1, 3, 7]),
+    st.integers(0, 4),
+    st.integers(-1, 1),
+    st.integers(-(10**12), 10**12) | st.sampled_from([0, -1, 1, 9, 10, -(2**62)]),
+    st.sampled_from([1, 2, 10**6, -3]),
+)
+def test_range_column_writes_its_arange(block, blocks, off, start, step):
+    # lengths around a multiple of the block, so the ranges sliced per block
+    # start, end and fall on every boundary
+    n = max(0, blocks * block + off)
+    col = range(start, start + n * step, step)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "BLOCK", block)
+        got = written(["seq", "x"], [col, np.zeros(n, np.int64)])
+        want = written(["seq", "x"], [np.arange(start, start + n * step, step, dtype=np.int64),
+                                      np.zeros(n, np.int64)])
+    assert got == want
+    assert got.count(b"\r\n") == n + 1
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1, 2 * BLOCK], ids=["block-1", "block+1", "2blocks"])
+def test_range_column_at_the_real_block(n):
+    start = 10**12 - BLOCK
+    assert written(["seq"], [range(start, start + n)]) == written(["seq"], [np.arange(start, start + n)])
+
+
 def server_trace_write_peak(path, blocks: int) -> int:
     """tracemalloc peak, in bytes, of writing a server-trace-shaped table
     (seq, then four Seconds columns of run-like magnitudes) of whole blocks."""

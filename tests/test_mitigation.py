@@ -24,7 +24,14 @@ from floodsim.mitigation import (
 from floodsim import mitigation
 from floodsim.model import InvariantViolation, Trace
 from floodsim.pacing import max_plus
-from oracles import reference_run_mitigation, step_through_machine
+from oracles import (
+    log_drop_instants,
+    log_drop_time_ns,
+    log_outcomes,
+    log_release_ns,
+    reference_run_mitigation,
+    step_through_machine,
+)
 
 
 def perfect(window):
@@ -511,6 +518,44 @@ def test_reads_in_any_order_match_the_reference(case, order):
             np.testing.assert_array_equal(value, getattr(want, name))
             assert value.dtype == getattr(want, name).dtype
     assert got.events is got.events
+
+
+LOG_READERS = {
+    "outcomes": log_outcomes,
+    "release_ns": log_release_ns,
+    "drop_time_ns": log_drop_time_ns,
+    "drop_instants": log_drop_instants,
+}
+
+
+@settings(max_examples=100)
+@given(machine_cases())
+def test_table_readers_match_the_log_readers(case):
+    """The per-packet arrays read from the per-window table are the ones the
+    event log's range rows give, and reading them expands no log."""
+    trace, labels, window, policy, pace = case
+    got = run_mitigation(trace, perfect(window), policy, labels=labels, test_pacing_ns=pace)
+    assume(got.state.packets_dropped > 0)
+    table = {name: getattr(got, name) for name in LOG_READERS}
+    table["drop_instants"] = got.drop_instants()
+    assert "events" not in vars(got)
+    for name, reader in LOG_READERS.items():
+        want = reader(got)
+        np.testing.assert_array_equal(table[name], want)
+        assert table[name].dtype == want.dtype
+
+
+def test_release_without_drops_is_a_read_only_view_of_the_arrivals():
+    trace = make_trace([0] * 95)
+    res = run_mitigation(trace, perfect(20), AdaptiveSkip(0.05), labels=trace.klass)
+    assert res.state.packets_dropped == 0
+    release = res.release_ns
+    assert np.shares_memory(release, trace.arrival_ns)
+    np.testing.assert_array_equal(release, trace.arrival_ns)
+    with pytest.raises(ValueError, match="read-only"):
+        release[0] = 1
+    assert trace.arrival_ns.flags.writeable  # the trace's own array is left as it was
+    np.testing.assert_array_equal(res.drop_time_ns, np.full(95, -1))
 
 
 def test_partition_check_refuses_gaps_and_overlaps():

@@ -138,6 +138,22 @@ def test_in_order_release_shares_one_read_only_emission_array():
     np.testing.assert_array_equal(mixed.emit_ns < 0, mixed.mitigation.outcomes == Outcome.DROPPED)
 
 
+def test_run_without_drops_holds_each_fact_once():
+    # noflood.cfg runs the machine and drops nothing: the release instants are
+    # the arrivals, and the served packets are the stream in seq order
+    res = run_simulation(load_scenario(SCENARIOS / "noflood.cfg"))
+    mit, srv = res.mitigation, res.server
+    assert res.summary["packets_dropped"] == 0 < len(srv)
+    assert np.shares_memory(mit.release_ns, res.trace.arrival_ns)
+    with pytest.raises(ValueError, match="read-only"):
+        mit.release_ns[0] = 0
+    assert "seq" not in vars(srv)
+    np.testing.assert_array_equal(srv.seq, np.arange(len(srv)))
+    for name in ("outcomes", "release_ns", "drop_time_ns"):
+        getattr(mit, name)
+    assert "events" not in vars(mit)
+
+
 def test_no_sqf_hits_server_raw():
     scn = small_mix(
         sqf_enabled=False,
@@ -236,11 +252,12 @@ def test_empty_scenario_runs(text, summary_sha256, tmp_path):
 def test_run_memory_peak_per_packet():
     # benign_monitor's traffic over 2 s: 200 k packets, all windows clear.
     # tracemalloc counts numpy's buffers, so the figures do not follow host
-    # load. Measured: a peak of 58.7 B/packet during the run, 46.7 held after
-    # it (a run without drops builds no event log and no outcome array) and
-    # 77.5 while every public per-packet array is read at once, the first read
-    # expanding the log. Each bound adds about 7 % for other numpy builds; the
-    # run's bound sets the packet cap from the memory budget.
+    # load. Measured: a peak of 50.7 B/packet during the run, 38.7 held after
+    # it (a run without drops builds no event log, no outcome array and no seq
+    # array) and 63.7 while every public per-packet array is read at once
+    # (release_ns is then a view of the arrivals, and no read expands the
+    # log). Each bound adds 2.5-4 % for other numpy builds; the run's bound
+    # sets the packet cap from the memory budget.
     scn = parse_scenario(
         "benign.period_s = 0.0001\nbenign.jitter_fraction = 0.3\nbenign.num_sources = 10\n"
         "sqf.D_ms = 0.005\ndetector.window = 20\nrun.horizon_s = 2\n"
@@ -262,10 +279,11 @@ def test_run_memory_peak_per_packet():
         tracemalloc.stop()
     n = res.summary["packets_total"]
     assert n == 200_000 and len(arrays) == 12
-    assert peak / n <= 66 == RUN_BYTES_PER_PACKET
+    assert peak / n <= 52 == RUN_BYTES_PER_PACKET
     assert MAX_ELEMENTS * RUN_BYTES_PER_PACKET <= MEMORY_BUDGET
-    assert held / n <= 50
-    assert read_peak / n <= 80
+    assert held / n <= 40
+    assert read_peak / n <= 66
+    assert "events" not in vars(mit) and "seq" not in vars(srv)
 
 
 def test_empty_aam_run_keeps_the_aam_outputs(tmp_path):

@@ -1,4 +1,5 @@
 """FCFS waiting times and the regime-switching server simulation."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from floodsim.model import BLOCK, ConfigError, InvariantViolation
 from floodsim.pipeline import run_simulation
 from floodsim.scenario import parse_scenario
 from floodsim import server
-from floodsim.server import _FIRST_SPAN, RegimeSchedule
+from floodsim.server import _FIRST_SPAN, RegimeSchedule, write_server_trace_csv
 from floodsim.traffic import FloodSpec, gen_flood
 from oracles import fcfs_waits_event_driven, lindley_waits, reference_simulate_server
 
@@ -161,6 +162,21 @@ def test_simulate_server_empty_and_validation():
 def test_simulate_server_refuses_misshapen_inputs(arrivals, seq):
     with pytest.raises(ValueError, match="1-d"):
         simulate_server(arrivals, ServiceTimeModel(), NORMAL_ALWAYS, RngStream(1, 0), seq=seq)
+
+
+def test_in_order_serve_holds_no_seq_array(tmp_path):
+    a = np.arange(0, 50 * 10**6, 10**6)
+    served = simulate_server(a, ServiceTimeModel(), NORMAL_ALWAYS, RngStream(1, 0))
+    assert "seq" not in vars(served) and served.order is None
+    np.testing.assert_array_equal(served.seq, np.arange(50))
+    assert served.seq.dtype == np.int64
+    picked = np.arange(100, 150)
+    given_seq = simulate_server(a, ServiceTimeModel(), NORMAL_ALWAYS, RngStream(1, 0), seq=picked)
+    np.testing.assert_array_equal(given_seq.seq, picked)
+    # the writer's seq column is the same either way
+    write_server_trace_csv(tmp_path / "in_order.csv", served)
+    write_server_trace_csv(tmp_path / "given.csv", dataclasses.replace(served, order=np.arange(50)))
+    assert (tmp_path / "in_order.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
 
 
 def test_summed_service_beyond_the_clock_is_a_config_error():
