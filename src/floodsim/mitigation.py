@@ -168,6 +168,13 @@ def _windows(res: "MitigationResult") -> tuple:
     return first, starts, ends, now, *(np.repeat(c, k) for c in (attack, before, after))
 
 
+def _outcomes(first, start, end, attack) -> np.ndarray:
+    """The per-packet Outcome codes (uint8) of a per-window table."""
+    codes = np.where(attack[:, None], Outcome.DROPPED, [Outcome.FORWARDED, Outcome.TESTED_FORWARDED])
+    lengths = np.column_stack((start - first, end + 1 - start))
+    return codes.astype(np.uint8).ravel().repeat(lengths.ravel())
+
+
 def _expand_log(res: "MitigationResult") -> EventLog:
     """The EventLog of a result's block records, in one pass: each window's
     verdict, RECALC_M if the skip changed, its range; then the flush's range."""
@@ -227,9 +234,7 @@ class MitigationResult:
         """uint8 of Outcome, one per packet: an attack window's range is dropped;
         a clear one's is forwarded, its window's own packets tested."""
         first, start, end, _, attack, *_ = _windows(self)
-        codes = np.where(attack[:, None], Outcome.DROPPED, [Outcome.FORWARDED, Outcome.TESTED_FORWARDED])
-        lengths = np.column_stack((start - first, end + 1 - start))
-        return codes.astype(np.uint8).ravel().repeat(lengths.ravel())
+        return _outcomes(first, start, end, attack)
 
     def drop_instants(self) -> np.ndarray:
         """The verdict instant of each dropped packet, in seq order (nondecreasing)."""
@@ -251,9 +256,9 @@ class MitigationResult:
         cursor on. With none dropped none was held: a read-only view of the arrivals."""
         if not self.state.packets_dropped:
             return np.broadcast_to(self.arrival_ns, self.arrival_ns.shape)  # a read-only view
-        first, _, end, now, attack, *_ = _windows(self)
+        first, start, end, now, attack, *_ = _windows(self)
         out = np.where(attack, -1, now).repeat(end + 1 - first)
-        at_arrival = self.outcomes == Outcome.TESTED_FORWARDED
+        at_arrival = _outcomes(first, start, end, attack) == Outcome.TESTED_FORWARDED
         at_arrival[self.state.test_cursor :] = True  # none dropped there
         np.copyto(out, self.arrival_ns, where=at_arrival)
         return out

@@ -118,28 +118,42 @@ def shaping_queue_timeline(arrival_ns, forward_ns, sample_dt_ns: int):
     return _timeline(_sorted(a), _sorted(t), sample_dt_ns)
 
 
+_STRIDE = 64  # entries between the samples that bracket peak_occupancy
+
+
+def _exceeds(entry: np.ndarray, exits: np.ndarray, p: int) -> bool:
+    """Whether the peak passes p < len(entry): some k >= p has no (k - p)-th
+    exit or one no earlier than entry k. One pass in BLOCK chunks, up to a hit."""
+    head, tail = exits[: len(entry) - p], entry[p:]
+    return len(tail) > len(exits) or any(
+        (head[j : j + BLOCK] >= tail[j : j + BLOCK]).any() for j in range(0, len(head), BLOCK)
+    )
+
+
 def peak_occupancy(entry_ns, exit_ns) -> int:
     """Exact maximum occupancy under the [entry, exit] closed convention
     (no sampling grid involved). Every exit must pair with an entry no later
     than itself, as a packet's does.
 
-    Occupancy only rises at an entry instant, so the peak is the largest
-    count(entry <= e) - count(exit < e) over the entries e. Over the sorted
-    entries, k + 1 stands in for count(entry <= entry[k]): it is exact at the
-    last of equal entries and smaller before it, so the maximum is the same.
-    Entries go a block at a time, each block merged with the exits that can
-    precede it: a stable sort of the block followed by those exits puts every
-    entry ahead of the exits at its own instant, so entry i's merged position
-    less i counts the exits before it. No temporary spans the stream.
+    Occupancy only rises at an entry instant, so the peak is the largest of 0
+    and f(k) = k + 1 - count(exit < entry[k]) over the sorted entries: k + 1
+    stands in for count(entry <= entry[k]), exact at the last of equal entries
+    and smaller before it, so the maximum is the same. Two facts find it:
+    f(k) - f(s) <= k - s for k >= s, so the largest L of f at every _STRIDE-th
+    entry brackets L <= peak <= L + _STRIDE - 1; and peak > p exactly when some
+    k >= p has k - p >= len(exits) or exits[k - p] >= entry[k], a test monotone
+    in p. A gallop up from L - 1, then a bisection of the bracket, takes at most
+    2*ceil(log2 _STRIDE) + 1 passes of that test; only failing ones read the
+    whole stream. Neither sorts nor merges; no temporary spans the stream.
     """
     entry, exits = _sorted(entry_ns), _sorted(exit_ns)
-    peak = 0
-    for k in range(0, len(entry), BLOCK):
-        block = entry[k : k + BLOCK]
-        lo, hi = exits.searchsorted(block[[0, -1]], side="left")
-        order = np.concatenate((block, exits[lo:hi])).argsort(kind="stable")
-        # entries keep their own order, so the j-th entry merged is entry j
-        before = np.flatnonzero(order < len(block)) - np.arange(len(block))
-        entered = np.arange(k + 1 - lo, k + 1 - lo + len(block), dtype=np.int64)
-        peak = max(peak, int((entered - before).max()))
-    return peak
+    sampled = np.arange(1, len(entry) + 1, _STRIDE) - exits.searchsorted(entry[::_STRIDE])
+    lo, step = int(sampled.max(initial=0)) - 1, 1  # the peak passes lo ...
+    hi = min(len(entry), lo + _STRIDE)  # ... and not hi
+    while lo + step < hi and _exceeds(entry, exits, lo + step):
+        lo, step = lo + step, 2 * step
+    hi = min(hi, lo + step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _exceeds(entry, exits, mid) else (lo, mid)
+    return hi

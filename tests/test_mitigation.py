@@ -558,6 +558,24 @@ def test_release_without_drops_is_a_read_only_view_of_the_arrivals():
     np.testing.assert_array_equal(res.drop_time_ns, np.full(95, -1))
 
 
+def test_release_with_drops_builds_the_window_table_once(monkeypatch):
+    # release_ns takes its verdict instants and its tested-at-arrival mask
+    # from one per-window table, not a second one through outcomes
+    labels = [0] * 40 + [1] * 60 + [0] * 45
+    trace = make_trace(labels)
+    res = run_mitigation(trace, perfect(20), FixedSkip(3), labels=trace.klass, test_pacing_ns=1_000)
+    assert res.state.packets_dropped > 0
+    want = log_release_ns(res)
+    calls = []
+    build = mitigation._windows
+    monkeypatch.setattr(mitigation, "_windows", lambda r: calls.append(1) or build(r))
+    for reads in (1, 2):
+        release = res.release_ns
+        assert len(calls) == reads
+        np.testing.assert_array_equal(release, want)
+        assert release.dtype == want.dtype
+
+
 def test_partition_check_refuses_gaps_and_overlaps():
     def record(first, end):
         return (False, first, end, 1, 1, np.array([first]), np.array([end - 1]), np.array([0]))

@@ -6,6 +6,7 @@ of the reflected delay recursion (oracles.pacing_delays), the max-plus
 kernel behind it against a literal per-element loop, and the timelines
 against brute-force occupancy counting.
 """
+import math
 import tracemalloc
 
 import numpy as np
@@ -191,19 +192,33 @@ def test_peak_occupancy_matches_reference(stays):
     assert peak == max((occupancy_at(entry, exits, t) for t in entry), default=0)
 
 
+def counting_passes(mp) -> list:
+    """Record the order-statistic passes peak_occupancy makes."""
+    passes, test = [], pacing._exceeds
+    mp.setattr(pacing, "_exceeds", lambda e, x, p: passes.append(p) or test(e, x, p))
+    return passes
+
+
+def max_passes(stride: int) -> int:
+    return 2 * math.ceil(math.log2(stride)) + 1
+
+
 @settings(max_examples=300)
 @given(
     stays=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 12)), max_size=40),
     ties=st.lists(st.tuples(st.integers(3, 30), st.integers(2, 6), st.integers(0, 3)), max_size=3),
     block=st.integers(1, 4),
+    stride=st.integers(1, 5),
     presorted=st.booleans(),
 )
-def test_peak_occupancy_across_blocks_matches_reference(stays, ties, block, presorted):
+def test_peak_occupancy_across_blocks_matches_reference(stays, ties, block, stride, presorted):
     # blocks of 1-4 entries: block edges fall between and inside groups of
     # equal entries, and the exits before a block's first entry are many.
     # Each tie (t, c, d) adds c packets that enter and leave at t and c that
     # enter d ns earlier and leave at t, so a group of equal entries and
-    # exits longer than a block straddles a block cut
+    # exits longer than a block straddles a block cut. Samples every 1-5
+    # entries put the bracket's edges, and the gallop's and bisection's
+    # probes, at every place in these small streams
     stays = stays + [stay for t, c, d in ties for stay in [(t, 0)] * c + [(t - d, d)] * c]
     entry = np.array([e for e, _ in stays], np.int64)
     exits = np.array([e + d for e, d in stays], np.int64)
@@ -211,12 +226,72 @@ def test_peak_occupancy_across_blocks_matches_reference(stays, ties, block, pres
         entry, exits = np.sort(entry), np.sort(exits)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pacing, "BLOCK", block)
+        mp.setattr(pacing, "_STRIDE", stride)
+        passes = counting_passes(mp)
         assert peak_occupancy(entry, exits) == reference_peak_occupancy(entry, exits)
+    assert len(passes) <= max_passes(stride)
+
+
+@settings(max_examples=300)
+@given(
+    stays=st.lists(
+        st.tuples(st.integers(0, 30), st.integers(0, 12), st.booleans()), min_size=1, max_size=40
+    ),
+    block=st.integers(1, 4),
+    stride=st.integers(1, 5),
+)
+def test_peak_occupancy_with_packets_still_inside_matches_reference(stays, block, stride):
+    # the first packet, and each one drawn False, never leaves: the exits
+    # are a strict subset of the stays, as when a run ends with a backlog
+    entry = [e for e, _, _ in stays]
+    exits = [e + d for e, d, leaves in stays[1:] if leaves]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pacing, "BLOCK", block)
+        mp.setattr(pacing, "_STRIDE", stride)
+        assert peak_occupancy(entry, exits) == reference_peak_occupancy(entry, exits)
+
+
+def sampled_floor(entry, exits) -> int:
+    """L, the largest f(k) = k + 1 - count(exit < entry[k]) over the sampled
+    entries k = 0, S, 2S, ... of a sorted stream."""
+    f = np.arange(1, len(entry) + 1) - np.searchsorted(exits, entry, side="left")
+    return int(f[:: pacing._STRIDE].max())
+
+
+def test_peak_at_every_offset_of_the_bracket():
+    # d + 1 packets enter one after another and stay; after they leave, one
+    # more enters alone (at the sample S when d = S - 1). f is 1 at the
+    # samples, so the peak d + 1 sits d above L = 1; at d = S - 1 it is the
+    # bracket's top, L + S - 1, at entry S - 1 strictly between two samples
+    S = pacing._STRIDE
+    for d in range(S):
+        entry = np.append(np.arange(d + 1), 3 * S).astype(np.int64)
+        exits = np.append(np.full(d + 1, 2 * S), 3 * S).astype(np.int64)
+        assert sampled_floor(entry, exits) == 1
+        with pytest.MonkeyPatch.context() as mp:
+            passes = counting_passes(mp)
+            assert peak_occupancy(entry, exits) == d + 1 == reference_peak_occupancy(entry, exits)
+        assert len(passes) <= max_passes(S)
+
+
+def test_peak_at_the_sampled_floor():
+    # S + 1 packets enter one after another and stay, so the peak S + 1 is
+    # f at the sample S itself; one more enters alone after they leave.
+    # One failing pass settles it
+    S = pacing._STRIDE
+    entry = np.append(np.arange(S + 1), 3 * S).astype(np.int64)
+    exits = np.append(np.full(S + 1, 2 * S), 3 * S).astype(np.int64)
+    L = sampled_floor(entry, exits)
+    with pytest.MonkeyPatch.context() as mp:
+        passes = counting_passes(mp)
+        assert peak_occupancy(entry, exits) == L == S + 1 == reference_peak_occupancy(entry, exits)
+    assert passes == [L]
 
 
 def test_peak_occupancy_allocates_no_whole_stream_temporary():
     # two sorted 1 M-packet streams (8 MB each): the pass neither sorts nor
-    # searches them whole, so it allocates well under one stream's size
+    # merges them, and its samples and chunk comparisons stay well under
+    # one stream's size
     entry = np.arange(1_000_000, dtype=np.int64) * 10
     exits = entry + 25
     tracemalloc.start()
