@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, PacketClass, RngStream
+from .model import BLOCK, ConfigError, PacketClass, RngStream
 
 
 @dataclass
@@ -33,10 +33,14 @@ def classify_stream(klass, model: DetectorModel, rng: RngStream) -> np.ndarray:
 
     One uniform is consumed per packet regardless of class, so the label of
     packet k depends only on (stream, k), not on the class mix around it.
+    The uniforms are drawn and labelled BLOCK at a time, which consumes the
+    stream exactly as one draw of them all would.
     """
     k = np.asarray(klass, dtype=np.uint8)
-    u = rng.generator.random(len(k))
-    is_attack = k == int(PacketClass.ATTACK)
-    labeled_attack = np.where(is_attack, u < model.tpr, u >= model.tnr)
-    return labeled_attack.astype(np.uint8)
-
+    labels = np.empty(len(k), np.uint8)
+    g = rng.generator
+    for lo in range(0, len(k), BLOCK):
+        is_attack = k[lo : lo + BLOCK] == int(PacketClass.ATTACK)
+        u = g.random(len(is_attack))
+        labels[lo : lo + BLOCK] = np.where(is_attack, u < model.tpr, u >= model.tnr)
+    return labels

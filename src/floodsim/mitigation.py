@@ -43,7 +43,7 @@ import numpy as np
 
 from .csvio import Seconds, write_columns
 from .detector import DetectorModel, classify_stream
-from .model import CLOCK_NS, ConfigError, InvariantViolation, PacketClass, RngStream, Trace, check_skip
+from .model import BLOCK, CLOCK_NS, ConfigError, InvariantViolation, PacketClass, RngStream, Trace, check_skip
 from .pacing import max_plus
 
 class Outcome(IntEnum):
@@ -333,8 +333,12 @@ def run_mitigation(
             raise ValueError("labels must align with the trace")
 
     arrivals = trace.arrival_ns
-    votes = np.zeros(n + 1, np.int64)  # votes[k]: attack labels among the first k
-    np.cumsum(labels == int(PacketClass.ATTACK), out=votes[1:])
+    votes = np.empty(n + 1, np.int64)  # votes[k]: attack labels among the first k
+    votes[0] = 0
+    for lo in range(0, n, BLOCK):  # a cumsum casts all of its input to int64 first
+        run = votes[lo + 1 : lo + 1 + BLOCK]
+        np.cumsum(labels[lo : lo + BLOCK] == int(PacketClass.ATTACK), out=run)
+        run += votes[lo]
     st = MitigationState(skip=policy.skip if fixed else 0)
     blocks: list = []  # (attack, first, end, skip before, skip after, starts, ends, verdicts)
     min_tail = math.ceil(window / 2)  # a shorter partial window goes untested

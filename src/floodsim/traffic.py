@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .csvio import Seconds, write_columns
-from .model import NS_PER_S, ConfigError, PacketClass, RngStream, Trace, is_sorted, to_ns
+from .model import BLOCK, NS_PER_S, ConfigError, PacketClass, RngStream, Trace, is_sorted, to_ns
 
 _LETTER_CLASS = {"B": int(PacketClass.BENIGN), "A": int(PacketClass.ATTACK)}
 _CLASS_LETTERS = np.array([b"B", b"A"])  # indexed by class value
@@ -69,25 +69,57 @@ class FloodSpec:
 
 
 def gen_benign(spec: BenignSpec, horizon_s: float, rng: RngStream) -> Trace:
-    """Generate benign traffic on [0, horizon) from sources 1..num_sources.
+    """Generate benign traffic from sources 1..num_sources, ceil(horizon /
+    period) packets each: one per period that starts before the horizon, so
+    the last period's jitter can carry its packets past the horizon.
     Arrival k of a source sits at k*period + U[0, jitter_fraction*period);
-    the jitters are drawn source by source, each source's in arrival order."""
+    the jitters are drawn source by source, each source's in arrival order.
+    Equal arrivals go lower source first."""
     if horizon_s < 0:
         raise ValueError("horizon must be >= 0")
     n_per = math.ceil(horizon_s / spec.period_s)
     grid = rng.generator.random((spec.num_sources, n_per))
     grid *= spec.jitter_fraction * spec.period_s
     grid += np.arange(n_per, dtype=np.float64) * spec.period_s
-    to_ns(grid.max(initial=0.0))  # to_ns's range check; its rounding follows, in place
+    last = to_ns(grid.max(initial=0.0))  # to_ns's range check; its rounding follows, in place
     grid *= NS_PER_S
-    arrival = np.rint(grid, out=grid).ravel().view(np.int64)
-    np.copyto(arrival, grid.ravel(), casting="unsafe")
-    del grid  # so the gather below frees the unsorted arrivals
-    # the stable sort of the source-major grid puts equal arrivals lower source first
+    arrival = grid.view(np.int64)
+    ns, seconds = arrival.ravel(), grid.ravel()
+    for lo in range(0, len(ns), BLOCK):  # a cast onto its own buffer copies what it reads
+        np.rint(seconds[lo : lo + BLOCK], out=ns[lo : lo + BLOCK], casting="unsafe")
+    shift = spec.num_sources.bit_length()
+    if last < 1 << (63 - shift):
+        arrival, source = _sort_packed(arrival, shift)
+    else:
+        arrival, source = _sort_stable(arrival)
+    return Trace(arrival, np.full(len(arrival), int(PacketClass.BENIGN), np.uint8), source)
+
+
+def _sort_packed(grid: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival order of a (source, period) grid of ns arrivals, below 2**(63 -
+    shift), by one in-place sort of (arrival << shift | source) keys. Two keys
+    tie only when arrival and source do, and then the rows are equal, so any
+    sort gives the stable one's output. Returns views of the grid's buffer as
+    the arrivals, beside new int32 source ids."""
+    grid <<= shift
+    grid |= np.arange(1, len(grid) + 1)[:, None]
+    key = grid.ravel()
+    key.sort()
+    source = np.empty(len(key), np.int32)
+    np.bitwise_and(key, (1 << shift) - 1, out=source, casting="unsafe")  # cast chunk by chunk
+    key >>= shift
+    return key, source
+
+
+def _sort_stable(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival order of a (source, period) grid of ns arrivals too late to pack
+    a source beside: the stable sort of the source-major rows puts equal
+    arrivals lower source first."""
+    num_sources, n_per = grid.shape
+    arrival = grid.ravel()
     order = np.argsort(arrival, kind="stable")
-    arrival = arrival[order]
-    source = np.repeat(np.arange(1, spec.num_sources + 1, dtype=np.int32), n_per)[order]
-    return Trace(arrival, np.full(len(order), int(PacketClass.BENIGN), np.uint8), source)
+    source = np.repeat(np.arange(1, num_sources + 1, dtype=np.int32), n_per)[order]
+    return arrival[order], source
 
 
 def gen_flood(spec: FloodSpec, rng: RngStream) -> Trace:

@@ -541,6 +541,14 @@ def reference_gen_benign(spec, horizon_s, rng) -> Trace:
     return reference_merge(parts)
 
 
+def reference_classify_stream(klass, model, rng) -> np.ndarray:
+    """classify_stream in one draw: n uniforms, then one label formula."""
+    k = np.asarray(klass, dtype=np.uint8)
+    u = rng.generator.random(len(k))
+    is_attack = k == int(PacketClass.ATTACK)
+    return np.where(is_attack, u < model.tpr, u >= model.tnr).astype(np.uint8)
+
+
 # The per-packet readers of a MitigationResult as they read its event log,
 # kept verbatim: a range row's packets take its instant, those of a
 # WINDOW_CLEAR row just before it were tested.

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from floodsim import ConfigError, RngStream
+from floodsim import ConfigError, RngStream, detector
 from floodsim.detector import DetectorModel, classify_stream
 from floodsim.model import PacketClass
-from oracles import strict_majority_prob, window_decision
+from oracles import reference_classify_stream, strict_majority_prob, window_decision
 
 
 def test_model_validation():
@@ -48,6 +48,23 @@ def test_stream_label_depends_only_on_position():
     l1 = classify_stream(k1, model, RngStream(5, 0))
     l2 = classify_stream(k2, model, RngStream(5, 0))
     np.testing.assert_array_equal(l1[1:], l2[1:])
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("blocks", [1, 2, 5])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_blockwise_labels_match_one_draw(monkeypatch, block, blocks, edge):
+    # the labels and the stream left behind equal one draw of every uniform,
+    # at lengths one short of, equal to and one past a whole number of blocks
+    monkeypatch.setattr(detector, "BLOCK", block)
+    n = blocks * block + edge
+    klass = RngStream(8, n).generator.integers(0, 2, n).astype(np.uint8)
+    model = DetectorModel(tpr=0.6, tnr=0.3)
+    got_rng, want_rng = RngStream(9, n), RngStream(9, n)
+    got = classify_stream(klass, model, got_rng)
+    want = reference_classify_stream(klass, model, want_rng)
+    np.testing.assert_array_equal(got, want, strict=True)
+    assert got_rng.generator.random() == want_rng.generator.random()
 
 
 def test_strict_majority():

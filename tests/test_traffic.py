@@ -1,9 +1,13 @@
 """Arrival generation, merging and the trace CSV format."""
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from floodsim import ConfigError, RngStream, read_trace_csv, to_ns
+from floodsim import ConfigError, RngStream, read_trace_csv, to_ns, traffic
+from floodsim.detector import DetectorModel, classify_stream
 from floodsim.model import NS_PER_S, PacketClass, Trace
 from floodsim.traffic import BenignSpec, FloodSpec, gen_benign, gen_flood, merge, write_trace_csv
 from oracles import reference_gen_benign, reference_merge
@@ -53,6 +57,15 @@ def test_benign_multiple_sources():
     tr.validate()
 
 
+def test_benign_sends_one_packet_per_period_started_before_the_horizon():
+    # 1.05 s at 0.1 s: eleven periods start before the horizon, and the
+    # jitter of the last one carries a packet past it
+    spec = BenignSpec(period_s=0.1, jitter_fraction=0.9, num_sources=3)
+    tr = gen_benign(spec, 1.05, RngStream(2, 1))
+    assert len(tr) == 33
+    assert tr.arrival_ns[-1] == 1_083_117_901 > to_ns(1.05)
+
+
 def test_benign_zero_horizon():
     assert len(gen_benign(BenignSpec(period_s=0.01), 0.0, RngStream(1, 0))) == 0
 
@@ -71,6 +84,106 @@ def test_benign_matches_per_source_reference(num_sources, jitter, period_s, hori
     want = reference_gen_benign(spec, horizon_s, RngStream(seed, 1))
     for column in ("arrival_ns", "klass", "source_id"):
         np.testing.assert_array_equal(getattr(got, column), getattr(want, column), strict=True)
+
+
+def packing_bound_ns(num_sources):
+    """The first arrival whose key (arrival << shift | source) would not fit int64."""
+    return 1 << (63 - num_sources.bit_length())
+
+
+def gen_benign_counting_paths(spec, horizon_s, rng, block=traffic.BLOCK):
+    """gen_benign, converting to ns `block` arrivals at a time, and how many
+    times it took each ordering path."""
+    calls = {"packed": 0, "stable": 0}
+
+    def counted(name, sort):
+        def wrapper(*args):
+            calls[name] += 1
+            return sort(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traffic, "BLOCK", block)
+        mp.setattr(traffic, "_sort_packed", counted("packed", traffic._sort_packed))
+        mp.setattr(traffic, "_sort_stable", counted("stable", traffic._sort_stable))
+        return gen_benign(spec, horizon_s, rng), calls
+
+
+@settings(max_examples=200)
+@given(
+    num_sources=st.integers(1, 50),
+    n_per=st.integers(1, 4),
+    jitter=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+    scale=st.floats(0.5, 1.9),  # 1 puts the last period's start (one period: its end) at the bound
+    seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 7),
+)
+@example(num_sources=10, n_per=2, jitter=0.0, scale=0.99, seed=0, block=3)  # packed
+@example(num_sources=10, n_per=2, jitter=0.0, scale=1.01, seed=0, block=3)  # stable
+@example(num_sources=1, n_per=2, jitter=0.75, scale=1.5, seed=0, block=1)  # past MAX_TIME_S
+def test_benign_matches_reference_on_either_side_of_the_packing_bound(num_sources, n_per, jitter, scale, seed,
+                                                                      block):
+    bound_ns = packing_bound_ns(num_sources)
+    period_s = scale * bound_ns / NS_PER_S / max(n_per - 1, 1)
+    spec = BenignSpec(period_s=period_s, jitter_fraction=jitter, num_sources=num_sources)
+    horizon_s = (n_per - 0.5) * period_s
+    try:
+        want = reference_gen_benign(spec, horizon_s, RngStream(seed, 1))
+    except ValueError:
+        # one source packs below 2**62 ns, so its stable side reaches
+        # MAX_TIME_S: an arrival past it is refused by both, not wrapped
+        with pytest.raises(ValueError, match="time values must be below"):
+            gen_benign_counting_paths(spec, horizon_s, RngStream(seed, 1), block)
+        return
+    got, calls = gen_benign_counting_paths(spec, horizon_s, RngStream(seed, 1), block)
+    for column in ("arrival_ns", "klass", "source_id"):
+        np.testing.assert_array_equal(getattr(got, column), getattr(want, column), strict=True)
+    packed = int(want.arrival_ns.max()) < bound_ns
+    assert calls == {"packed": int(packed), "stable": int(not packed)}
+
+
+@pytest.mark.parametrize(
+    "offset_ns, path",
+    [(-64, "packed"), (0, "stable"), (128, "stable")],
+    ids=["one step below", "at the bound", "one step above"],
+)
+def test_benign_last_arrival_at_the_packing_bound(offset_ns, path):
+    # no jitter: ten sources tie at 0 and again at one period, whose ns value
+    # is exact. Near 2**59 ns float64 steps by 64 ns below and 128 ns above.
+    last_ns = packing_bound_ns(10) + offset_ns
+    spec = BenignSpec(period_s=last_ns / NS_PER_S, num_sources=10)
+    got, calls = gen_benign_counting_paths(spec, 1.5 * spec.period_s, RngStream(11, 1))
+    assert calls[path] == 1 and sum(calls.values()) == 1
+    np.testing.assert_array_equal(got.arrival_ns, np.repeat([0, last_ns], 10))
+    want = reference_gen_benign(spec, 1.5 * spec.period_s, RngStream(11, 1))
+    for column in ("arrival_ns", "klass", "source_id"):
+        np.testing.assert_array_equal(getattr(got, column), getattr(want, column), strict=True)
+
+
+def test_background_generation_and_labelling_memory_peaks():
+    # 8 sources x 25 000 periods. gen_benign peaks at the 13 B/packet it
+    # holds: the int64 cast of the ns grid onto its own buffer goes a block
+    # at a time, and the sort and the source ids add no n-long int64 (a whole
+    # cast peaked at 16, an argsort and its gathers at 24). Labelling holds
+    # one block's uniforms and masks beside the 1 B/packet labels (one draw
+    # of every uniform took 12 more).
+    spec = BenignSpec(period_s=0.01, jitter_fraction=0.5, num_sources=8)
+    gen_benign(spec, 1.0, RngStream(12, 1))  # warm-up: one-time state stays out of the peak
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = gen_benign(spec, 250.0, RngStream(12, 1))
+        gen_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        labels = classify_stream(trace.klass, DetectorModel(), RngStream(12, 3))
+        label_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n = len(trace)
+    assert n == 200_000 and len(labels) == n
+    assert gen_peak / n <= 14
+    assert label_peak <= n + 2**20
 
 
 def test_flood_window_and_class():
