@@ -29,8 +29,10 @@ one window long. A doubling search over the votes finds the run's end, one
 pacing.max_plus call gives its verdict instants v_j = max(a_end_j, v_{j-1} +
 len_j*D), and the block records them with its window starts and ends, the
 first packet it drops or forwards and the skip before and after it; a partial
-tail window is a run of its own. MitigationResult reads the event log and the
-per-packet outcomes from one per-window table of the records.
+tail window is a run of its own, and the stream-end flush is the last record, a
+clear window that tests nothing. So the records alone tile the stream, and
+MitigationResult reads the event log and the per-packet outcomes from one
+per-window table of them.
 """
 from __future__ import annotations
 
@@ -153,15 +155,12 @@ class EventLog:
 
 
 def _windows(res: "MitigationResult") -> tuple:
-    """Per-window table of a result's block records, the flush last as a clear
-    window that tests no packet: range first, window start, end (inclusive),
-    verdict instant, attack, and the skip before and after the verdict."""
-    n, skip = len(res.arrival_ns), res.state.skip
-    flush = [(False, res.flush_first, n, skip, skip, [n], [n - 1], res.arrival_ns[-1:])]
-    rows = res.blocks + flush * (res.flush_first < n)
-    if not rows:
+    """Per-window table of a result's block records, the stream-end flush last
+    as a clear window that tests no packet: range first, window start, end
+    (inclusive), verdict instant, attack, and the skip before and after it."""
+    if not res.blocks:
         return (np.empty(0, np.int64),) * 4 + (np.empty(0, bool),) + (np.empty(0, np.int64),) * 2
-    attack, _, _, before, after, starts, ends, now = zip(*rows)
+    attack, _, _, before, after, starts, ends, now = zip(*res.blocks)
     k = np.fromiter(map(len, ends), np.int64, len(ends))
     starts, ends, now = map(np.concatenate, (starts, ends, now))
     first = np.concatenate(([0], ends[:-1] + 1))  # each range starts past the end before
@@ -177,10 +176,10 @@ def _outcomes(first, start, end, attack) -> np.ndarray:
 
 def _expand_log(res: "MitigationResult") -> EventLog:
     """The EventLog of a result's block records, in one pass: each window's
-    verdict, RECALC_M if the skip changed, its range; then the flush's range."""
+    verdict (none for one that tests nothing), RECALC_M if the skip changed,
+    its range."""
     range_first, starts, ends, now, attack, before, after = _windows(res)
-    rows = 2 + (attack & (before != after))  # per window
-    rows[-1:] -= res.flush_first < len(res.arrival_ns)  # the flush has no verdict row
+    rows = 2 + (attack & (before != after)) - (starts > ends)  # per window
     verdict = np.cumsum(rows) - rows
     ranged = verdict + rows - 1
     kind = np.full(rows.sum(), _RECALC, np.uint8)
@@ -191,10 +190,10 @@ def _expand_log(res: "MitigationResult") -> EventLog:
     return EventLog(now.repeat(rows), kind, firsts, ends.repeat(rows), skips)
 
 
-def _check_partition(blocks: list, flush_first: int, n: int) -> None:
-    """Raise InvariantViolation unless the block records' ranges and the
-    flush from flush_first (n: none) tile the n packets in order."""
-    if [0, *(b[2] for b in blocks)] != [*(b[1] for b in blocks), flush_first]:
+def _check_partition(blocks: list, n: int) -> None:
+    """Raise InvariantViolation unless the block records' ranges tile the n
+    packets in order."""
+    if [0, *(b[2] for b in blocks)] != [*(b[1] for b in blocks), n]:
         raise InvariantViolation("disposition partition violated")
 
 
@@ -222,8 +221,7 @@ class MitigationResult:
 
     state: MitigationState
     arrival_ns: np.ndarray  # the trace's arrivals, not a copy
-    blocks: list            # one record per block step, see run_mitigation
-    flush_first: int        # first packet of the untested stream-end flush, n if none
+    blocks: list            # one record per block step, the flush last; see run_mitigation
 
     @cached_property
     def events(self) -> EventLog:
@@ -311,7 +309,8 @@ def run_mitigation(
 
     The trailing partial window at stream end is tested when at least
     ceil(window/2) packets remain, otherwise the leftovers are forwarded
-    untested. policy is a FixedSkip or an AdaptiveSkip, else a TypeError.
+    untested at the last arrival: the last record, a clear window that tests
+    nothing. policy is a FixedSkip or an AdaptiveSkip, else a TypeError.
     """
     fixed = isinstance(policy, FixedSkip)
     if not fixed and not isinstance(policy, AdaptiveSkip):
@@ -343,12 +342,13 @@ def run_mitigation(
     blocks: list = []  # (attack, first, end, skip before, skip after, starts, ends, verdicts)
     min_tail = math.ceil(window / 2)  # a shorter partial window goes untested
 
-    def block(attack: bool, last_verdict_ns):
-        """Decide the run of windows from the test cursor up to the first
-        whose verdict is not `attack` as one block (see the module notes),
-        then drop (attack) or forward (clear) everything pending through its
-        end. Returns the last verdict instant."""
+    last_verdict_ns = None
+    while n - st.test_cursor >= min_tail:
+        # a block decides the run of windows up to the first with the other verdict
+        # (see the module notes), then drops or forwards all pending through its end
         first, c = st.pending_cursor, st.test_cursor
+        last = min(c + window, n)
+        attack = 2 * (votes.item(last) - votes.item(c)) > last - c  # a strict majority
         recompute = attack and not fixed  # the skip may change at this verdict
         # an adaptive skip is 0 until its first verdict, so it never sets a stride
         stride = window - 1 + st.skip if attack and fixed else window
@@ -367,6 +367,7 @@ def run_mitigation(
             raise ConfigError("verdict pacing carries the verdicts past the clock")
         floor = None if last_verdict_ns is None else min(last_verdict_ns + head * pace, CLOCK_NS)
         now = max_plus(arrivals[ends], (work - head) * pace, floor)
+        last_verdict_ns = int(now[-1])
         skip_before = st.skip
         if recompute:
             arrived = int(arrivals.searchsorted(now[0], side="right"))
@@ -388,20 +389,13 @@ def run_mitigation(
         st.mode = Mode.UNDER_ATTACK if attack else Mode.MONITORING
         st.windows_tested += k
         st.pending_cursor = end
-        return int(now[-1])
 
-    last_verdict_ns = None
-    while n - st.test_cursor >= min_tail:
-        c = st.test_cursor
-        end = min(c + window, n)
-        # a strict majority of attack labels
-        last_verdict_ns = block(2 * (votes.item(end) - votes.item(c)) > end - c, last_verdict_ns)
-
-    # stream end: flush leftovers untested
-    flush_first, st.pending_cursor = st.pending_cursor, n
-    st.packets_forwarded += n - flush_first
-    _check_partition(blocks, flush_first, n)
-    return MitigationResult(st, arrivals, blocks, flush_first)
+    if st.pending_cursor < n:  # stream end: flush the leftovers untested
+        blocks.append((False, st.pending_cursor, n, st.skip, st.skip, [n], [n - 1], arrivals[-1:]))
+        st.packets_forwarded += n - st.pending_cursor
+        st.pending_cursor = n
+    _check_partition(blocks, n)
+    return MitigationResult(st, arrivals, blocks)
 
 
 def write_events_csv(path, events: EventLog) -> None:

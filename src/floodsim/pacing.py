@@ -103,10 +103,11 @@ def _timeline(entry: np.ndarray, exits: np.ndarray, sample_dt_ns: int):
 
 
 def shaping_queue_timeline(arrival_ns, forward_ns, sample_dt_ns: int):
-    """Queue length at the forwarder entrance, sampled every sample_dt.
-
-    arrival and forward arrays must pair elementwise (same packets), so
-    mismatched lengths are a precondition error.
+    """Queue length at the forwarder entrance, sampled every sample_dt, from
+    one entry and one exit instant per packet. Counting needs only the
+    multisets; the check that no exit precedes its entry (t < a) pairs them by
+    position. A run passes both sorted, drop instants merged into the exits,
+    so it compares the k-th earliest exit with the k-th earliest arrival.
     """
     a = _as_times(arrival_ns)
     t = _as_times(forward_ns)
@@ -114,7 +115,6 @@ def shaping_queue_timeline(arrival_ns, forward_ns, sample_dt_ns: int):
         raise ValueError("arrival and forward arrays must have equal length")
     if np.any(t < a):
         raise ValueError("forwarding may not precede arrival")
-    # counting only needs the multisets; held packets make t non-monotonic
     return _timeline(_sorted(a), _sorted(t), sample_dt_ns)
 
 

@@ -417,6 +417,10 @@ def assert_matches_references(trace, labels, window, policy, pace):
     want = reference_run_mitigation(
         trace, perfect(window), policy, labels=labels, test_pacing_ns=pace
     )
+    # the records alone tile [0, n), the stream-end flush among them
+    ranges = [(first, end) for _, first, end, *_ in got.blocks]
+    assert [0, *(end for _, end in ranges)] == [*(first for first, _ in ranges), len(trace)]
+    assert ranges[-1][1] == len(trace) if ranges else len(trace) == 0
     np.testing.assert_array_equal(got.outcomes, want.outcomes)
     np.testing.assert_array_equal(got.release_ns, want.release_ns)
     np.testing.assert_array_equal(got.drop_time_ns, want.drop_time_ns)
@@ -475,8 +479,48 @@ def machine_cases(draw):
     return trace, labels, window, policy, pace
 
 
-@settings(max_examples=150)
-@given(machine_cases())
+@st.composite
+def stream_end_cases(draw):
+    """A machine case cut so that its stream ends inside a skip region, in a
+    tail shorter than ceil(W/2) past the test cursor, or exactly at a window
+    end. The cut is drawn from the uncut run's windows, no earlier than the
+    packets arrived by the verdicts it keeps, so the cut run keeps them and
+    their skips. Adaptive skips also draw cost ratios large enough to pass
+    over packets."""
+    trace, labels, window, policy, pace = draw(machine_cases())
+    if isinstance(policy, AdaptiveSkip):
+        policy = draw(st.just(policy) | st.builds(AdaptiveSkip, st.floats(5.0, 50.0)))
+    n, min_tail = len(trace), math.ceil(window / 2)
+    res = run_mitigation(trace, perfect(window), policy, labels=labels, test_pacing_ns=pace)
+    _, starts, ends, now, attack, _, after = mitigation._windows(res)
+    tested = starts <= ends
+    ends, now, attack, after = ends[tested], now[tested], attack[tested], after[tested]
+    # a fixed skip reads no queue estimate, so any cut keeps it
+    arrived = trace.arrival_ns.searchsorted(now, "right") * isinstance(policy, AdaptiveSkip)
+    kind = draw(st.sampled_from(["skip", "tail", "window"]))
+    spans = []
+    for e, hit, skip, keep, keep_before in zip(
+        ends.tolist(), attack.tolist(), after.tolist(), arrived.tolist(), [0, *arrived[:-1].tolist()]
+    ):
+        cursor = e + skip if hit else e + 1
+        lo, hi = {
+            "skip": (max(e + 2, keep), e + skip if hit else e + 1),
+            "tail": (max(cursor + 1, keep), cursor + min_tail - 1),
+            "window": (max(e + 1, keep_before), e + 1),
+        }[kind]
+        if lo <= min(hi, n):
+            spans.append((lo, min(hi, n)))
+    if not spans:
+        return trace, labels, window, policy, pace
+    event(f"ends {kind}, {type(policy).__name__}, paced {pace > 0}")
+    lo, hi = draw(st.sampled_from(spans))
+    cut = draw(st.integers(lo, hi))
+    part = Trace(trace.arrival_ns[:cut], trace.klass[:cut], trace.source_id[:cut])
+    return part, labels[:cut], window, policy, pace
+
+
+@settings(max_examples=200)
+@given(machine_cases() | stream_end_cases())
 def test_machine_matches_reference_loop(case):
     assert_matches_references(*case)
 
@@ -613,19 +657,25 @@ def test_partition_check_refuses_gaps_and_overlaps():
     def record(first, end):
         return (False, first, end, 1, 1, np.array([first]), np.array([end - 1]), np.array([0]))
 
-    mitigation._check_partition([record(0, 20), record(20, 40)], 40, 40)
-    mitigation._check_partition([record(0, 20), record(20, 30)], 30, 40)  # flushed from 30
-    mitigation._check_partition([], 0, 0)
-    for blocks, flush_first in (
-        ([record(0, 20), record(21, 40)], 40),  # a gap between blocks
-        ([record(0, 20), record(19, 40)], 40),  # an overlap
-        ([record(1, 20), record(20, 40)], 40),  # the first packet left out
-        ([record(0, 20), record(20, 30)], 31),  # a gap before the flush
-        ([record(0, 20), record(20, 30)], 40),  # no flush, short of the end
-        ([record(0, 20), record(20, 40)], 39),  # a flush over decided packets
+    def flush(first, n):  # the stream-end flush: a clear window that tests nothing
+        return (False, first, n, 1, 1, [n], [n - 1], np.array([0]))
+
+    mitigation._check_partition([record(0, 20), record(20, 40)], 40)
+    mitigation._check_partition([record(0, 20), record(20, 30), flush(30, 40)], 40)
+    mitigation._check_partition([flush(0, 40)], 40)  # a stream too short to test
+    mitigation._check_partition([], 0)
+    for blocks in (
+        [record(0, 20), record(21, 40)],  # a gap between blocks
+        [record(0, 20), record(19, 40)],  # an overlap
+        [record(1, 20), record(20, 40)],  # the first packet left out
+        [record(0, 20), record(20, 30), flush(31, 40)],  # a gap before the flush
+        [record(0, 20), record(20, 30)],  # no flush, short of the end
+        [record(0, 20), record(20, 40), flush(39, 40)],  # a flush over decided packets
+        [record(0, 20), record(20, 30), flush(30, 41)],  # a flush past the end
+        [],  # nothing recorded for a nonempty stream
     ):
         with pytest.raises(InvariantViolation, match="partition"):
-            mitigation._check_partition(blocks, flush_first, 40)
+            mitigation._check_partition(blocks, 40)
 
 
 def split_flush(res, n):
