@@ -45,7 +45,8 @@ import numpy as np
 
 from .csvio import Seconds, write_columns
 from .detector import DetectorModel, classify_stream
-from .model import BLOCK, CLOCK_NS, ConfigError, InvariantViolation, PacketClass, RngStream, Trace, check_skip
+from .model import BLOCK, CLOCK_NS, ConfigError, InvariantViolation, PacketClass, RngStream, Trace
+from .model import as_times, check_skip
 from .pacing import max_plus
 
 class Outcome(IntEnum):
@@ -215,9 +216,10 @@ class MitigationState:
 @dataclass
 class MitigationResult:
     """Final counters and the block records. events is the event log, built
-    on first read and then held; outcomes, release_ns and drop_time_ns are
-    computed on each read from the per-window table of the records, whose
-    ranges tile the stream in order, each with its packets' verdict instant."""
+    on first read and then held; outcomes, release_ns, drop_time_ns and
+    released() are computed on each read from the per-window table of the
+    records, whose ranges tile the stream in order, each with its packets'
+    verdict instant."""
 
     state: MitigationState
     arrival_ns: np.ndarray  # the trace's arrivals, not a copy
@@ -234,11 +236,6 @@ class MitigationResult:
         first, start, end, _, attack, *_ = _windows(self)
         return _outcomes(first, start, end, attack)
 
-    def drop_instants(self) -> np.ndarray:
-        """The verdict instant of each dropped packet, in seq order (nondecreasing)."""
-        first, _, end, now, attack, *_ = _windows(self)
-        return now[attack].repeat((end + 1 - first)[attack])
-
     @property
     def drop_time_ns(self) -> np.ndarray:
         """int64 verdict instant that dropped a packet, -1 otherwise."""
@@ -254,7 +251,23 @@ class MitigationResult:
         cursor on. With none dropped none was held: a read-only view of the arrivals."""
         if not self.state.packets_dropped:
             return np.broadcast_to(self.arrival_ns, self.arrival_ns.shape)  # a read-only view
-        first, start, end, now, attack, *_ = _windows(self)
+        return self._release(_windows(self))
+
+    def released(self) -> tuple:
+        """The stream the shaper receives, as (seq, instants, drops): forwarded
+        packets in (release instant, seq) order, their release instants, and the
+        drop verdict instants in seq order; (None, arrivals, None) if none held."""
+        if not self.state.packets_dropped:
+            return None, self.arrival_ns, None
+        first, _, end, now, attack, *_ = table = _windows(self)
+        release = self._release(table)
+        seq = np.flatnonzero(release >= 0)
+        seq = seq[np.argsort(release[seq], kind="stable")]
+        return seq, release[seq], now[attack].repeat((end + 1 - first)[attack])
+
+    def _release(self, table: tuple) -> np.ndarray:
+        """release_ns from the per-window table, with packets dropped."""
+        first, start, end, now, attack, *_ = table
         out = np.where(attack, -1, now).repeat(end + 1 - first)
         at_arrival = _outcomes(first, start, end, attack) == Outcome.TESTED_FORWARDED
         at_arrival[self.state.test_cursor :] = True  # none dropped there
@@ -318,7 +331,7 @@ def run_mitigation(
     window = detector.window
     if window < 1:
         raise ValueError("window must be >= 1")
-    pace = int(test_pacing_ns)
+    pace = as_times(test_pacing_ns, ndim=0)
     if pace < 0:
         raise ValueError("test_pacing_ns must be >= 0")
     n = len(trace)

@@ -45,6 +45,17 @@ def is_sorted(times) -> bool:
     return not np.any(times[1:] < times[:-1])
 
 
+def as_times(x, ndim: int = 1):
+    """Nanosecond times as an int64 array of ndim dimensions, or with ndim=0 a
+    Python int: integers only, since a cast would truncate a float (see to_ns)."""
+    arr = np.asarray(x)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("nanosecond times must be integers (convert seconds with to_ns)")
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array of nanosecond times")
+    return arr.astype(np.int64, copy=False) if ndim else int(arr)
+
+
 def check_skip(skip, name: str) -> int:
     """The one rule for a skip length m, wherever it comes from: an integer, not a
     bool, 1 <= m < 2**63. Returns m as a Python int, whose cursor sums never wrap."""
@@ -77,10 +88,7 @@ def to_ns(seconds):
 
 def to_seconds(ns):
     """Convert integer nanoseconds (scalar or array) back to float seconds."""
-    arr = np.asarray(ns)
-    if arr.ndim == 0:
-        return int(arr) / NS_PER_S
-    return arr.astype(np.float64) / NS_PER_S
+    return as_times(ns, np.ndim(ns)) / NS_PER_S
 
 
 class PacketClass(IntEnum):
@@ -107,7 +115,7 @@ class Trace:
     source_id: np.ndarray    # int32
 
     def __post_init__(self):
-        self.arrival_ns = np.asarray(self.arrival_ns, dtype=np.int64)
+        self.arrival_ns = as_times(self.arrival_ns)
         self.klass = np.asarray(self.klass, dtype=np.uint8)
         self.source_id = np.asarray(self.source_id, dtype=np.int32)
         if not (len(self.arrival_ns) == len(self.klass) == len(self.source_id)):

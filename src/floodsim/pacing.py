@@ -16,23 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BLOCK, CLOCK_NS, MAX_SAMPLES, ConfigError, is_sorted
-
-
-def _as_times(x) -> np.ndarray:
-    arr = np.asarray(x)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("nanosecond times must be integers (convert seconds with to_ns)")
-    arr = arr.astype(np.int64, copy=False)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-d array of nanosecond times")
-    return arr
+from .model import BLOCK, CLOCK_NS, MAX_SAMPLES, ConfigError, as_times, is_sorted
 
 
 def _sorted(x) -> np.ndarray:
     """The times themselves when they are already nondecreasing, else a
     stable-sorted copy: a simulation's streams are mostly in order."""
-    arr = _as_times(x)
+    arr = as_times(x)
     if not is_sorted(arr):
         arr = np.sort(arr, kind="stable")
     return arr
@@ -57,8 +47,8 @@ def max_plus(ready: np.ndarray, work_sum: np.ndarray, floor=None) -> np.ndarray:
 def forward_times(arrival_ns, gap_ns: int) -> np.ndarray:
     """Departure instants of the paced forwarder (int64 ns): max_plus with
     W_k = k*gap and no floor."""
-    a = _as_times(arrival_ns)
-    gap = int(gap_ns)
+    a = as_times(arrival_ns)
+    gap = as_times(gap_ns, ndim=0)
     if gap <= 0:
         raise ValueError("pacing gap must be positive")
     if not is_sorted(a):
@@ -78,8 +68,8 @@ def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int):
     ConfigError, raised before it is allocated. Returns (times_ns, counts) as
     int64 arrays.
     """
-    entry = _as_times(entry_ns)
-    exits = _as_times(exit_ns)
+    entry = as_times(entry_ns)
+    exits = as_times(exit_ns)
     if not (is_sorted(entry) and is_sorted(exits)):
         raise ValueError("entry and exit times must be sorted")
     return _timeline(entry, exits, sample_dt_ns)
@@ -87,7 +77,7 @@ def queue_timeline(entry_ns, exit_ns, sample_dt_ns: int):
 
 def _timeline(entry: np.ndarray, exits: np.ndarray, sample_dt_ns: int):
     """queue_timeline of int64 times already known to be sorted."""
-    dt = int(sample_dt_ns)
+    dt = as_times(sample_dt_ns, ndim=0)
     if dt <= 0:
         raise ValueError("sample_dt must be positive")
     last = max([0] + [int(times[-1]) for times in (entry, exits) if len(times)])
@@ -109,8 +99,8 @@ def shaping_queue_timeline(arrival_ns, forward_ns, sample_dt_ns: int):
     position. A run passes both sorted, drop instants merged into the exits,
     so it compares the k-th earliest exit with the k-th earliest arrival.
     """
-    a = _as_times(arrival_ns)
-    t = _as_times(forward_ns)
+    a = as_times(arrival_ns)
+    t = as_times(forward_ns)
     if len(a) != len(t):
         raise ValueError("arrival and forward arrays must have equal length")
     if np.any(t < a):

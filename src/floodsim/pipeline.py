@@ -27,7 +27,6 @@ from .model import (
     InvariantViolation,
     RngStream,
     Trace,
-    is_sorted,
     substream,
     to_ns,
 )
@@ -48,9 +47,9 @@ from .traffic import write_trace_csv
 class SimulationResult:
     """One run's stages and summary. mitigation.outcomes, release_ns and
     drop_time_ns, and server.departure_ns and seq, are computed on each read
-    or are read-only views, and mitigation.events on its first read. With
-    every packet released in seq order, emit_ns is one read-only array with
-    server.arrival_ns (and with trace.arrival_ns when no shaper paces it)."""
+    or are read-only views, and mitigation.events on its first read. When
+    mitigation.released() holds no packet, emit_ns is one read-only array
+    with server.arrival_ns (and trace.arrival_ns when no shaper paces it)."""
 
     scenario: Scenario
     trace: Trace
@@ -85,19 +84,9 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
     n = len(trace)
     sample_dt_ns = to_ns(scenario.sample_dt_s)
 
-    # with no mitigation, or none held (release_ns is then a view of the
-    # arrivals), or no packet, the stream is released in seq order
-    emitted = trace.arrival_ns if mit is None else mit.release_ns  # -1 if dropped
-    if in_order := not n or np.may_share_memory(emitted, trace.arrival_ns):
-        rel_idx, emitted = None, trace.arrival_ns
-    else:
-        # pace the released stream in (release instant, seq) order; it is
-        # mostly in seq order already, and then needs no sort
-        rel_idx = np.flatnonzero(emitted >= 0)
-        emitted = emitted[rel_idx]
-        if not is_sorted(emitted):
-            order = np.argsort(emitted, kind="stable")
-            rel_idx, emitted = rel_idx[order], emitted[order]
+    # with none held, the shaper takes the arrivals themselves in seq order
+    rel_idx, emitted, drops = (None, trace.arrival_ns, None) if mit is None else mit.released()
+    in_order = rel_idx is None
     sqf_timeline, sqf_summary = None, {}
     if scenario.sqf_enabled:
         emitted = forward_times(emitted, to_ns(scenario.pacing_gap_s))
@@ -105,13 +94,12 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
         # a packet leaves the shaper at its emission, or at the verdict that
         # dropped it; occupancy counts the exits' multiset, so the sorted drop
         # instants are merged into the sorted emissions, not scattered by seq
-        drops = np.empty(0, np.int64) if in_order else mit.drop_instants()
         exit_ns = emitted if in_order else np.insert(emitted, emitted.searchsorted(drops, "right"), drops)
         arrived = trace.arrival_ns if in_order else trace.arrival_ns[rel_idx]
         sqf_timeline = shaping_queue_timeline(trace.arrival_ns, exit_ns, sample_dt_ns)
         sqf_summary["sqf_peak_queue"] = peak_occupancy(trace.arrival_ns, exit_ns)
         sqf_summary["sqf_max_delay_s"] = int((emitted - arrived).max(initial=0)) / 1e9
-        del exit_ns, arrived  # not held while the server runs
+        del exit_ns, arrived, drops  # not held while the server runs
     else:  # the raw stream reaches the server, which slows down while a flood lasts
         serve_sched = RegimeSchedule([(to_ns(f.start_s), to_ns(f.end_s)) for f in scenario.floods])
     # in seq order the scatter is the identity, so emit_ns is the emission

@@ -26,8 +26,8 @@ import numpy as np
 
 from .csvio import Seconds, write_columns
 from .model import BLOCK, CLOCK_NS, ConfigError, InvariantViolation, Regime, RngStream
-from .model import ServiceTimeModel, is_sorted
-from .pacing import _as_times, max_plus, queue_timeline
+from .model import ServiceTimeModel, as_times, is_sorted
+from .pacing import max_plus, queue_timeline
 
 _FIRST_SPAN = 1024  # packets in a regime chunk's first span
 
@@ -41,7 +41,7 @@ class RegimeSchedule:
     attack_windows_ns: list
 
     def __post_init__(self):
-        bounds = _as_times([b for s, e in self.attack_windows_ns for b in (s, e)]).tolist()
+        bounds = as_times([b for s, e in self.attack_windows_ns for b in (s, e)]).tolist()
         wins = sorted(zip(bounds[0::2], bounds[1::2]))
         merged: list[tuple[int, int]] = []
         for s, e in wins:
@@ -112,7 +112,7 @@ def simulate_server(
     boundaries fall. The uniforms are drawn only once an attack-regime chunk
     needs them; a run that never leaves the normal regime draws none.
     """
-    a = _as_times(arrival_ns)
+    a = as_times(arrival_ns)
     n = len(a)
     if seq is not None and (seq := np.asarray(seq, dtype=np.int64)).shape != (n,):
         raise ValueError("seq must be a 1-d array with one entry per arrival")

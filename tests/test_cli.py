@@ -372,6 +372,9 @@ def test_flood_within_one_window_is_quiet(tmp_path, command):
         ["optimal-m", "--m", str(10**23)],
         ["sweep", "--scenario", "missing.cfg"],
         ["simulate", "--scenario", "missing.cfg"],
+        ["sweep", "--m", " , "],  # no skip length in the list
+        ["sweep", "--scenario", str(SCENARIOS / "noflood.cfg")],  # no cost model to sweep
+        ["optimal-m", "--scenario", str(SCENARIOS / "noflood.cfg")],
     ],
 )
 def test_out_of_range_flags_and_missing_scenarios_are_config_errors(tmp_path, capsys, argv):

@@ -601,7 +601,6 @@ LOG_READERS = {
     "outcomes": log_outcomes,
     "release_ns": log_release_ns,
     "drop_time_ns": log_drop_time_ns,
-    "drop_instants": log_drop_instants,
 }
 
 
@@ -609,17 +608,23 @@ LOG_READERS = {
 @given(machine_cases())
 def test_table_readers_match_the_log_readers(case):
     """The per-packet arrays read from the per-window table are the ones the
-    event log's range rows give, and reading them expands no log."""
+    event log's range rows give; released() hands the shaper the forwarded
+    packets in (release instant, seq) order and the drop instants in seq
+    order; and reading them expands no log."""
     trace, labels, window, policy, pace = case
     got = run_mitigation(trace, perfect(window), policy, labels=labels, test_pacing_ns=pace)
     assume(got.state.packets_dropped > 0)
     table = {name: getattr(got, name) for name in LOG_READERS}
-    table["drop_instants"] = got.drop_instants()
+    seq, instants, drops = got.released()
     assert "events" not in vars(got)
-    for name, reader in LOG_READERS.items():
-        want = reader(got)
-        np.testing.assert_array_equal(table[name], want)
-        assert table[name].dtype == want.dtype
+    release = log_release_ns(got)
+    forwarded = np.flatnonzero(release >= 0)
+    want_seq = forwarded[np.argsort(release[forwarded], kind="stable")]
+    pairs = [(table[name], reader(got)) for name, reader in LOG_READERS.items()]
+    pairs += [(seq, want_seq), (instants, release[want_seq]), (drops, log_drop_instants(got))]
+    for value, want in pairs:
+        np.testing.assert_array_equal(value, want)
+        assert value.dtype == want.dtype
 
 
 def test_release_without_drops_is_a_read_only_view_of_the_arrivals():
@@ -633,11 +638,15 @@ def test_release_without_drops_is_a_read_only_view_of_the_arrivals():
         release[0] = 1
     assert trace.arrival_ns.flags.writeable  # the trace's own array is left as it was
     np.testing.assert_array_equal(res.drop_time_ns, np.full(95, -1))
+    # none held: the shaper takes the arrivals themselves, in seq order
+    seq, instants, drops = res.released()
+    assert seq is None and instants is trace.arrival_ns and drops is None
 
 
 def test_release_with_drops_builds_the_window_table_once(monkeypatch):
     # release_ns takes its verdict instants and its tested-at-arrival mask
-    # from one per-window table, not a second one through outcomes
+    # from one per-window table, not a second one through outcomes, and
+    # released() takes the drop instants from that table as well
     labels = [0] * 40 + [1] * 60 + [0] * 45
     trace = make_trace(labels)
     res = run_mitigation(trace, perfect(20), FixedSkip(3), labels=trace.klass, test_pacing_ns=1_000)
@@ -651,6 +660,8 @@ def test_release_with_drops_builds_the_window_table_once(monkeypatch):
         assert len(calls) == reads
         np.testing.assert_array_equal(release, want)
         assert release.dtype == want.dtype
+    res.released()
+    assert len(calls) == 3
 
 
 def test_partition_check_refuses_gaps_and_overlaps():

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floodsim import ConfigError, RngStream, forward_times, peak_occupancy, to_ns
+from floodsim import ConfigError, RngStream, forward_times, peak_occupancy, to_ns, to_seconds
 from floodsim import pacing
-from floodsim.model import CLOCK_NS
+from floodsim.detector import DetectorModel
+from floodsim.mitigation import FixedSkip, run_mitigation
+from floodsim.model import CLOCK_NS, Trace
 from floodsim.pacing import max_plus, queue_timeline, shaping_queue_timeline
 from floodsim.traffic import FloodSpec, gen_flood
 from oracles import occupancy_at, pacing_delays, reference_peak_occupancy
@@ -73,11 +75,18 @@ def test_input_validation():
         lambda: queue_timeline([0.5], [1], 1),
         lambda: shaping_queue_timeline([0], [True], 1),
         lambda: peak_occupancy([0], [1.5]),
+        lambda: Trace([0.5, 1.7], [0, 0], [0, 0]),
+        lambda: forward_times([0, 0, 0], 1.5),
+        lambda: queue_timeline([0, 3], [4, 9], 2.5),
+        lambda: run_mitigation(Trace([0, 1], [0, 0], [0, 0]), DetectorModel(window=2),
+                               FixedSkip(1), labels=[0, 0], test_pacing_ns=2.5),
+        lambda: to_seconds(2.5),
     ],
-    ids=["float-list", "whole-floats", "float-entry", "bool-exit", "float-exit"],
+    ids=["float-list", "whole-floats", "float-entry", "bool-exit", "float-exit", "float-trace",
+         "float-gap", "float-sample-step", "float-verdict-pacing", "float-to-seconds"],
 )
 def test_nanosecond_inputs_must_be_integers(call):
-    # float seconds would truncate to nanosecond 0; the error names to_ns
+    # float seconds would truncate to a whole nanosecond; the error names to_ns
     with pytest.raises(ValueError, match="to_ns"):
         call()
 
