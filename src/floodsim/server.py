@@ -11,12 +11,18 @@ simulate_server draws service times from a regime-dependent model where the
 regime is a function of wall-clock time (the load a real server sees while a
 flood is in progress), decided by each packet's service *start* instant. So
 the simulation walks the stream in regime-constant chunks, each over spans
-of packets: a _FIRST_SPAN span, then spans that double up to one block,
-each starting at the later of its first arrival and the last one's final
-departure. A chunk keeps every packet whose service starts before its
-regime boundary; only the rest of its last span is drawn again, by the next
-chunk, so the work stays linear and no temporary spans the stream. Past
-the last boundary one open chunk serves the stream to its end.
+of packets, each span starting at the later of its first arrival and the
+last one's final departure. A chunk keeps every packet whose service starts
+before its regime boundary. A bounded chunk's first span holds the services
+of the regime mean that fit before the boundary, plus a slack, and no packet
+that arrives after it; spans then double up to one block while the chunk
+lasts. Past the last boundary one open chunk serves the stream to its end in
+spans of one block. Each packet's normal-regime service is drawn once, a
+block at a time before the walk, straight into the output: a normal span
+reads it there, and the rest of a span its chunk did not keep stays in
+place for the next chunk. An attack span draws its own services, so only the
+rest of its last one is drawn again. The work stays linear and no temporary
+spans the stream.
 """
 from __future__ import annotations
 
@@ -25,11 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import Seconds, write_columns
-from .model import BLOCK, CLOCK_NS, ConfigError, InvariantViolation, Regime, RngStream
-from .model import ServiceTimeModel, as_times, is_sorted
+from .model import BLOCK, CLOCK_NS, NS_PER_S, ConfigError, InvariantViolation, Regime
+from .model import RngStream, ServiceTimeModel, as_times, is_sorted
 from .pacing import max_plus, queue_timeline
 
-_FIRST_SPAN = 1024  # packets in a regime chunk's first span
+_SLACK = 16  # packets a bounded chunk's first span holds beyond its estimate
 
 
 @dataclass
@@ -56,11 +62,11 @@ class RegimeSchedule:
 
     def in_attack(self, times_ns):
         """True where a time lies inside an attack window (scalar or array)."""
-        return np.searchsorted(self._bounds, times_ns, side="right") % 2 == 1
+        return self._bounds.searchsorted(times_ns, side="right") % 2 == 1
 
     def next_boundary(self, t_ns: int):
         """Smallest window boundary strictly after t, or None."""
-        k = int(np.searchsorted(self._bounds, t_ns, side="right"))
+        k = int(self._bounds.searchsorted(t_ns, side="right"))
         if k >= len(self._bounds):
             return None
         return int(self._bounds[k])
@@ -111,6 +117,13 @@ def simulate_server(
     them, so the consumed randomness does not depend on where regime
     boundaries fall. The uniforms are drawn only once an attack-regime chunk
     needs them; a run that never leaves the normal regime draws none.
+
+    Besides a drawn service time that alone does not fit the clock (every
+    packet's normal-regime one is drawn), a ConfigError is raised exactly
+    when a packet that a chunk keeps would depart at or past CLOCK_NS: a
+    span is cut before the first packet whose departure may reach the clock,
+    and that packet, once it leads a span and its departure is exact, is
+    refused only if it starts before the boundary.
     """
     a = as_times(arrival_ns)
     n = len(a)
@@ -126,6 +139,8 @@ def simulate_server(
     g = rng.generator
     z = g.standard_normal(n)
     u = None
+    for lo in range(0, n, BLOCK):  # normal spans read these; attack spans overwrite
+        services[lo : lo + BLOCK] = model.draw_ns(Regime.NORMAL, z[lo : lo + BLOCK], None)
 
     idx, start = 0, int(a[0])  # the next packet to serve and its service start
     span = 0  # no span yet: the next one opens a regime chunk
@@ -137,25 +152,44 @@ def simulate_server(
                 raise InvariantViolation(f"regime chunk at {start} ns is empty")
             if regime == Regime.ATTACK and u is None:
                 u = g.random(n)
-        span = min(BLOCK, 2 * span or _FIRST_SPAN)
-        hi = min(n, idx + span)
-        t_cand = model.draw_ns(regime, z[idx:hi], None if u is None else u[idx:hi])
-        # a wrapped sum of services (each below 2**63) turns negative first; the
-        # span's departures stay within its first start or last arrival plus the sum
-        done = np.cumsum(t_cand)
+            if bound is None:
+                span, end = BLOCK, n
+            else:
+                # the services of the regime mean that fit before the boundary
+                mean_s = model.mean_attack_s if regime == Regime.ATTACK else model.mean_normal_s
+                fit = (bound - start) / (mean_s * NS_PER_S)
+                span = int(min(BLOCK, fit + fit / 8 + _SLACK))
+                end = int(a.searchsorted(bound))  # the packets that arrive before it
+        else:
+            span = min(BLOCK, 2 * span)
+        hi = min(end, idx + span)
+        if regime == Regime.NORMAL:
+            t = services[idx:hi]
+        else:
+            t = model.draw_ns(regime, z[idx:hi], u[idx:hi])
+        done = t.cumsum()
+        # a wrapped sum of services (each below 2**63) turns negative first;
+        # packet k departs by the later of start and a_k, plus done_k
         if done.item(done.argmin()) < 0 or max(start, a.item(hi - 1)) + done.item(-1) >= CLOCK_NS:
-            raise ConfigError("service.* sum beyond the clock")
-        starts = max_plus(a[idx:hi], done - t_cand, start)
+            late = (done < 0) | (done >= CLOCK_NS - np.maximum(a[idx:hi], start))
+            cut = int(late.argmax())
+            if not cut:  # start is exact: the chunk keeps a packet past the clock
+                raise ConfigError("service.* sum beyond the clock")
+            hi, t, done = idx + cut, t[:cut], done[:cut]
+        starts = max_plus(a[idx:hi], done - t, start)
         # the chunk keeps the packets whose service starts before its boundary
-        take = hi - idx if bound is None else int(np.searchsorted(starts, bound, side="left"))
+        take = hi - idx if bound is None else int(starts.searchsorted(bound))
         np.subtract(starts[:take], a[idx : idx + take], out=waits[idx : idx + take])
-        services[idx : idx + take] = t_cand[:take]
+        if regime == Regime.ATTACK:
+            services[idx : idx + take] = t[:take]
         idx += take
         if take < len(starts):
-            # the boundary fell inside: the rest of the span is drawn again
+            # the boundary fell inside: the next chunk starts there
             start, span = starts.item(take), 0
         elif idx < n:
-            start = max(a.item(idx), starts.item(-1) + t_cand.item(-1))
+            start = max(a.item(idx), starts.item(-1) + t.item(-1))
+            if bound is not None and start >= bound:
+                span = 0  # the chunk ended with this span
     return ServerTrace(a, waits, services, seq)
 
 

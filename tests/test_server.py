@@ -15,11 +15,11 @@ from floodsim import (
     simulate_server,
     to_ns,
 )
-from floodsim.model import BLOCK, ConfigError, InvariantViolation
+from floodsim.model import BLOCK, ConfigError, InvariantViolation, Regime
 from floodsim.pipeline import run_simulation
 from floodsim.scenario import parse_scenario
 from floodsim import server
-from floodsim.server import _FIRST_SPAN, RegimeSchedule, write_server_trace_csv
+from floodsim.server import _SLACK, RegimeSchedule, write_server_trace_csv
 from floodsim.traffic import FloodSpec, gen_flood
 from oracles import fcfs_waits_event_driven, lindley_waits, reference_simulate_server
 
@@ -195,14 +195,26 @@ def test_summed_service_beyond_the_clock_is_a_config_error():
     simulate_server(np.array([0, 9_175 * 10**15]), late, NORMAL_ALWAYS, RngStream(1, 0))
     with pytest.raises(ConfigError, match="beyond the clock"):
         simulate_server(np.array([0, 9_195 * 10**15]), late, NORMAL_ALWAYS, RngStream(1, 0))
-    # and in a later regime chunk: 10^8 s flood-regime services from 5 s on,
-    # with no numpy warning on the way
-    sched = RegimeSchedule([(5 * S, 6 * S)])
+    # and in a later regime chunk: 10^8 s flood-regime services from 5 s on
+    # (packet 500), with no numpy warning on the way. Under a window to
+    # 9.15e9 s the chunk keeps 92 of them, the last starting at 9.1e9 + 5 s
+    # and departing at 9.2e9 + 5 s, past the clock
     a = np.arange(3_000, dtype=np.int64) * 10 * MS
     slow = ServiceTimeModel(mean_attack_s=1e8, var_attack_s2=0.0, outlier_prob=0.0)
     with pytest.raises(ConfigError, match="beyond the clock"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        simulate_server(a, slow, sched, RngStream(1, 0))
+        simulate_server(a, slow, RegimeSchedule([(5 * S, 9_150_000_000 * S)]), RngStream(1, 0))
+    # under a window that ends at 6 s the chunk keeps one of them, and no
+    # packet served departs past the clock: 10^8 s services were once refused
+    # by a check over 1 024 candidates, and the 16 candidates of 10^9 s ones
+    # sum past the clock from the tenth on, where the walk cuts its span
+    for mean_s in (1e8, 1e9):
+        one = ServiceTimeModel(mean_attack_s=mean_s, var_attack_s2=0.0, outlier_prob=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_as_reference(a, one, [(5 * S, 6 * S)], 1)
+            served = simulate_server(a, one, RegimeSchedule([(5 * S, 6 * S)]), RngStream(1, 0))
+        assert served.departure_ns.max() == int(mean_s) * S + 12_447_922_568
 
 
 def test_empty_regime_chunk_is_an_invariant_violation(monkeypatch):
@@ -274,13 +286,28 @@ def assert_same_as_reference(arrivals, model, windows, seed):
     return got_sched.calls
 
 
+# a first span sized from the regime mean about right, far too short
+# (services clipped to 2 ms or less, far below the 50 ms mean, so a
+# backlogged chunk outlives its first span and doubles) and far too long
+# (nearly every flood-regime service is an outlier of ~4.8 s)
+MODELS = {
+    "default": ServiceTimeModel(),
+    "undershoot": ServiceTimeModel(
+        mean_normal_s=0.05, var_normal_s2=0.0025, mean_attack_s=0.05, var_attack_s2=0.0025,
+        ceiling_s=2e-3,
+    ),
+    "overshoot": ServiceTimeModel(outlier_prob=0.99),
+}
+
+
 @settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(0, 4000),
     n_windows=st.integers(0, 8),
+    model=st.sampled_from(sorted(MODELS)),
 )
-def test_simulate_server_matches_reference_loop(seed, n, n_windows):
+def test_simulate_server_matches_reference_loop(seed, n, n_windows, model):
     # bursty arrivals under random attack windows: backlogs carry waits
     # across regime boundaries
     rng = np.random.default_rng(seed)
@@ -289,47 +316,57 @@ def test_simulate_server_matches_reference_loop(seed, n, n_windows):
     end = int(a[-1]) + 1 if n else 1
     cuts = np.sort(rng.integers(0, 2 * end, 2 * n_windows))
     windows = [(s, e) for s, e in zip(cuts[0::2], cuts[1::2]) if e > s]
-    assert_same_as_reference(a, ServiceTimeModel(), windows, seed)
+    assert_same_as_reference(a, MODELS[model], windows, seed)
 
 
-# a chunk's spans end at 1024, 3072, 7168, 15360 and 31744 packets: the first
-# span, three doublings and the first span capped at one block
-SPAN_ENDS = np.cumsum([min(BLOCK, _FIRST_SPAN << k) for k in range(5)])
+# Under 1 000 s means clipped to 5 ms services, a bounded chunk's estimate is
+# under one packet, so its first span holds _SLACK packets and its spans end
+# at 16, 48, 112, ..., 16 368 and 32 752 packets: the first span, nine
+# doublings and a span capped at one block. Under the default means the
+# first span holds the whole chunk, up to one block.
+SPAN_ENDS = [*np.cumsum([min(BLOCK, _SLACK << k) for k in range(11)]), BLOCK, 2 * BLOCK]
 SPAN_EDGES = [1, 2] + [int(end) + d for end in SPAN_ENDS for d in (-1, 0, 1)]
+SPAN_MODELS = {
+    "doubling": ServiceTimeModel(
+        mean_normal_s=1e3, mean_attack_s=1e3, outlier_prob=0.0, ceiling_s=5e-3
+    ),
+    "estimate": ServiceTimeModel(outlier_prob=0.0, ceiling_s=5e-3),
+}
 
 
 @settings(max_examples=40)
 @given(
     lengths=st.lists(st.sampled_from(SPAN_EDGES) | st.integers(1, 5000), min_size=1, max_size=6),
     seed=st.integers(0, 2**32 - 1),
+    model=st.sampled_from(sorted(SPAN_MODELS)),
 )
-def test_chunk_lengths_around_span_doubling(lengths, seed):
+def test_chunk_lengths_around_span_doubling(lengths, seed, model):
     # services stay under the 10 ms gap, so every start is its arrival and
     # a boundary at packet k's arrival ends a chunk exactly before it
     n = sum(lengths)
     a = np.arange(n, dtype=np.int64) * 10 * MS
-    model = ServiceTimeModel(outlier_prob=0.0, ceiling_s=5e-3)
     bounds = [int(b) for b in a[np.cumsum(lengths)[:-1]]]
     if len(bounds) % 2:
         bounds.append(n * 10 * MS)
     windows = list(zip(bounds[0::2], bounds[1::2]))
-    assert assert_same_as_reference(a, model, windows, seed) == len(lengths)
+    assert assert_same_as_reference(a, SPAN_MODELS[model], windows, seed) == len(lengths)
 
 
 @settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    first=st.integers(1, 3),
+    slack=st.integers(1, 3),
     block=st.integers(1, 8),
     blocks=st.integers(0, 40),
     extra=st.integers(-1, 1),
     n_windows=st.integers(0, 3),
+    model=st.sampled_from(sorted(MODELS)),
 )
-def test_open_span_walk_matches_reference(seed, first, block, blocks, extra, n_windows):
-    # first spans of 1-3 packets and blocks of 1-8, streams of about a whole
-    # number of blocks: every chunk's first span, its doublings and the cap
-    # at one block fall inside the stream, and a backlog carries its wait
-    # across every span edge
+def test_open_span_walk_matches_reference(seed, slack, block, blocks, extra, n_windows, model):
+    # a slack of 1-3 packets and blocks of 1-8, streams of about a whole
+    # number of blocks: every chunk's first span, its doublings, the cap at
+    # one block and the blocks of normal-regime draws fall inside the
+    # stream, and a backlog carries its wait across every span edge
     n = max(0, block * blocks + extra)
     rng = np.random.default_rng(seed)
     a = np.cumsum(rng.choice([0, 100_000, MS, 5 * MS], n)).astype(np.int64)
@@ -337,9 +374,9 @@ def test_open_span_walk_matches_reference(seed, first, block, blocks, extra, n_w
     cuts = np.sort(rng.integers(0, end, 2 * n_windows))
     windows = [(s, e) for s, e in zip(cuts[0::2], cuts[1::2]) if e > s]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(server, "_FIRST_SPAN", first)
+        mp.setattr(server, "_SLACK", slack)
         mp.setattr(server, "BLOCK", block)
-        assert_same_as_reference(a, ServiceTimeModel(), windows, seed)
+        assert_same_as_reference(a, MODELS[model], windows, seed)
 
 
 @pytest.mark.parametrize(
@@ -363,22 +400,32 @@ def test_uniforms_are_drawn_only_for_the_attack_regime(windows, uniforms):
 
 
 @pytest.fixture
-def drawn(monkeypatch):
-    """The length of every span of service times drawn, in order."""
-    spans = []
-    draw_ns = ServiceTimeModel.draw_ns
+def work(monkeypatch):
+    """Service times drawn in each regime, packets solved (max_plus lengths),
+    and the longest draw or solve, over every span of a run."""
+    counts = {Regime.NORMAL: 0, Regime.ATTACK: 0, "solved": 0, "longest": 0}
+    draw_ns, solve = ServiceTimeModel.draw_ns, server.max_plus
 
     def counting_draw(self, regime, z, u):
-        spans.append(len(z))
+        counts[regime] += len(z)
+        counts["longest"] = max(counts["longest"], len(z))
         return draw_ns(self, regime, z, u)
 
+    def counting_solve(ready, work_sum, floor=None):
+        counts["solved"] += len(ready)
+        counts["longest"] = max(counts["longest"], len(ready))
+        return solve(ready, work_sum, floor)
+
     monkeypatch.setattr(ServiceTimeModel, "draw_ns", counting_draw)
-    return spans
+    monkeypatch.setattr(server, "max_plus", counting_solve)
+    return counts
 
 
-def test_server_work_is_linear_in_the_stream(drawn):
-    # 100 short floods served raw: the regime switches ~150 times, and the
-    # service times drawn over all chunks must stay within a few per packet
+def test_server_work_is_linear_in_the_stream(work):
+    # 100 short floods served raw: the regime switches ~150 times, yet each
+    # packet's normal-regime service is drawn once and the walk solves about
+    # one service time per packet (first spans of 1 024 packets per chunk
+    # drew 1.55 normal ones and solved 2.31 per packet)
     lines = ["benign.period_s = 0.01", "sqf.enabled = false", "aam.enabled = false",
              "run.seed = 1", "run.horizon_s = 101"]
     for k in range(1, 101):
@@ -386,15 +433,17 @@ def test_server_work_is_linear_in_the_stream(drawn):
                   f"flood.{k}.rate_pps = 3000"]
     res = run_simulation(parse_scenario("\n".join(lines)))
     n = len(res.server)
-    assert len(drawn) > 100  # at least one draw per chunk
-    assert sum(drawn) <= 4 * n
+    assert work[Regime.NORMAL] == n
+    assert work[Regime.ATTACK] <= 0.2 * n
+    assert work["solved"] <= 1.2 * n
 
 
-def test_long_chunks_redraw_only_their_last_span(drawn):
-    # two 80 s floods served raw, each a chunk of ~120 000 packets: the walk
-    # draws no span longer than one block, and redraws at most the tail of
-    # each chunk's last span (a candidate span doubled until it held the
-    # whole chunk drew 2.64 service times per packet, in spans of 131 072)
+def test_long_chunks_redraw_only_their_last_span(work):
+    # two 80 s floods served raw, each one flood-regime chunk of ~120 000
+    # packets: the walk draws and solves no span longer than one block, and
+    # redraws at most the tail of each flood chunk's last span (a candidate
+    # span doubled until it held the whole chunk drew 2.64 service times per
+    # packet, in spans of 131 072)
     lines = ["sqf.enabled = false", "aam.enabled = false", "run.seed = 1",
              "run.horizon_s = 200", "service.mean_attack_ms = 0.5",
              "service.var_attack_ms2 = 0.0001"]
@@ -403,6 +452,10 @@ def test_long_chunks_redraw_only_their_last_span(drawn):
                   f"flood.{k}.rate_pps = 1500"]
     res = run_simulation(parse_scenario("\n".join(lines)))
     n = len(res.server)
+    floods = RegimeSchedule([(10 * S, 90 * S), (100 * S, 180 * S)])
+    in_flood = int(floods.in_attack(res.server.arrival_ns + res.server.wait_ns).sum())
     assert n > 250_000
-    assert max(drawn) <= BLOCK
-    assert sum(drawn) <= 1.5 * n
+    assert work["longest"] <= BLOCK
+    assert work[Regime.NORMAL] == n
+    assert work[Regime.ATTACK] <= in_flood + 2 * BLOCK
+    assert work["solved"] <= 1.2 * n
