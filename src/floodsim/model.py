@@ -33,7 +33,7 @@ RUN_BYTES_PER_PACKET = 52  # a run's tracemalloc peak bound, as tier-1 holds it
 MAX_ELEMENTS = MEMORY_BUDGET // RUN_BYTES_PER_PACKET  # cap on a scenario's expected packets
 MAX_SAMPLES = 10**7  # cap on a queue timeline's samples, ~40 bytes each while sampled
 # elements per step of every blockwise pass (peak_occupancy's comparisons, the
-# server's normal-regime draws and the cap on its spans, the background grid's
+# server's draws in each regime and the cap on its spans, the background grid's
 # ns cast, the detector's labelling, the vote prefix sum, the CSV encoder): no
 # temporary spans the stream, one pass's arrays fit L2
 BLOCK = 1 << 14

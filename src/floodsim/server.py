@@ -13,15 +13,14 @@ flood is in progress), decided by each packet's service *start* instant. So
 the simulation walks the stream in regime-constant chunks, each over spans
 of packets, each span starting at the later of its first arrival and the
 last one's final departure. A chunk keeps every packet whose service starts
-before its regime boundary. A bounded chunk's first span holds the services
-of the regime mean that fit before the boundary, plus a slack, and no packet
-that arrives after it; spans then double up to one block while the chunk
-lasts. Past the last boundary one open chunk serves the stream to its end in
-spans of one block. Each packet's normal-regime service is drawn once, a
-block at a time before the walk, straight into the output: a normal span
-reads it there, and the rest of a span its chunk did not keep stays in
-place for the next chunk. An attack span draws its own services, so only the
-rest of its last one is drawn again. The work stays linear and no temporary
+before its regime boundary, or past the last boundary before the clock. Its
+first span holds the services of the regime mean that fit before that
+bound, plus a slack, and no packet that arrives after it; spans then double
+up to one block while the chunk lasts. The walk only solves: every packet's
+service in a regime is drawn once, a block at a time, before a span reads
+it (the normal regime's before the walk, straight into the output, the
+attack regime's when its first chunk opens), so what a chunk does not keep
+stays in place for the next one. The work stays linear and no temporary
 spans the stream.
 """
 from __future__ import annotations
@@ -115,15 +114,16 @@ def simulate_server(
     Packet k's service time is drawn from the k-th of n standard normals,
     and in the attack regime also from the k-th of n uniforms drawn after
     them, so the consumed randomness does not depend on where regime
-    boundaries fall. The uniforms are drawn only once an attack-regime chunk
-    needs them; a run that never leaves the normal regime draws none.
+    boundaries fall. Every packet's normal-regime service is drawn; the
+    uniforms and every attack-regime one only once an attack-regime chunk
+    opens, so a run that never leaves the normal regime draws none.
 
-    Besides a drawn service time that alone does not fit the clock (every
-    packet's normal-regime one is drawn), a ConfigError is raised exactly
-    when a packet that a chunk keeps would depart at or past CLOCK_NS: a
-    span is cut before the first packet whose departure may reach the clock,
-    and that packet, once it leads a span and its departure is exact, is
-    refused only if it starts before the boundary.
+    A drawn service that alone does not fit the clock is a ConfigError, also
+    where its packet is served in the other regime. Besides, one is raised
+    exactly when a packet that a chunk keeps would depart at or past
+    CLOCK_NS: a span is cut before the first packet whose departure may
+    reach the clock, and that packet, once it leads a span and its departure
+    is exact, is refused only if it starts before the boundary.
     """
     a = as_times(arrival_ns)
     n = len(a)
@@ -135,38 +135,37 @@ def simulate_server(
     services = np.empty(n, np.int64)
     if n == 0:
         return ServerTrace(a, waits, services, seq)
+    if a.item(-1) >= CLOCK_NS:  # the last packet would depart past the clock
+        raise ConfigError("service.* sum beyond the clock")
 
     g = rng.generator
     z = g.standard_normal(n)
-    u = None
-    for lo in range(0, n, BLOCK):  # normal spans read these; attack spans overwrite
+    for lo in range(0, n, BLOCK):
         services[lo : lo + BLOCK] = model.draw_ns(Regime.NORMAL, z[lo : lo + BLOCK], None)
+    attack = None  # drawn over z's buffer once an attack-regime chunk opens
 
     idx, start = 0, int(a[0])  # the next packet to serve and its service start
     span = 0  # no span yet: the next one opens a regime chunk
     while idx < n:
         if not span:
             regime = Regime.ATTACK if schedule.in_attack(start) else Regime.NORMAL
-            bound = schedule.next_boundary(start)
-            if bound is not None and bound <= start:
+            bound = CLOCK_NS if (b := schedule.next_boundary(start)) is None else b
+            if bound <= start:
                 raise InvariantViolation(f"regime chunk at {start} ns is empty")
-            if regime == Regime.ATTACK and u is None:
-                u = g.random(n)
-            if bound is None:
-                span, end = BLOCK, n
-            else:
-                # the services of the regime mean that fit before the boundary
-                mean_s = model.mean_attack_s if regime == Regime.ATTACK else model.mean_normal_s
-                fit = (bound - start) / (mean_s * NS_PER_S)
-                span = int(min(BLOCK, fit + fit / 8 + _SLACK))
-                end = int(a.searchsorted(bound))  # the packets that arrive before it
+            if regime == Regime.ATTACK and attack is None:
+                attack = z.view(np.int64)  # a block's normals are read before it is written
+                for lo in range(0, n, BLOCK):
+                    zb = z[lo : lo + BLOCK]
+                    attack[lo : lo + BLOCK] = model.draw_ns(regime, zb, g.random(len(zb)))
+            # the services of the regime mean that fit before the bound
+            mean_s = model.mean_attack_s if regime == Regime.ATTACK else model.mean_normal_s
+            fit = (bound - start) / (mean_s * NS_PER_S)
+            span = int(min(BLOCK, fit + fit / 8 + _SLACK))
+            end = int(a.searchsorted(bound))  # the packets that arrive before it
         else:
             span = min(BLOCK, 2 * span)
         hi = min(end, idx + span)
-        if regime == Regime.NORMAL:
-            t = services[idx:hi]
-        else:
-            t = model.draw_ns(regime, z[idx:hi], u[idx:hi])
+        t = (attack if regime == Regime.ATTACK else services)[idx:hi]
         done = t.cumsum()
         # a wrapped sum of services (each below 2**63) turns negative first;
         # packet k departs by the later of start and a_k, plus done_k
@@ -178,7 +177,7 @@ def simulate_server(
             hi, t, done = idx + cut, t[:cut], done[:cut]
         starts = max_plus(a[idx:hi], done - t, start)
         # the chunk keeps the packets whose service starts before its boundary
-        take = hi - idx if bound is None else int(starts.searchsorted(bound))
+        take = int(starts.searchsorted(bound))
         np.subtract(starts[:take], a[idx : idx + take], out=waits[idx : idx + take])
         if regime == Regime.ATTACK:
             services[idx : idx + take] = t[:take]
@@ -188,7 +187,7 @@ def simulate_server(
             start, span = starts.item(take), 0
         elif idx < n:
             start = max(a.item(idx), starts.item(-1) + t.item(-1))
-            if bound is not None and start >= bound:
+            if start >= bound:
                 span = 0  # the chunk ended with this span
     return ServerTrace(a, waits, services, seq)
 

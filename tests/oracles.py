@@ -33,6 +33,8 @@ from floodsim.mitigation import (
     optimal_skip,
 )
 from floodsim.model import (
+    CLOCK_NS,
+    ConfigError,
     InvariantViolation,
     PacketClass,
     Regime,
@@ -407,13 +409,13 @@ def reference_run_mitigation(
 def _lindley_from(a: np.ndarray, t: np.ndarray, initial_wait: int) -> np.ndarray:
     """Lindley waits over a nonempty stream fragment whose first packet
     already waits initial_wait. Unchecked; the chunked simulation calls it
-    per chunk.
+    per chunk, in Python ints (object arrays) so its sums never wrap.
 
     Reflection identity over the partial sums s_n of u_n = T_n - A_{n+1}:
     L_n = max(s_n + initial_wait, s_n - min_{k<=n} s_k), exact in integers.
     """
     n = len(a)
-    out = np.empty(n, np.int64)
+    out = np.empty(n, a.dtype)
     out[0] = initial_wait
     if n == 1:
         return out
@@ -450,6 +452,9 @@ def reference_simulate_server(
 
     One standard normal and one uniform are pre-drawn per packet, so the
     consumed randomness does not depend on where regime boundaries fall.
+    Each chunk solves the whole remaining stream in Python ints, so a sum of
+    services past 2**63 ns stays exact; a packet that would depart at or past
+    CLOCK_NS is a ConfigError.
     """
     a = np.asarray(arrival_ns, dtype=np.int64)
     n = len(a)
@@ -472,10 +477,12 @@ def reference_simulate_server(
     wait = 0
     while idx < n:
         start0 = int(a[idx]) + wait
+        if start0 >= CLOCK_NS:
+            raise ConfigError("service.* sum beyond the clock")
         regime = Regime.ATTACK if schedule.in_attack(start0) else Regime.NORMAL
         bound = schedule.next_boundary(start0)
         t_cand = model.draw_ns(regime, z[idx:], u[idx:])
-        w_cand = _lindley_from(a[idx:], t_cand, wait)
+        w_cand = _lindley_from(a[idx:].astype(object), t_cand.astype(object), wait)
         if bound is None:
             take = n - idx
         else:
@@ -484,6 +491,8 @@ def reference_simulate_server(
             if take < 1:
                 # the first packet's start defines the regime, so it must fit
                 raise InvariantViolation(f"regime chunk at {start0} ns is empty")
+        if int(a[idx + take - 1]) + w_cand[take - 1] + int(t_cand[take - 1]) >= CLOCK_NS:
+            raise ConfigError("service.* sum beyond the clock")
         waits[idx : idx + take] = w_cand[:take]
         services[idx : idx + take] = t_cand[:take]
         if idx + take < n:

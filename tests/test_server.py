@@ -15,7 +15,7 @@ from floodsim import (
     simulate_server,
     to_ns,
 )
-from floodsim.model import BLOCK, ConfigError, InvariantViolation, Regime
+from floodsim.model import BLOCK, CLOCK_NS, ConfigError, InvariantViolation, Regime
 from floodsim.pipeline import run_simulation
 from floodsim.scenario import parse_scenario
 from floodsim import server
@@ -195,6 +195,10 @@ def test_summed_service_beyond_the_clock_is_a_config_error():
     simulate_server(np.array([0, 9_175 * 10**15]), late, NORMAL_ALWAYS, RngStream(1, 0))
     with pytest.raises(ConfigError, match="beyond the clock"):
         simulate_server(np.array([0, 9_195 * 10**15]), late, NORMAL_ALWAYS, RngStream(1, 0))
+    # as does an arrival at the clock, past the last boundary or before one
+    for sched in (NORMAL_ALWAYS, RegimeSchedule([(0, 10)]), RegimeSchedule([(0, 2**63 - 1)])):
+        with pytest.raises(ConfigError, match="beyond the clock"):
+            simulate_server(np.array([0, CLOCK_NS]), late, sched, RngStream(1, 0))
     # and in a later regime chunk: 10^8 s flood-regime services from 5 s on
     # (packet 500), with no numpy warning on the way. Under a window to
     # 9.15e9 s the chunk keeps 92 of them, the last starting at 9.1e9 + 5 s
@@ -206,15 +210,33 @@ def test_summed_service_beyond_the_clock_is_a_config_error():
         simulate_server(a, slow, RegimeSchedule([(5 * S, 9_150_000_000 * S)]), RngStream(1, 0))
     # under a window that ends at 6 s the chunk keeps one of them, and no
     # packet served departs past the clock: 10^8 s services were once refused
-    # by a check over 1 024 candidates, and the 16 candidates of 10^9 s ones
-    # sum past the clock from the tenth on, where the walk cuts its span
-    for mean_s in (1e8, 1e9):
+    # by a check over 1 024 candidates, the 16 candidates of 10^9 s ones sum
+    # past the clock from the tenth on, where the walk cuts its span, and the
+    # oracle's sums of the 2 500 services of 5e9 s each once wrapped in int64
+    for mean_s in (1e8, 1e9, 5e9):
         one = ServiceTimeModel(mean_attack_s=mean_s, var_attack_s2=0.0, outlier_prob=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_same_as_reference(a, one, [(5 * S, 6 * S)], 1)
             served = simulate_server(a, one, RegimeSchedule([(5 * S, 6 * S)]), RngStream(1, 0))
         assert served.departure_ns.max() == int(mean_s) * S + 12_447_922_568
+
+
+def test_attack_regime_draws_beyond_the_clock_are_a_config_error():
+    # once the attack regime is entered every packet's attack-regime service
+    # is drawn, also where the packet is served in the normal regime: under a
+    # 1 ms window only packet 0 is served in it, and draws no outlier, while
+    # about half of the others draw one of 4.82e10 s, past the clock
+    n = 1_000
+    a = np.arange(n, dtype=np.int64) * MS
+    model = ServiceTimeModel(outlier_prob=0.5, outlier_scale=1e13)
+    g = RngStream(2, 0).generator
+    g.standard_normal(n)
+    u = g.random(n)
+    assert u[0] >= 0.5 and u.min() < 0.5
+    simulate_server(a, model, NORMAL_ALWAYS, RngStream(2, 0))  # draws no attack service
+    with pytest.raises(ConfigError, match="give times beyond the clock"):
+        simulate_server(a, model, RegimeSchedule([(0, MS)]), RngStream(2, 0))
 
 
 def test_empty_regime_chunk_is_an_invariant_violation(monkeypatch):
@@ -289,7 +311,9 @@ def assert_same_as_reference(arrivals, model, windows, seed):
 # a first span sized from the regime mean about right, far too short
 # (services clipped to 2 ms or less, far below the 50 ms mean, so a
 # backlogged chunk outlives its first span and doubles) and far too long
-# (nearly every flood-regime service is an outlier of ~4.8 s)
+# (nearly every flood-regime service is an outlier of ~4.8 s); under "coin"
+# half the flood-regime services are outliers, so each packet's own uniform
+# shows in its service
 MODELS = {
     "default": ServiceTimeModel(),
     "undershoot": ServiceTimeModel(
@@ -297,6 +321,7 @@ MODELS = {
         ceiling_s=2e-3,
     ),
     "overshoot": ServiceTimeModel(outlier_prob=0.99),
+    "coin": ServiceTimeModel(outlier_prob=0.5, outlier_scale=3.0),
 }
 
 
@@ -401,13 +426,16 @@ def test_uniforms_are_drawn_only_for_the_attack_regime(windows, uniforms):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Service times drawn in each regime, packets solved (max_plus lengths),
-    and the longest draw or solve, over every span of a run."""
+    """Service times drawn in each regime and the draw_ns calls that drew
+    them, packets solved (max_plus lengths), and the longest draw or solve,
+    over a run."""
     counts = {Regime.NORMAL: 0, Regime.ATTACK: 0, "solved": 0, "longest": 0}
+    counts.update({(regime, "calls"): 0 for regime in Regime})
     draw_ns, solve = ServiceTimeModel.draw_ns, server.max_plus
 
     def counting_draw(self, regime, z, u):
         counts[regime] += len(z)
+        counts[regime, "calls"] += 1
         counts["longest"] = max(counts["longest"], len(z))
         return draw_ns(self, regime, z, u)
 
@@ -421,9 +449,17 @@ def work(monkeypatch):
     return counts
 
 
+def assert_each_service_drawn_once(work, n):
+    # both regimes are entered: each draws every packet's service once, a
+    # block at a time, and no span draws its own
+    for regime in Regime:
+        assert work[regime] == n
+        assert work[regime, "calls"] <= -(-n // BLOCK)
+
+
 def test_server_work_is_linear_in_the_stream(work):
     # 100 short floods served raw: the regime switches ~150 times, yet each
-    # packet's normal-regime service is drawn once and the walk solves about
+    # packet's service in each regime is drawn once and the walk solves about
     # one service time per packet (first spans of 1 024 packets per chunk
     # drew 1.55 normal ones and solved 2.31 per packet)
     lines = ["benign.period_s = 0.01", "sqf.enabled = false", "aam.enabled = false",
@@ -433,15 +469,13 @@ def test_server_work_is_linear_in_the_stream(work):
                   f"flood.{k}.rate_pps = 3000"]
     res = run_simulation(parse_scenario("\n".join(lines)))
     n = len(res.server)
-    assert work[Regime.NORMAL] == n
-    assert work[Regime.ATTACK] <= 0.2 * n
+    assert_each_service_drawn_once(work, n)
     assert work["solved"] <= 1.2 * n
 
 
-def test_long_chunks_redraw_only_their_last_span(work):
+def test_long_chunks_draw_each_service_once(work):
     # two 80 s floods served raw, each one flood-regime chunk of ~120 000
-    # packets: the walk draws and solves no span longer than one block, and
-    # redraws at most the tail of each flood chunk's last span (a candidate
+    # packets: the walk solves no span longer than one block (a candidate
     # span doubled until it held the whole chunk drew 2.64 service times per
     # packet, in spans of 131 072)
     lines = ["sqf.enabled = false", "aam.enabled = false", "run.seed = 1",
@@ -452,10 +486,7 @@ def test_long_chunks_redraw_only_their_last_span(work):
                   f"flood.{k}.rate_pps = 1500"]
     res = run_simulation(parse_scenario("\n".join(lines)))
     n = len(res.server)
-    floods = RegimeSchedule([(10 * S, 90 * S), (100 * S, 180 * S)])
-    in_flood = int(floods.in_attack(res.server.arrival_ns + res.server.wait_ns).sum())
     assert n > 250_000
     assert work["longest"] <= BLOCK
-    assert work[Regime.NORMAL] == n
-    assert work[Regime.ATTACK] <= in_flood + 2 * BLOCK
+    assert_each_service_drawn_once(work, n)
     assert work["solved"] <= 1.2 * n
