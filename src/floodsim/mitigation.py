@@ -29,10 +29,10 @@ one window long. A doubling search over the votes finds the run's end, one
 pacing.max_plus call gives its verdict instants v_j = max(a_end_j, v_{j-1} +
 len_j*D), and the block records them with its window starts and ends, the
 first packet it drops or forwards and the skip before and after it; a partial
-tail window is a run of its own, and the stream-end flush is the last record, a
-clear window that tests nothing. So the records alone tile the stream, and
-MitigationResult reads the event log and the per-packet outcomes from one
-per-window table of them.
+tail window is a run of one window, its end clamped to the stream's, and the
+stream-end flush is the last record, a clear window that tests nothing. So
+the records alone tile the stream, and MitigationResult reads the event log
+and the per-packet outcomes from one per-window table of them.
 """
 from __future__ import annotations
 
@@ -366,12 +366,10 @@ def run_mitigation(
         # an adaptive skip is 0 until its first verdict, so it never sets a stride
         stride = window - 1 + st.skip if attack and fixed else window
         full = (n - c - window) // stride + 1 if n - c >= window else 0
-        k = _first_window(votes, c, window, stride, min(full, 1) if recompute else full, not attack)
-        if k:
-            starts = np.arange(c, c + k * stride, stride, dtype=np.int64)
-            ends = starts + (window - 1)
-        else:
-            starts, ends, k = np.array([c], np.int64), np.array([n - 1], np.int64), 1
+        # with no full window left (full == 0) the block is the partial tail window, cut at n
+        k = _first_window(votes, c, window, stride, 1 if recompute else full, not attack) or 1
+        starts = np.arange(c, c + k * stride, stride, dtype=np.int64)
+        ends = np.minimum(starts + (window - 1), n - 1)
         end = int(ends[-1]) + 1
         # work summed past the first verdict, whose wait joins the floor: no sum wraps
         work = np.cumsum(ends - starts + 1)

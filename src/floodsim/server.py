@@ -63,12 +63,10 @@ class RegimeSchedule:
         """True where a time lies inside an attack window (scalar or array)."""
         return self._bounds.searchsorted(times_ns, side="right") % 2 == 1
 
-    def next_boundary(self, t_ns: int):
-        """Smallest window boundary strictly after t, or None."""
+    def next_boundary(self, t_ns: int) -> int:
+        """Smallest window boundary strictly after t, or CLOCK_NS past the last."""
         k = int(self._bounds.searchsorted(t_ns, side="right"))
-        if k >= len(self._bounds):
-            return None
-        return int(self._bounds[k])
+        return int(self._bounds[k]) if k < len(self._bounds) else CLOCK_NS
 
 
 NORMAL_ALWAYS = RegimeSchedule([])
@@ -109,7 +107,8 @@ def simulate_server(
     seq=None,
 ) -> ServerTrace:
     """Serve a stream FCFS, sampling each service time under the regime in
-    force at that packet's service start.
+    force at that packet's service start: one outer pass per regime chunk,
+    up to schedule.next_boundary there, and an inner one per span.
 
     Packet k's service time is drawn from the k-th of n standard normals,
     and in the attack regime also from the k-th of n uniforms drawn after
@@ -118,12 +117,13 @@ def simulate_server(
     uniforms and every attack-regime one only once an attack-regime chunk
     opens, so a run that never leaves the normal regime draws none.
 
-    A drawn service that alone does not fit the clock is a ConfigError, also
-    where its packet is served in the other regime. Besides, one is raised
-    exactly when a packet that a chunk keeps would depart at or past
-    CLOCK_NS: a span is cut before the first packet whose departure may
-    reach the clock, and that packet, once it leads a span and its departure
-    is exact, is refused only if it starts before the boundary.
+    An arrival at or past CLOCK_NS is a ConfigError, and so is a drawn
+    service that alone does not fit the clock, also one served in the other
+    regime. Besides, one is raised exactly when a packet that a chunk keeps
+    would depart at or past CLOCK_NS: a span is cut before the first packet
+    whose departure may reach the clock, and that packet, once it leads a
+    span and its departure is exact, is refused only if it starts before
+    the boundary.
     """
     a = as_times(arrival_ns)
     n = len(a)
@@ -135,8 +135,8 @@ def simulate_server(
     services = np.empty(n, np.int64)
     if n == 0:
         return ServerTrace(a, waits, services, seq)
-    if a.item(-1) >= CLOCK_NS:  # the last packet would depart past the clock
-        raise ConfigError("service.* sum beyond the clock")
+    if a.item(-1) >= CLOCK_NS:  # it would depart past the clock
+        raise ConfigError("an arrival at or past the nanosecond clock")
 
     g = rng.generator
     z = g.standard_normal(n)
@@ -145,50 +145,48 @@ def simulate_server(
     attack = None  # drawn over z's buffer once an attack-regime chunk opens
 
     idx, start = 0, int(a[0])  # the next packet to serve and its service start
-    span = 0  # no span yet: the next one opens a regime chunk
-    while idx < n:
-        if not span:
-            regime = Regime.ATTACK if schedule.in_attack(start) else Regime.NORMAL
-            bound = CLOCK_NS if (b := schedule.next_boundary(start)) is None else b
-            if bound <= start:
-                raise InvariantViolation(f"regime chunk at {start} ns is empty")
-            if regime == Regime.ATTACK and attack is None:
+    while idx < n:  # one pass per regime chunk
+        regime = Regime.ATTACK if schedule.in_attack(start) else Regime.NORMAL
+        bound = schedule.next_boundary(start)
+        if bound <= start:
+            raise InvariantViolation(f"regime chunk at {start} ns is empty")
+        if regime == Regime.ATTACK:
+            if attack is None:
                 attack = z.view(np.int64)  # a block's normals are read before it is written
                 for lo in range(0, n, BLOCK):
                     zb = z[lo : lo + BLOCK]
                     attack[lo : lo + BLOCK] = model.draw_ns(regime, zb, g.random(len(zb)))
-            # the services of the regime mean that fit before the bound
-            mean_s = model.mean_attack_s if regime == Regime.ATTACK else model.mean_normal_s
-            fit = (bound - start) / (mean_s * NS_PER_S)
-            span = int(min(BLOCK, fit + fit / 8 + _SLACK))
-            end = int(a.searchsorted(bound))  # the packets that arrive before it
+            drawn, mean_s = attack, model.mean_attack_s
         else:
+            drawn, mean_s = services, model.mean_normal_s
+        # the services of the regime mean that fit before the bound
+        fit = (bound - start) / (mean_s * NS_PER_S)
+        span = int(min(BLOCK, fit + fit / 8 + _SLACK))
+        end = int(a.searchsorted(bound))  # the packets that arrive before it
+        while idx < n and start < bound:  # one pass per span
+            hi = min(end, idx + span)
+            t = drawn[idx:hi]
+            done = t.cumsum()
+            # a wrapped sum of services (each below 2**63) turns negative first;
+            # packet k departs by the later of start and a_k, plus done_k
+            if done.item(done.argmin()) < 0 or max(start, a.item(hi - 1)) + done.item(-1) >= CLOCK_NS:
+                late = (done < 0) | (done >= CLOCK_NS - np.maximum(a[idx:hi], start))
+                cut = int(late.argmax())
+                if not cut:  # start is exact: the chunk keeps a packet past the clock
+                    raise ConfigError("service.* sum beyond the clock")
+                hi, t, done = idx + cut, t[:cut], done[:cut]
+            starts = max_plus(a[idx:hi], done - t, start)
+            # the chunk keeps the packets whose service starts before its boundary
+            take = int(starts.searchsorted(bound))
+            np.subtract(starts[:take], a[idx : idx + take], out=waits[idx : idx + take])
+            if regime == Regime.ATTACK:
+                services[idx : idx + take] = t[:take]
+            idx += take
+            if take < len(starts):  # the boundary fell inside: the next chunk starts there
+                start = starts.item(take)
+            elif idx < n:
+                start = max(a.item(idx), starts.item(-1) + t.item(-1))
             span = min(BLOCK, 2 * span)
-        hi = min(end, idx + span)
-        t = (attack if regime == Regime.ATTACK else services)[idx:hi]
-        done = t.cumsum()
-        # a wrapped sum of services (each below 2**63) turns negative first;
-        # packet k departs by the later of start and a_k, plus done_k
-        if done.item(done.argmin()) < 0 or max(start, a.item(hi - 1)) + done.item(-1) >= CLOCK_NS:
-            late = (done < 0) | (done >= CLOCK_NS - np.maximum(a[idx:hi], start))
-            cut = int(late.argmax())
-            if not cut:  # start is exact: the chunk keeps a packet past the clock
-                raise ConfigError("service.* sum beyond the clock")
-            hi, t, done = idx + cut, t[:cut], done[:cut]
-        starts = max_plus(a[idx:hi], done - t, start)
-        # the chunk keeps the packets whose service starts before its boundary
-        take = int(starts.searchsorted(bound))
-        np.subtract(starts[:take], a[idx : idx + take], out=waits[idx : idx + take])
-        if regime == Regime.ATTACK:
-            services[idx : idx + take] = t[:take]
-        idx += take
-        if take < len(starts):
-            # the boundary fell inside: the next chunk starts there
-            start, span = starts.item(take), 0
-        elif idx < n:
-            start = max(a.item(idx), starts.item(-1) + t.item(-1))
-            if start >= bound:
-                span = 0  # the chunk ended with this span
     return ServerTrace(a, waits, services, seq)
 
 

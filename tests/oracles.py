@@ -483,14 +483,11 @@ def reference_simulate_server(
         bound = schedule.next_boundary(start0)
         t_cand = model.draw_ns(regime, z[idx:], u[idx:])
         w_cand = _lindley_from(a[idx:].astype(object), t_cand.astype(object), wait)
-        if bound is None:
-            take = n - idx
-        else:
-            starts = a[idx:] + w_cand
-            take = int(np.searchsorted(starts, bound, side="left"))
-            if take < 1:
-                # the first packet's start defines the regime, so it must fit
-                raise InvariantViolation(f"regime chunk at {start0} ns is empty")
+        starts = a[idx:] + w_cand
+        take = int(np.searchsorted(starts, bound, side="left"))
+        if take < 1:
+            # the first packet's start defines the regime, so it must fit
+            raise InvariantViolation(f"regime chunk at {start0} ns is empty")
         if int(a[idx + take - 1]) + w_cand[take - 1] + int(t_cand[take - 1]) >= CLOCK_NS:
             raise ConfigError("service.* sum beyond the clock")
         waits[idx : idx + take] = w_cand[:take]

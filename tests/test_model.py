@@ -25,6 +25,9 @@ def test_to_ns_array():
     out = to_ns([0.0, 0.5, 1.0])
     np.testing.assert_array_equal(out, [0, 500_000_000, NS_PER_S])
     assert out.dtype == np.int64
+    # a 0-d array gives a Python int, as a float does
+    zero_d = to_ns(np.array(0.5))
+    assert zero_d == 500_000_000 and type(zero_d) is int
 
 
 def test_to_ns_rejects_non_finite():

@@ -65,6 +65,8 @@ def test_input_validation():
         forward_times([1, 3], 0)
     with pytest.raises(ValueError):
         forward_times(np.zeros((2, 2), np.int64), 5)
+    with pytest.raises(ValueError, match="sample_dt must be positive"):
+        queue_timeline([0], [1], 0)
 
 
 @pytest.mark.parametrize(

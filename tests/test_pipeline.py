@@ -19,11 +19,14 @@ from floodsim import (
     to_ns,
     write_outputs,
 )
+from floodsim import pipeline
+from floodsim.cli import main
 from floodsim.detector import DetectorModel
 from floodsim.mitigation import AdaptiveSkip, Outcome
-from floodsim.model import MAX_ELEMENTS, MEMORY_BUDGET, RUN_BYTES_PER_PACKET
+from floodsim.model import MAX_ELEMENTS, MEMORY_BUDGET, RUN_BYTES_PER_PACKET, InvariantViolation
 from floodsim.pacing import queue_timeline
 from floodsim.pipeline import drive_run
+from floodsim.server import ServerTrace
 from floodsim.traffic import BenignSpec, FloodSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -316,3 +319,31 @@ def test_run_key_zero_is_the_simulate_run():
     bare, none = drive_run(scn, RngStream(scn.seed, 0), 0, None)
     assert none is None
     np.testing.assert_array_equal(bare.arrival_ns, want.trace.arrival_ns)
+
+
+def one_packet_short(trace):
+    order = None if trace.order is None else trace.order[:-1]
+    return ServerTrace(trace.arrival_ns[:-1], trace.wait_ns[:-1], trace.service_ns[:-1], order)
+
+
+def one_more_forwarded(result):
+    result.state.packets_forwarded += 1
+    return result
+
+
+@pytest.mark.parametrize("stage, corrupt, match", [
+    ("simulate_server", one_packet_short, "served packet count diverged"),
+    ("run_mitigation", one_more_forwarded, "packet conservation broken"),
+], ids=["server_one_packet_short", "mitigation_forwarded_off_by_one"])
+def test_a_broken_stage_is_an_invariant_violation(stage, corrupt, match, monkeypatch, capsys,
+                                                   tmp_path):
+    # a run checks the served count and the conservation of packets after
+    # the server: a stage that miscounts is refused, never written out
+    real = getattr(pipeline, stage)
+    monkeypatch.setattr(pipeline, stage, lambda *args, **kw: corrupt(real(*args, **kw)))
+    cfg = SCENARIOS / "dualflood.cfg"
+    with pytest.raises(InvariantViolation, match=match):
+        run_simulation(load_scenario(cfg))
+    assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(f"invariant violated: {match}")
+    assert not (tmp_path / "o").exists()

@@ -171,6 +171,8 @@ NAN_SETTINGS = [
     *((FloodSpec, name) for name in FLOOD),
     *((ServiceTimeModel, f.name) for f in dataclasses.fields(ServiceTimeModel)),
     *((Scenario, name) for name in ("alpha", "beta", "tau_s")),
+    # a Scenario built in code reaches the clock check's not-finite path only this way
+    *((Scenario, name) for name in ("pacing_gap_s", "horizon_s", "sample_dt_s")),
 ]
 
 

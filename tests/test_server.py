@@ -119,9 +119,9 @@ def test_regime_schedule_boundaries_half_open():
     assert sched.in_attack(10) and not sched.in_attack(20)
     assert sched.next_boundary(5) == 10
     assert sched.next_boundary(10) == 20
-    assert sched.next_boundary(20) is None
+    assert sched.next_boundary(20) == CLOCK_NS
     assert not NORMAL_ALWAYS.in_attack(123)
-    assert NORMAL_ALWAYS.next_boundary(0) is None
+    assert NORMAL_ALWAYS.next_boundary(0) == CLOCK_NS
 
 
 def test_simulate_server_spaced_arrivals_zero_waits():
@@ -197,7 +197,7 @@ def test_summed_service_beyond_the_clock_is_a_config_error():
         simulate_server(np.array([0, 9_195 * 10**15]), late, NORMAL_ALWAYS, RngStream(1, 0))
     # as does an arrival at the clock, past the last boundary or before one
     for sched in (NORMAL_ALWAYS, RegimeSchedule([(0, 10)]), RegimeSchedule([(0, 2**63 - 1)])):
-        with pytest.raises(ConfigError, match="beyond the clock"):
+        with pytest.raises(ConfigError, match="an arrival at or past the nanosecond clock"):
             simulate_server(np.array([0, CLOCK_NS]), late, sched, RngStream(1, 0))
     # and in a later regime chunk: 10^8 s flood-regime services from 5 s on
     # (packet 500), with no numpy warning on the way. Under a window to

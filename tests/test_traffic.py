@@ -68,6 +68,8 @@ def test_benign_sends_one_packet_per_period_started_before_the_horizon():
 
 def test_benign_zero_horizon():
     assert len(gen_benign(BenignSpec(period_s=0.01), 0.0, RngStream(1, 0))) == 0
+    with pytest.raises(ValueError, match="horizon must be >= 0"):  # and a negative one is refused
+        gen_benign(BenignSpec(period_s=0.01), -1.0, RngStream(1, 0))
 
 
 @settings(max_examples=200)
@@ -307,6 +309,9 @@ def test_trace_csv_rejects_unknown_class(tmp_path):
     p.write_text("seq,arrival_time_s,class,source_id\n0,0.5,X,0\n")
     with pytest.raises(ValueError, match="class"):
         read_trace_csv(p)
+    # and a trace built in code is not written with a class it cannot name
+    with pytest.raises(ValueError, match="unknown packet class 2"):
+        write_trace_csv(tmp_path / "out.csv", Trace([0, 1], [0, 2], [0, 0]))
 
 
 @pytest.mark.parametrize(
