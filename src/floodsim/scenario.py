@@ -43,7 +43,7 @@ from .model import (
     substream,
     to_ns,
 )
-from .traffic import BenignSpec, FloodSpec, gen_benign, gen_flood, merge
+from .traffic import BenignSpec, FloodSpec, gen_benign, gen_flood, gen_trace, merge, one_sort_fits
 
 
 class ScenarioError(ConfigError):
@@ -268,15 +268,14 @@ def load_scenario(path) -> Scenario:
 def build_trace(scenario: Scenario, rng: RngStream, run_key: int = 0) -> Trace:
     """Generate and merge the scenario's arrival streams, drawing from the
     run's keys of the stream-key registry in model.py."""
-    parts = []
-    if scenario.benign is not None:
-        benign_rng = substream(rng, run_key + STREAM_BENIGN)
-        parts.append(gen_benign(scenario.benign, scenario.horizon_s, benign_rng))
-    for k, flood in enumerate(scenario.floods):
-        flood_rng = substream(rng, run_key + STREAM_FLOOD_BASE + k)
-        parts.append(gen_flood(flood, flood_rng))
-    # one stream is already in merge order: the background's sort puts equal
-    # arrivals lower source first, and a flood is one source in draw order
+    benign, floods, horizon_s = scenario.benign, scenario.floods, scenario.horizon_s
+    benign_rng = substream(rng, run_key + STREAM_BENIGN)
+    flood_rngs = [substream(rng, run_key + STREAM_FLOOD_BASE + k) for k in range(len(floods))]
+    if floods and one_sort_fits(benign, horizon_s, floods):
+        return gen_trace(benign, horizon_s, benign_rng, floods, flood_rngs)
+    parts = [gen_benign(benign, horizon_s, benign_rng)] if benign is not None else []
+    parts += [gen_flood(flood, flood_rng) for flood, flood_rng in zip(floods, flood_rngs)]
+    # the background alone, as a run without floods has it, is in merge order
     return parts[0] if len(parts) == 1 else merge(parts)
 
 

@@ -75,40 +75,101 @@ def gen_benign(spec: BenignSpec, horizon_s: float, rng: RngStream) -> Trace:
     Arrival k of a source sits at k*period + U[0, jitter_fraction*period);
     the jitters are drawn source by source, each source's in arrival order.
     Equal arrivals go lower source first."""
-    if horizon_s < 0:
-        raise ValueError("horizon must be >= 0")
-    n_per = math.ceil(horizon_s / spec.period_s)
-    grid = rng.generator.random((spec.num_sources, n_per))
-    grid *= spec.jitter_fraction * spec.period_s
-    grid += np.arange(n_per, dtype=np.float64) * spec.period_s
-    last = to_ns(grid.max(initial=0.0))  # to_ns's range check; its rounding follows, in place
-    grid *= NS_PER_S
-    arrival = grid.view(np.int64)
-    ns, seconds = arrival.ravel(), grid.ravel()
-    for lo in range(0, len(ns), BLOCK):  # a cast onto its own buffer copies what it reads
-        np.rint(seconds[lo : lo + BLOCK], out=ns[lo : lo + BLOCK], casting="unsafe")
+    ns, grid, last = _draw_ns(spec, horizon_s, rng, (), ())
     shift = spec.num_sources.bit_length()
     if last < 1 << (63 - shift):
-        arrival, source = _sort_packed(arrival, shift)
+        arrival, source = _sort_packed(ns, grid, shift)
     else:
-        arrival, source = _sort_stable(arrival)
+        arrival, source = _sort_stable(grid)
     return Trace(arrival, np.full(len(arrival), int(PacketClass.BENIGN), np.uint8), source)
 
 
-def _sort_packed(grid: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrival order of a (source, period) grid of ns arrivals, below 2**(63 -
-    shift), by one in-place sort of (arrival << shift | source) keys. Two keys
-    tie only when arrival and source do, and then the rows are equal, so any
-    sort gives the stable one's output. Returns views of the grid's buffer as
-    the arrivals, beside new int32 source ids."""
-    grid <<= shift
+def gen_flood(spec: FloodSpec, rng: RngStream) -> Trace:
+    """Generate one flood burst from source 0. The realized packet count is
+    Poisson with mean rate*duration; arrival instants are iid uniform over
+    the window."""
+    arrival, _, _ = _draw_ns(None, 0.0, None, [spec], [rng])
+    arrival.sort()
+    n = len(arrival)
+    return Trace(arrival, np.full(n, int(PacketClass.ATTACK), np.uint8), np.zeros(n, np.int32))
+
+
+def one_sort_fits(benign: BenignSpec | None, horizon_s: float, floods: Sequence[FloodSpec]) -> bool:
+    """Whether gen_trace may build this trace, decided before anything is
+    drawn: every arrival is sure to lie below 2**(63 - shift) ns, shift the
+    bits of the largest source id. Arrivals end before the last flood's end
+    and the end of the period that holds the horizon; the margin covers the
+    float rounding of the draws, a few parts in 2**53."""
+    ends = [f.end_s for f in floods]
+    shift = 0
+    if benign is not None:
+        ends.append(horizon_s + benign.period_s)
+        shift = benign.num_sources.bit_length()
+    return max(ends, default=0.0) * NS_PER_S * (1 + 2**-40) + 1 < 2.0 ** (63 - shift)
+
+
+def gen_trace(benign: BenignSpec | None, horizon_s: float, benign_rng: RngStream | None,
+              floods: Sequence[FloodSpec], flood_rngs: Sequence[RngStream]) -> Trace:
+    """merge of gen_benign and one gen_flood per flood, by one sort of the
+    buffer _draw_ns fills (the trace must pass one_sort_fits). Rounding to ns
+    is monotone, so converting before the sort gives those generators'
+    arrivals; the class follows the source, so equal keys are equal rows."""
+    ns, grid, _ = _draw_ns(benign, horizon_s, benign_rng, floods, flood_rngs)
+    arrival, source = _sort_packed(ns, grid, len(grid).bit_length())
+    # floods are source 0, and bool True is PacketClass.ATTACK's 1
+    return Trace(arrival, np.equal(source, 0).view(np.uint8), source)
+
+
+def _draw_ns(benign: BenignSpec | None, horizon_s: float, benign_rng: RngStream | None,
+             floods: Sequence[FloodSpec], flood_rngs: Sequence[RngStream]) -> tuple[np.ndarray, np.ndarray, int]:
+    """One buffer of ns arrivals: the background's (source, period) grid at
+    its head, from one draw, then each flood's in draw order (its Poisson
+    count, then one uniform per packet). It is converted in place with
+    to_ns's range check and rounding, a block at a time, since a cast onto
+    its own buffer copies what it reads. Returns the buffer, the grid's view
+    of it and the latest arrival (0 when there is none)."""
+    sources = n_per = 0
+    if benign is not None:
+        if horizon_s < 0:
+            raise ValueError("horizon must be >= 0")
+        sources, n_per = benign.num_sources, math.ceil(horizon_s / benign.period_s)
+    counts = [int(r.generator.poisson(f.rate_pps * f.duration_s)) for f, r in zip(floods, flood_rngs)]
+    seconds = np.empty(sources * n_per + sum(counts))
+    grid = seconds[: sources * n_per].reshape(sources, n_per)
+    if benign is not None:
+        benign_rng.generator.random(out=grid)
+        grid *= benign.jitter_fraction * benign.period_s
+        grid += np.arange(n_per, dtype=np.float64) * benign.period_s
+    lo = grid.size
+    for flood, flood_rng, n in zip(floods, flood_rngs, counts):
+        offsets = seconds[lo : lo + n]
+        flood_rng.generator.random(out=offsets)
+        offsets *= flood.duration_s
+        offsets += flood.start_s
+        lo += n
+    last = to_ns(seconds.max(initial=0.0))
+    ns = seconds.view(np.int64)
+    for lo in range(0, len(ns), BLOCK):
+        block = seconds[lo : lo + BLOCK]
+        block *= NS_PER_S
+        np.rint(block, out=ns[lo : lo + BLOCK], casting="unsafe")
+    return ns, grid.view(np.int64), last
+
+
+def _sort_packed(ns: np.ndarray, grid: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival order of a buffer of ns arrivals, all below 2**(63 - shift), by
+    one in-place sort of (arrival << shift | source) keys: grid is its head's
+    (source, period) view, sources 1..len(grid), and the rest are floods,
+    source 0. Two keys tie only when arrival and source do, and then the
+    rows are equal, so any sort gives the stable one's output. Returns the
+    buffer as the arrivals, beside new int32 source ids."""
+    ns <<= shift
     grid |= np.arange(1, len(grid) + 1)[:, None]
-    key = grid.ravel()
-    key.sort()
-    source = np.empty(len(key), np.int32)
-    np.bitwise_and(key, (1 << shift) - 1, out=source, casting="unsafe")  # cast chunk by chunk
-    key >>= shift
-    return key, source
+    ns.sort()
+    source = np.empty(len(ns), np.int32)
+    np.bitwise_and(ns, (1 << shift) - 1, out=source, casting="unsafe")  # cast chunk by chunk
+    ns >>= shift
+    return ns, source
 
 
 def _sort_stable(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,17 +181,6 @@ def _sort_stable(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(arrival, kind="stable")
     source = np.repeat(np.arange(1, num_sources + 1, dtype=np.int32), n_per)[order]
     return arrival[order], source
-
-
-def gen_flood(spec: FloodSpec, rng: RngStream) -> Trace:
-    """Generate one flood burst from source 0. The realized packet count is
-    Poisson with mean rate*duration; arrival instants are iid uniform over
-    the window."""
-    g = rng.generator
-    n = int(g.poisson(spec.rate_pps * spec.duration_s))
-    offsets = np.sort(g.random(n)) * spec.duration_s
-    klass = np.full(n, int(PacketClass.ATTACK), np.uint8)
-    return Trace(to_ns(spec.start_s + offsets), klass, np.zeros(n, np.int32))
 
 
 def merge(traces: Sequence[Trace]) -> Trace:

@@ -547,6 +547,16 @@ def reference_gen_benign(spec, horizon_s, rng) -> Trace:
     return reference_merge(parts)
 
 
+def reference_gen_flood(spec, rng) -> Trace:
+    """gen_flood as first written: the Poisson count, its uniforms sorted
+    and scaled to offsets, then to_ns of the start plus the offsets."""
+    g = rng.generator
+    n = int(g.poisson(spec.rate_pps * spec.duration_s))
+    offsets = np.sort(g.random(n)) * spec.duration_s
+    klass = np.full(n, int(PacketClass.ATTACK), np.uint8)
+    return Trace(to_ns(spec.start_s + offsets), klass, np.zeros(n, np.int32))
+
+
 def reference_classify_stream(klass, model, rng) -> np.ndarray:
     """classify_stream in one draw: n uniforms, then one label formula."""
     k = np.asarray(klass, dtype=np.uint8)

@@ -1,8 +1,12 @@
 """Scenario parsing, validation, and seeded trace assembly."""
 import dataclasses
+import gc
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from floodsim import (
     ConfigError,
@@ -16,10 +20,13 @@ from floodsim import (
     load_scenario,
     parse_scenario,
 )
-from floodsim.model import STREAM_BENIGN, STREAM_FLOOD_BASE, substream
+from floodsim import scenario
+from floodsim.model import NS_PER_S, STREAM_BENIGN, STREAM_FLOOD_BASE, substream
 from floodsim.scenario import build_trace
 from floodsim.traffic import BenignSpec, FloodSpec, gen_benign, gen_flood
-from oracles import reference_merge
+from oracles import reference_gen_benign, reference_gen_flood, reference_merge
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 EXAMPLE = """\
 # background traffic
@@ -253,6 +260,120 @@ def test_one_stream_is_already_in_merge_order(background):
     np.testing.assert_array_equal(got.arrival_ns, want.arrival_ns)
     np.testing.assert_array_equal(got.klass, want.klass)
     np.testing.assert_array_equal(got.source_id, want.source_id)
+
+
+@st.composite
+def trace_scenarios(draw):
+    """A scenario with 0-6 background sources (0: none) and 0-4 floods, its
+    times in units of 1 ns, where arrivals tie within and across streams, or
+    of about a sixth of the one-sort bound 2**(63 - shift) ns, so that its
+    last arrivals fall on either side of it."""
+    sources = draw(st.integers(0, 6))
+    unit_s = 1e-9
+    if sources and draw(st.booleans()):
+        bound_s = 2 ** (63 - sources.bit_length()) / NS_PER_S
+        unit_s = draw(st.floats(0.5, 1.9)) * bound_s / 6
+    benign = None
+    if sources:
+        jitter = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.999)))  # 0: the sources tie
+        benign = BenignSpec(period_s=draw(st.integers(1, 4)) * unit_s, jitter_fraction=jitter,
+                            num_sources=sources)
+    floods = []
+    for _ in range(draw(st.integers(0, 4))):
+        duration_s = draw(st.integers(1, 3)) * unit_s
+        mean = draw(st.sampled_from([1e-9, 0.7, 4.0, 40.0]))  # 1e-9: almost surely no packet
+        floods.append(FloodSpec(start_s=draw(st.integers(0, 6)) * unit_s, duration_s=duration_s,
+                                rate_pps=mean / duration_s))
+    return Scenario(benign=benign, floods=floods, horizon_s=draw(st.floats(0.0, 8.0)) * unit_s)
+
+
+def reference_trace(scn, rng, run_key):
+    parts = []
+    if scn.benign is not None:
+        parts.append(reference_gen_benign(scn.benign, scn.horizon_s, substream(rng, run_key + STREAM_BENIGN)))
+    for k, flood in enumerate(scn.floods):
+        parts.append(reference_gen_flood(flood, substream(rng, run_key + STREAM_FLOOD_BASE + k)))
+    return reference_merge(parts)
+
+
+@settings(max_examples=300)
+@given(scn=trace_scenarios(), seed=st.integers(0, 2**32 - 1), run_key=st.sampled_from([0, 1000]))
+@example(  # two floods with the same start over three tied sources, one of them empty
+    scn=Scenario(benign=BenignSpec(period_s=2e-9, num_sources=3),
+                 floods=[FloodSpec(1e-9, 2e-9, 2e10), FloodSpec(1e-9, 1e-9, 1.0), FloodSpec(0.0, 3e-9, 1e10)],
+                 horizon_s=8e-9),
+    seed=3, run_key=0,
+)
+@example(  # the background's last period ends just below the bound of one source, 2**62 ns
+    scn=Scenario(benign=BenignSpec(period_s=2**61 / NS_PER_S * (1 - 2**-20)),
+                 floods=[FloodSpec(0.0, 1.0, 10.0)], horizon_s=2**61 / NS_PER_S),
+    seed=5, run_key=0,
+)
+@example(  # the last period starts before the horizon, and its jitter carries it past that bound
+    scn=Scenario(benign=BenignSpec(period_s=0.75 * 2**62 / NS_PER_S, jitter_fraction=0.9),
+                 floods=[FloodSpec(0.0, 1.0, 10.0)], horizon_s=0.9 * 2**62 / NS_PER_S),
+    seed=5, run_key=0,
+)
+@example(  # a flood across that bound
+    scn=Scenario(benign=BenignSpec(period_s=1.0), floods=[FloodSpec(2**62 / NS_PER_S - 0.5, 1.0, 20.0)],
+                 horizon_s=1.0),
+    seed=5, run_key=0,
+)
+@example(  # a flood past the clock, with no background: its keys would fit int64
+    scn=Scenario(benign=None, floods=[FloodSpec(9.19e9, 3e7, 1e-6)], horizon_s=1.0),
+    seed=5, run_key=0,
+)
+def test_build_trace_matches_the_merge_of_reference_streams(scn, seed, run_key):
+    rng = RngStream(seed, 0)
+    calls = {"gen_trace": 0, "merge": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    try:
+        want = reference_trace(scn, rng, run_key)
+    except ValueError:
+        # an arrival at or past the nanosecond clock is refused, not wrapped
+        with pytest.raises(ValueError, match="time values must be below"):
+            build_trace(scn, rng, run_key)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "gen_trace", counted("gen_trace", scenario.gen_trace))
+        mp.setattr(scenario, "merge", counted("merge", scenario.merge))
+        got = build_trace(scn, rng, run_key)
+    for column in ("arrival_ns", "klass", "source_id"):
+        np.testing.assert_array_equal(getattr(got, column), getattr(want, column), strict=True)
+    # the one sort takes every run with floods whose keys are sure to fit,
+    # and no run with an arrival too late to pack beside its source
+    bound_ns = 2 ** (63 - (scn.benign.num_sources if scn.benign else 0).bit_length())
+    ends = [f.end_s for f in scn.floods] + ([scn.horizon_s + scn.benign.period_s] if scn.benign else [])
+    if len(want) and want.arrival_ns[-1] >= bound_ns:
+        assert calls["gen_trace"] == 0
+    elif scn.floods and max(ends) * NS_PER_S < bound_ns * (1 - 1e-9):
+        assert calls == {"gen_trace": 1, "merge": 0}
+    if not scn.floods:
+        assert calls["gen_trace"] == 0
+
+
+def test_build_trace_memory_peak_per_packet():
+    # congestion.cfg, 400 k packets, almost all from its one flood. The trace
+    # holds 13 B/packet (int64 arrivals, int32 sources, uint8 classes); they
+    # are drawn, converted and sorted in one buffer, with one block's
+    # temporaries beside it (a merge of sorted streams peaked at 41)
+    scn = load_scenario(SCENARIOS / "congestion.cfg")
+    build_trace(scn, RngStream(scn.seed, 0), 1000)  # warm-up: one-time state stays out of the peak
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = build_trace(scn, RngStream(scn.seed, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) > 390_000
+    assert peak / len(trace) <= 16
 
 
 def test_expected_attack_volume():

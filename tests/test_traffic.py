@@ -10,7 +10,7 @@ from floodsim import ConfigError, RngStream, read_trace_csv, to_ns, traffic
 from floodsim.detector import DetectorModel, classify_stream
 from floodsim.model import NS_PER_S, PacketClass, Trace
 from floodsim.traffic import BenignSpec, FloodSpec, gen_benign, gen_flood, merge, write_trace_csv
-from oracles import reference_gen_benign, reference_merge
+from oracles import reference_gen_benign, reference_gen_flood, reference_merge
 
 
 def test_benign_spec_validation():
@@ -188,6 +188,23 @@ def test_background_generation_and_labelling_memory_peaks():
     assert label_peak <= n + 2**20
 
 
+def test_flood_generation_memory_peak():
+    # a flood of 200 k packets peaks at the 13 B/packet it holds: its draws
+    # are converted to ns over their own buffer a block at a time and sorted
+    # in place (to_ns of the sorted offsets peaked at 33)
+    spec = FloodSpec(start_s=1.0, duration_s=30.0, rate_pps=6667.0)
+    gen_flood(FloodSpec(start_s=1.0, duration_s=1.0, rate_pps=10.0), RngStream(12, 10))  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = gen_flood(spec, RngStream(12, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(len(trace) - 200_010) < 5 * np.sqrt(200_010)
+    assert peak / len(trace) <= 14
+
+
 def test_flood_window_and_class():
     spec = FloodSpec(start_s=2.0, duration_s=3.0, rate_pps=500.0)
     tr = gen_flood(spec, RngStream(4, 0))
@@ -198,6 +215,21 @@ def test_flood_window_and_class():
     assert np.all(tr.source_id == 0)
     # seeded, but the count should sit well inside the Poisson bulk
     assert abs(len(tr) - 1500) < 4 * np.sqrt(1500)
+
+
+@settings(max_examples=200)
+@given(
+    start_s=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    duration_s=st.floats(1e-9, 10.0),
+    mean=st.floats(0.0, 500.0),  # 0: an empty flood
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flood_matches_reference(start_s, duration_s, mean, seed):
+    spec = FloodSpec(start_s=start_s, duration_s=duration_s, rate_pps=max(mean, 1e-12) / duration_s)
+    got = gen_flood(spec, RngStream(seed, 10))
+    want = reference_gen_flood(spec, RngStream(seed, 10))
+    for column in ("arrival_ns", "klass", "source_id"):
+        np.testing.assert_array_equal(getattr(got, column), getattr(want, column), strict=True)
 
 
 def test_flood_counts_poisson_dispersion():
