@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BLOCK
+from .model import BLOCK, as_times
 
 _NS_PER_S = np.uint64(10**9)
 _REFUSED = np.frombuffer(b',"\r\n', np.uint8)  # csv.writer would quote these
@@ -46,7 +46,7 @@ class Seconds:
     __slots__ = ("ns",)
 
     def __init__(self, ns):
-        self.ns = np.asarray(ns, dtype=np.int64)
+        self.ns = as_times(ns)
 
 
 def _magnitude(v: np.ndarray):
@@ -57,22 +57,43 @@ def _magnitude(v: np.ndarray):
     return np.abs(v).view(np.uint64), np.flatnonzero(v < 0)
 
 
+def _split(wide: np.ndarray, base: int, narrow: np.ndarray) -> None:
+    """Rows of wide, each below base**2, into uint8 base digits: row i's low
+    digit to narrow row 2i, its high one to row 2i + 1 where narrow has that
+    row (where it does not, the high digit is 0). The low digit is worked out
+    modulo 256, which is exact since it is below base."""
+    high = len(narrow) // 2
+    np.floor_divide(wide[:high], base, out=narrow[1::2], casting="unsafe")
+    narrow[::2] = wide[: len(narrow) - high]
+    narrow[: 2 * high : 2] -= narrow[1::2] * np.uint8(base)
+
+
 def _put_digits(out: np.ndarray, mag: np.ndarray, zero_fill: bool = False) -> None:
     """Write mag's decimal digits right-aligned into out, a (width, n) uint8
     view of NULs. The slots before a value's first digit stay NUL, or hold
-    '0' with zero_fill."""
-    width = out.shape[0]
-    q = mag.astype(np.uint32) if width <= 9 else mag  # uint32 division is ~4x faster
+    '0' with zero_fill.
+
+    One division peels four digits off the quotient, which is narrowed to
+    uint32 once it fits; each group, as uint16, splits by 100 into two uint8
+    pairs, and each pair by 10 into its slots' two digits."""
+    width, n = out.shape
+    slots = out[::-1]  # slot k holds the digit worth 10**k
+    q = mag.astype(np.uint32) if width <= 9 else mag.astype(np.uint64, copy=False)
     every = width if zero_fill else len(str(int(q.min())))  # slots that every value fills
-    for k in range(width):
-        row = out[width - 1 - k]
-        rest = q // 10
-        np.subtract(q, rest * 10, out=row, casting="unsafe")
-        if k >= every:
-            row += _ZERO
-            row *= q != 0
-        q = rest
-    out[width - every :] += _ZERO
+    if every < width:
+        present = q >= np.array([10**k for k in range(every, width)], q.dtype)[:, None]
+    groups = np.empty(((width + 3) // 4, n), np.uint16)  # group i: slots 4i to 4i + 3
+    for i in range(len(groups) - 1):
+        rest = q // 10_000
+        groups[i] = q - rest * 10_000
+        q = rest.astype(np.uint32) if width - 4 * (i + 1) <= 9 else rest
+    groups[-1] = q
+    pairs = np.empty(((width + 1) // 2, n), np.uint8)  # pair j: slots 2j and 2j + 1
+    _split(groups, 100, pairs)
+    _split(pairs, 10, slots)
+    out += _ZERO
+    if every < width:
+        slots[every:] *= present.view(np.uint8)  # NUL before each value's first digit
 
 
 def _put_int(out: np.ndarray, mag: np.ndarray, neg: np.ndarray) -> None:

@@ -47,10 +47,13 @@ def is_sorted(times) -> bool:
 
 def as_times(x, ndim: int = 1):
     """Nanosecond times as an int64 array of ndim dimensions, or with ndim=0 a
-    Python int: integers only, since a cast would truncate a float (see to_ns)."""
+    Python int: integers only, since a cast would truncate a float (see to_ns),
+    and unsigned ones only below 2**63, since the cast would wrap them."""
     arr = np.asarray(x)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise ValueError("nanosecond times must be integers (convert seconds with to_ns)")
+    if arr.size and arr.dtype.kind == "u" and arr.max() >= 2**63:
+        raise ValueError("nanosecond times must fit int64 (below 2**63)")
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array of nanosecond times")
     return arr.astype(np.int64, copy=False) if ndim else int(arr)

@@ -19,7 +19,7 @@ from .csvio import Seconds, write_columns
 from .model import BLOCK, NS_PER_S, ConfigError, PacketClass, RngStream, Trace, is_sorted, to_ns
 
 _LETTER_CLASS = {"B": int(PacketClass.BENIGN), "A": int(PacketClass.ATTACK)}
-_CLASS_LETTERS = np.array([b"B", b"A"])  # indexed by class value
+_LETTER_B = np.uint8(ord("B"))  # less the class value: B for benign (0), A for attack (1)
 _TRACE_HEADER = ["seq", "arrival_time_s", "class", "source_id"]
 _INT64_RANGE = (-(2**63), 2**63 - 1)
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)  # scaling never rounds
@@ -213,12 +213,12 @@ def merge(traces: Sequence[Trace]) -> Trace:
 
 def write_trace_csv(path, trace: Trace) -> None:
     """Columns: seq,arrival_time_s,class,source_id with class in {B,A}."""
-    if len(trace) and trace.klass.max() >= len(_CLASS_LETTERS):
+    if len(trace) and trace.klass.max() > PacketClass.ATTACK:
         raise ValueError(f"unknown packet class {int(trace.klass.max())}")
     write_columns(
         path,
         _TRACE_HEADER,
-        [range(len(trace)), Seconds(trace.arrival_ns), _CLASS_LETTERS[trace.klass], trace.source_id],
+        [range(len(trace)), Seconds(trace.arrival_ns), (_LETTER_B - trace.klass).view("S1"), trace.source_id],
     )
 
 

@@ -53,6 +53,39 @@ def test_seconds_edge_values():
     assert seconds_lines([-1])[0] == "-0.000000001"
 
 
+def test_seconds_refuses_nanoseconds_it_would_truncate_or_wrap():
+    with pytest.raises(ValueError, match="to_ns"):
+        Seconds(np.array([1.5, 2.7]))
+    with pytest.raises(ValueError, match="int64"):
+        Seconds(np.array([2**64 - 1], np.uint64))
+    top = np.array([0, 2**63 - 1], np.uint64)
+    assert written(["t"], [Seconds(top)]) == b"t\r\n0.000000000\r\n9223372036.854775807\r\n"
+
+
+# Where the digit kernel narrows a dtype or splits a group: the decade edges,
+# 2**16 and 2**32 at each four-digit shift, and the tops of int64 and uint64.
+KERNEL_EDGES = sorted(
+    {10**k + d for k in range(21) for d in (-1, 0)}
+    | {2**b * 10**k + d for b in (16, 32) for k in range(0, 20, 4) for d in (-1, 0, 1)}
+    | {2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1}
+)
+
+
+@settings(max_examples=400)
+@given(st.data(), st.integers(1, 20), st.sampled_from([np.uint32, np.uint64, np.int64]), st.booleans())
+def test_digit_kernel_writes_each_values_str(data, width, dtype, zero_fill):
+    """One block of values of mixed lengths: each column is str(v)
+    right-justified in the field, padded with NUL or, zero-filled, with '0'."""
+    top = min(10**width, int(np.iinfo(dtype).max) + 1)  # the values that fit field and dtype
+    edge = st.sampled_from([e for e in KERNEL_EDGES if e < top])
+    near = st.builds(lambda e, d: min(max(e + d, 0), top - 1), edge, st.integers(-2, 2))
+    values = data.draw(st.lists(edge | near | st.integers(0, top - 1), min_size=1, max_size=12))
+    out = np.zeros((width, len(values)), np.uint8)
+    csvio._put_digits(out, np.array(values, dtype), zero_fill)
+    pad = "0" if zero_fill else "\0"
+    assert [col.tobytes().decode() for col in out.T] == [str(v).rjust(width, pad) for v in values]
+
+
 @settings(max_examples=100)
 @given(st.lists(st.tuples(INT64, st.integers(0, 2**64 - 1), st.text("AB_xyz09.- ")), max_size=30))
 def test_bytes_match_csv_writer(rows):

@@ -93,6 +93,16 @@ def test_nanosecond_inputs_must_be_integers(call):
         call()
 
 
+def test_unsigned_nanoseconds_past_int64_are_refused():
+    # the int64 cast would wrap them to -2**63 and -1
+    with pytest.raises(ValueError, match="int64"):
+        forward_times(np.array([2**63, 2**64 - 1], dtype=np.uint64), 5)
+    with pytest.raises(ValueError, match="int64"):
+        forward_times([0], np.uint64(2**63))
+    below = np.array([0, 2**62], dtype=np.uint64)
+    assert forward_times(below, 5).tolist() == [0, 2**62]
+
+
 def test_queue_timeline_refuses_unsorted_inputs():
     for entry, exits in (([5, 1], [6, 7]), ([1, 5], [6, 2])):
         with pytest.raises(ValueError, match="sorted"):
