@@ -191,7 +191,8 @@ def simulate_server(
 
 
 def write_server_trace_csv(path, trace: ServerTrace) -> None:
-    """Columns: seq,arrival_s,wait_s,service_s,departure_s (9-digit seconds)."""
+    """Columns: seq,arrival_s,wait_s,service_s,departure_s (9-digit seconds);
+    the departures are summed a block at a time, so none is held n-long."""
     write_columns(
         path,
         ["seq", "arrival_s", "wait_s", "service_s", "departure_s"],
@@ -200,7 +201,7 @@ def write_server_trace_csv(path, trace: ServerTrace) -> None:
             Seconds(trace.arrival_ns),
             Seconds(trace.wait_ns),
             Seconds(trace.service_ns),
-            Seconds(trace.departure_ns),
+            Seconds(trace.arrival_ns, trace.wait_ns, trace.service_ns),
         ],
     )
 

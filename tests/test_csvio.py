@@ -73,17 +73,34 @@ KERNEL_EDGES = sorted(
 
 @settings(max_examples=400)
 @given(st.data(), st.integers(1, 20), st.sampled_from([np.uint32, np.uint64, np.int64]), st.booleans())
-def test_digit_kernel_writes_each_values_str(data, width, dtype, zero_fill):
-    """One block of values of mixed lengths: each column is str(v)
-    right-justified in the field, padded with NUL or, zero-filled, with '0'."""
+def test_digit_kernel_writes_each_values_str(data, width, dtype, loose_top):
+    """One block of values of mixed lengths: for every count of always-written
+    low slots, 0 to the width, each column is str(v) zero-filled to that
+    count and right-justified in the field with NUL. The groups are taken
+    with the largest value as their bound, or with the field's."""
     top = min(10**width, int(np.iinfo(dtype).max) + 1)  # the values that fit field and dtype
     edge = st.sampled_from([e for e in KERNEL_EDGES if e < top])
     near = st.builds(lambda e, d: min(max(e + d, 0), top - 1), edge, st.integers(-2, 2))
     values = data.draw(st.lists(edge | near | st.integers(0, top - 1), min_size=1, max_size=12))
-    out = np.zeros((width, len(values)), np.uint8)
-    csvio._put_digits(out, np.array(values, dtype), zero_fill)
-    pad = "0" if zero_fill else "\0"
-    assert [col.tobytes().decode() for col in out.T] == [str(v).rjust(width, pad) for v in values]
+    groups = csvio._groups(np.array(values, dtype), width, 10**width - 1 if loose_top else max(values))
+    for count in range(width + 1):
+        out = np.zeros((width, len(values)), np.uint8)
+        nuls = csvio._put_digits(out, groups, count)
+        want = [str(v).rjust(count, "0").rjust(width, "\0") for v in values]
+        assert [col.tobytes().decode() for col in out.T] == want
+        assert nuls == sum(w.count("\0") for w in want)
+
+
+@pytest.mark.parametrize("peels", [0, 1, 2])
+def test_groups_narrow_to_uint32_only_below_2_to_32(peels):
+    """The largest value's quotient after `peels` divisions is 2**32 - 1, 2**32
+    or 2**32 + 1: only the first fits uint32."""
+    for top in (2**32 * 10 ** (4 * peels) + d * 10 ** (4 * peels) for d in (-1, 0, 1)):
+        values = [top, top - 1, 10 ** (4 * peels)]
+        width = len(str(top))
+        out = np.zeros((width, len(values)), np.uint8)
+        csvio._put_digits(out, csvio._groups(np.array(values, np.uint64), width, top), width)
+        assert [col.tobytes().decode() for col in out.T] == [str(v).zfill(width) for v in values]
 
 
 @settings(max_examples=100)
@@ -187,6 +204,75 @@ def test_padded_and_unpadded_blocks_match_csv_writer():
     assert padded == [b % 2 == 1 for b in range(blocks)]
 
 
+def csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def padding_of_each_block(header, columns):
+    """(bytes written, [(NUL bytes stripped, bytes before the strip)] per
+    block), checking that the fields' fills count the NULs they leave."""
+    seen = []
+    encode = csvio._encode_block
+
+    def spy(rows, fields):
+        counts = []
+
+        def counted(fill):
+            return lambda out: counts.append(fill(out)) or counts[-1]
+
+        out = encode(rows, [(w, counted(fill)) for w, fill in fields])
+        full = rows * (sum(w for w, _ in fields) + len(fields) + 1)
+        assert sum(counts) == full - len(out)
+        seen.append((full - len(out), full))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "_encode_block", spy)
+        got = written(header, columns)
+    return got, seen
+
+
+def test_densely_padded_block_matches_csv_writer():
+    """Every row is padded in several fields, so the strip is translate's:
+    at least one NUL in 16 bytes."""
+    k = np.arange(3000)
+    ints = [10 ** (k % 12), -(10 ** (k % 7)) * (k % 3 - 1), k % 1000]
+    ns = 10 ** (k % 13) * (k % 2 * 2 - 1)
+    labels = ["x" * (i % 5) for i in range(len(k))]
+    header = ["a", "b", "c", "t", "s"]
+    got, seen = padding_of_each_block(header, [*ints, Seconds(ns), labels])
+    rows = zip(*(c.tolist() for c in ints), map(exact_seconds, ns.tolist()), labels)
+    assert got == csv_writer_bytes(header, rows)
+    assert len(seen) == 1 and 16 * seen[0][0] >= seen[0][1]
+
+
+def test_sparsely_padded_block_matches_csv_writer():
+    """One row of a block is padded, so the strip is replace's."""
+    n = 5000
+    v = np.full(n, 123_456, np.int64)
+    v[1234] = 7
+    ns = np.full(n, -(10**10), np.int64)
+    ns[1234] = -(10**9)
+    got, seen = padding_of_each_block(["v", "t"], [v, Seconds(ns)])
+    assert got == csv_writer_bytes(["v", "t"], zip(v.tolist(), map(exact_seconds, ns.tolist())))
+    assert len(seen) == 1 and seen[0][0] == 5 + 1 and 16 * seen[0][0] < seen[0][1]
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(st.integers(0, 2**61), st.integers(0, 2**61), st.integers(-(2**61), 2**61)), max_size=30))
+def test_seconds_of_several_parts_writes_their_sum(parts):
+    a, b, c = np.array(parts, np.int64).reshape(-1, 3).T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "BLOCK", 7)
+        assert written(["t"], [Seconds(a, b, c)]) == written(["t"], [Seconds(a + b + c)])
+    with pytest.raises(ValueError, match="differ in length"):
+        Seconds(a, np.zeros(len(a) + 1, np.int64))
+
+
 @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1], ids=["block-1", "block", "block+1"])
 def test_block_boundary_does_not_change_bytes(n):
     assert csvio.BLOCK == BLOCK == 1 << 14
@@ -242,11 +328,11 @@ def server_trace_write_peak(path, blocks: int) -> int:
         tracemalloc.stop()
 
 
-# The encoder holds every field's digit arrays, the byte buffer, its
-# transposed copy and the translated bytes of one block at once: 253-258 B
-# per block row measured with numpy 2.4.6. The bound leaves 16 % over that
-# for other numpy builds, less than one more block-sized copy of the
-# 60-byte-wide buffer would add.
+# The encoder holds every field's four-digit groups and two block-sized
+# copies of the rows' bytes (the buffer and its transposed copy, or that copy
+# and the stripped bytes) at once: 139-149 B per block row measured with
+# numpy 2.4.6. The bound was set 16 % over the 253-258 B the encoder held
+# when it kept two uint64 arrays per seconds field.
 SCRATCH_PER_BLOCK_ROW = 300
 
 

@@ -1,5 +1,6 @@
 """FCFS waiting times and the regime-switching server simulation."""
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -177,6 +178,27 @@ def test_in_order_serve_holds_no_seq_array(tmp_path):
     write_server_trace_csv(tmp_path / "in_order.csv", served)
     write_server_trace_csv(tmp_path / "given.csv", dataclasses.replace(served, order=np.arange(50)))
     assert (tmp_path / "in_order.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
+
+
+def server_writer_peak(path, blocks: int) -> int:
+    """tracemalloc peak, in bytes, of write_server_trace_csv on a trace of
+    whole blocks whose fields keep their widths however long it is."""
+    n = blocks * BLOCK
+    rng = np.random.default_rng(blocks)
+    arrival = 10**11 + np.cumsum(rng.integers(0, 3 * 10**5, n))  # 100-180 s
+    trace = server.ServerTrace(arrival, rng.integers(0, 10**8, n), rng.integers(10**6, 10**7, n))
+    tracemalloc.start()
+    try:
+        write_server_trace_csv(path, trace)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_server_trace_writer_holds_no_departure_array(tmp_path):
+    # an n-long departure array would add 8 B a row: 1.5 MB between these
+    short, long = (server_writer_peak(tmp_path / f"{b}.csv", b) for b in (4, 16))
+    assert abs(long - short) <= 0.05 * short
 
 
 def test_summed_service_beyond_the_clock_is_a_config_error():
