@@ -148,13 +148,13 @@ class Trace:
 class ServiceTimeModel:
     """Per-packet processing-time distribution of the protected server.
 
-    Truncated Gaussian per regime with a hard floor at mean/100 (so sampled
-    times are always positive, for any parameter choice). In the Attack
-    regime an independent Bernoulli(outlier_prob) event multiplies the draw
-    by outlier_scale, modeling rare very slow lookups. ``ceiling_s``
-    optionally clips from above *after* outlier scaling, i.e. it bounds the
-    support outright; scenarios use it when a hard bound on processing times
-    is part of the setup.
+    Truncated Gaussian per regime with a hard floor at mean/100, so sampled
+    times are always positive (a floor or a ceiling under 1 ns is a
+    ConfigError). In the Attack regime an independent Bernoulli(outlier_prob)
+    event multiplies the draw by outlier_scale, modeling rare very slow
+    lookups. ``ceiling_s`` optionally clips from above *after* outlier
+    scaling, i.e. it bounds the support outright; scenarios use it when a
+    hard bound on processing times is part of the setup.
 
     Variances are plain seconds^2 here; the scenario layer accepts ms^2.
     """
@@ -179,6 +179,11 @@ class ServiceTimeModel:
             raise ConfigError("outlier_scale must be positive and finite")
         if self.ceiling_s is not None and not 0 < self.ceiling_s < math.inf:
             raise ConfigError("ceiling_s must be positive and finite when given")
+        # every draw is at least a floor or the ceiling: none may round to 0 ns
+        if not min(self.mean_normal_s, self.mean_attack_s) / 100.0 * NS_PER_S > 0.5:
+            raise ConfigError("service.mean_*_ms give a floor (mean / 100) under 1 ns")
+        if self.ceiling_s is not None and not self.ceiling_s * NS_PER_S > 0.5:
+            raise ConfigError("service.ceiling_ms must be at least 1 ns")
 
     def draw_ns(self, regime: Regime, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Service times (int64 ns) under a regime, from pre-drawn standard

@@ -136,7 +136,11 @@ def peak_occupancy(entry_ns, exit_ns) -> int:
     2*ceil(log2 _STRIDE) + 1 passes of that test; only failing ones read the
     whole stream. Neither sorts nor merges; no temporary spans the stream.
     """
-    entry, exits = _sorted(entry_ns), _sorted(exit_ns)
+    return _peak(_sorted(entry_ns), _sorted(exit_ns))
+
+
+def _peak(entry: np.ndarray, exits: np.ndarray) -> int:
+    """peak_occupancy of int64 times already known to be sorted."""
     sampled = np.arange(1, len(entry) + 1, _STRIDE) - exits.searchsorted(entry[::_STRIDE])
     lo, step = int(sampled.max(initial=0)) - 1, 1  # the peak passes lo ...
     hi = min(len(entry), lo + _STRIDE)  # ... and not hi

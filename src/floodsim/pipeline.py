@@ -27,10 +27,13 @@ from .model import (
     InvariantViolation,
     RngStream,
     Trace,
+    is_sorted,
     substream,
     to_ns,
 )
-from .pacing import forward_times, peak_occupancy, shaping_queue_timeline
+# unused: peak_occupancy and shaping_queue_timeline are kept for perfbench's
+# tracer, which wraps them here by name (ROADMAP item 4, PR B)
+from .pacing import _peak, _timeline, forward_times, peak_occupancy, shaping_queue_timeline
 from .scenario import Scenario, build_trace
 from .server import (
     NORMAL_ALWAYS,
@@ -84,7 +87,11 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
     n = len(trace)
     sample_dt_ns = to_ns(scenario.sample_dt_s)
 
-    # with none held, the shaper takes the arrivals themselves in seq order
+    # each per-packet array's order is checked once: the arrivals by
+    # forward_times (here when it takes release instants, by simulate_server
+    # on the raw path), the emissions by simulate_server, and here, as run
+    # invariants, the shaper's merged exits and the server's departures.
+    # With none held, the shaper takes the arrivals themselves in seq order
     rel_idx, emitted, drops = (None, trace.arrival_ns, None) if mit is None else mit.released()
     in_order = rel_idx is None
     sqf_timeline, sqf_summary = None, {}
@@ -96,8 +103,15 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
         # instants are merged into the sorted emissions, not scattered by seq
         exit_ns = emitted if in_order else np.insert(emitted, emitted.searchsorted(drops, "right"), drops)
         arrived = trace.arrival_ns if in_order else trace.arrival_ns[rel_idx]
-        sqf_timeline = shaping_queue_timeline(trace.arrival_ns, exit_ns, sample_dt_ns)
-        sqf_summary["sqf_peak_queue"] = peak_occupancy(trace.arrival_ns, exit_ns)
+        if len(exit_ns) != n:  # one exit per arrival: an emission or a drop
+            raise InvariantViolation(f"shaper exits diverged: {len(exit_ns)} for {n} arrivals")
+        if not in_order and not (is_sorted(trace.arrival_ns) and is_sorted(exit_ns)):
+            raise InvariantViolation("shaper arrivals or exits out of order")
+        # the k-th earliest exit may not precede the k-th earliest arrival
+        if np.any(exit_ns < trace.arrival_ns):
+            raise InvariantViolation("a packet left the shaper before it arrived")
+        sqf_timeline = _timeline(trace.arrival_ns, exit_ns, sample_dt_ns)
+        sqf_summary["sqf_peak_queue"] = _peak(trace.arrival_ns, exit_ns)
         sqf_summary["sqf_max_delay_s"] = int((emitted - arrived).max(initial=0)) / 1e9
         del exit_ns, arrived, drops  # not held while the server runs
     else:  # the raw stream reaches the server, which slows down while a flood lasts
@@ -123,8 +137,10 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
             f"packet conservation broken: {dropped} dropped + {forwarded} forwarded != {n}"
         )
 
-    server_timeline = server.queue_timeline(sample_dt_ns)
     departure_ns = server.departure_ns  # computed on read: not held by the result
+    if not is_sorted(departure_ns):
+        raise InvariantViolation("server departures out of FIFO order")
+    server_timeline = _timeline(server.arrival_ns, departure_ns, sample_dt_ns)
     summary = {
         "packets_total": n,
         "packets_attack": (n_attack := trace.attack_count()),
@@ -133,10 +149,10 @@ def run_simulation(scenario: Scenario) -> SimulationResult:
         "aam_enabled": int(scenario.aam_enabled),
         "packets_forwarded": forwarded,
         "packets_dropped": dropped,
-        "server_peak_queue": peak_occupancy(server.arrival_ns, departure_ns),
+        "server_peak_queue": _peak(server.arrival_ns, departure_ns),
         "server_max_wait_s": int(server.wait_ns.max(initial=0)) / 1e9,
         "server_mean_wait_s": float(server.wait_ns.mean()) / 1e9 if len(server) else 0.0,
-        "makespan_s": int(departure_ns.max(initial=0)) / 1e9,
+        "makespan_s": (departure_ns.item(-1) if len(server) else 0) / 1e9,
         **sqf_summary,
     }
     if mit is not None:

@@ -163,6 +163,9 @@ def test_bad_key_reports_line(key, tmp_path, capsys):
         "service.mean_normal_ms = nan",
         "flood.1.start_s = nan",
         "run.sample_dt_ms = 1e-9",
+        # a service bound under 1 ns: each wrote service_s = 0.000000000 on every row
+        "service.ceiling_ms = 1e-9",
+        "service.mean_normal_ms = 1e-9\nservice.var_normal_ms2 = 0",
         "cost.alpha = nan",
         "cost.tau_ms = inf",
         "sqf.D_ms = 1e300",

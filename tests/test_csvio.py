@@ -313,13 +313,17 @@ def test_range_column_at_the_real_block(n):
 
 def server_trace_write_peak(path, blocks: int) -> int:
     """tracemalloc peak, in bytes, of writing a server-trace-shaped table
-    (seq, then four Seconds columns of run-like magnitudes) of whole blocks."""
+    (seq, then four Seconds columns of run-like magnitudes) of whole blocks.
+    seq and the arrivals are offset so that every field has one width at up
+    to 64 blocks: the rows, and the bytes the encoder holds, do not widen
+    with the table's length."""
     n = blocks * BLOCK
     rng = np.random.default_rng(blocks)
-    arrival = np.cumsum(rng.integers(0, 10**6, n))
+    arrival = 10**12 + np.cumsum(rng.integers(0, 10**6, n))  # 1000 s and up: 4 digits
     wait = rng.integers(0, 10**8, n)
     service = rng.integers(10**6, 10**7, n)
-    columns = [np.arange(n), *map(Seconds, (arrival, wait, service, arrival + wait + service))]
+    seq = 10**6 + np.arange(n)  # 7 digits
+    columns = [seq, *map(Seconds, (arrival, wait, service, arrival + wait + service))]
     tracemalloc.start()
     try:
         write_columns(path, ["seq", "arrival_s", "wait_s", "service_s", "departure_s"], columns)

@@ -148,6 +148,20 @@ def test_sampling_floor():
     assert out.min() >= to_ns(1e-5)
 
 
+def test_every_draw_is_at_least_1ns():
+    # a floor (mean / 100) or a ceiling that rounds to 0 ns is refused, in
+    # either regime; each bad value here is exactly 0.5 ns, which rounds to
+    # even, 0, and 0.51 ns rounds to 1
+    tie = 5.0000000000000004e-8  # / 100 * 1e9 == 0.5 in floats
+    for bad in (dict(mean_normal_s=tie), dict(mean_attack_s=tie), dict(ceiling_s=5e-10)):
+        with pytest.raises(ConfigError, match="1 ns"):
+            ServiceTimeModel(**bad)
+    m = ServiceTimeModel(mean_normal_s=5.1e-8, mean_attack_s=5.1e-8, var_normal_s2=1.0,
+                         var_attack_s2=1.0, ceiling_s=5.1e-10)
+    for regime in Regime:
+        assert m.draw_ns(regime, *draws(4, 2000)).min() == 1
+
+
 def test_sampling_ceiling_clips_after_outliers():
     m = ServiceTimeModel(outlier_prob=1.0, outlier_scale=1e3, ceiling_s=3.1e-3)
     out = m.draw_ns(Regime.ATTACK, *draws(3, 2000))

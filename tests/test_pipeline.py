@@ -3,11 +3,13 @@ import dataclasses
 import gc
 import hashlib
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floodsim import (
     RngStream,
@@ -23,8 +25,14 @@ from floodsim import pipeline
 from floodsim.cli import main
 from floodsim.detector import DetectorModel
 from floodsim.mitigation import AdaptiveSkip, Outcome
-from floodsim.model import MAX_ELEMENTS, MEMORY_BUDGET, RUN_BYTES_PER_PACKET, InvariantViolation
-from floodsim.pacing import queue_timeline
+from floodsim.model import (
+    MAX_ELEMENTS,
+    MEMORY_BUDGET,
+    RUN_BYTES_PER_PACKET,
+    InvariantViolation,
+    is_sorted,
+)
+from floodsim.pacing import peak_occupancy, queue_timeline, shaping_queue_timeline
 from floodsim.pipeline import drive_run
 from floodsim.server import ServerTrace
 from floodsim.traffic import BenignSpec, FloodSpec
@@ -331,14 +339,35 @@ def one_more_forwarded(result):
     return result
 
 
+def last_departs_early(trace):
+    dep = trace.departure_ns
+    wait = trace.wait_ns.copy()
+    wait[-1] -= dep[-1] - dep[-2] + 1  # one ns before the packet served ahead of it
+    return ServerTrace(trace.arrival_ns, wait, trace.service_ns, trace.order)
+
+
+def one_ns_early(emitted):
+    return emitted - 1
+
+
+def one_emission_short(emitted):
+    return emitted[:-1]
+
+
 @pytest.mark.parametrize("stage, corrupt, match", [
     ("simulate_server", one_packet_short, "served packet count diverged"),
     ("run_mitigation", one_more_forwarded, "packet conservation broken"),
-], ids=["server_one_packet_short", "mitigation_forwarded_off_by_one"])
+    ("simulate_server", last_departs_early, "server departures out of FIFO order"),
+    ("forward_times", one_ns_early, "a packet left the shaper before it arrived"),
+    ("forward_times", one_emission_short, "shaper exits diverged"),
+], ids=["server_one_packet_short", "mitigation_forwarded_off_by_one",
+        "server_last_departs_early", "shaper_forwards_1ns_early", "shaper_one_emission_short"])
 def test_a_broken_stage_is_an_invariant_violation(stage, corrupt, match, monkeypatch, capsys,
                                                    tmp_path):
-    # a run checks the served count and the conservation of packets after
-    # the server: a stage that miscounts is refused, never written out
+    # a run checks the shaper's exit count and that no packet leaves the
+    # shaper before it arrives, then the served count, the conservation of
+    # packets and FIFO departures after the server: a broken stage is
+    # refused, never written out
     real = getattr(pipeline, stage)
     monkeypatch.setattr(pipeline, stage, lambda *args, **kw: corrupt(real(*args, **kw)))
     cfg = SCENARIOS / "dualflood.cfg"
@@ -347,3 +376,100 @@ def test_a_broken_stage_is_an_invariant_violation(stage, corrupt, match, monkeyp
     assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith(f"invariant violated: {match}")
     assert not (tmp_path / "o").exists()
+
+
+def order_passes(monkeypatch, scn):
+    """Run scn and return the result, every array whose order the run checks
+    through any module's is_sorted binding, in call order, and the (entry,
+    exits) arrays of each _timeline and _peak call. The run must build one
+    departure array, the last one checked."""
+    passes, cores = [], []
+
+    def counted(times):
+        passes.append(times)
+        return is_sorted(times)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("floodsim") and vars(module).get("is_sorted") is is_sorted:
+            monkeypatch.setattr(module, "is_sorted", counted)
+    for name in ("_timeline", "_peak"):
+        core = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda e, x, *a, core=core: cores.append((e, x)) or core(e, x, *a))
+    # departure_ns is computed on each read: count the arrays the run builds
+    built = []
+    departures = ServerTrace.departure_ns
+    monkeypatch.setattr(ServerTrace, "departure_ns",
+                        property(lambda srv: built.append(departures.fget(srv)) or built[-1]))
+    res = run_simulation(scn)
+    monkeypatch.undo()
+    assert len(built) == 1 and built[0] is passes[-1]
+    return res, passes, cores
+
+
+def each_is(got, want) -> bool:
+    """Whether two lists of array tuples hold the same objects."""
+    return len(got) == len(want) and all(
+        len(g) == len(w) and all(a is b for a, b in zip(g, w)) for g, w in zip(got, want))
+
+
+def test_a_run_checks_each_arrays_order_once(monkeypatch):
+    # benign_monitor's traffic, shortened: the shaper takes the arrivals, and
+    # their order, the emissions' and the departures' are each checked once
+    res, passes, cores = order_passes(monkeypatch, load_scenario(SCENARIOS / "noflood.cfg"))
+    trace, srv = res.trace, res.server
+    assert res.summary["packets_dropped"] == 0 < len(srv)
+    assert each_is([passes], [(trace.arrival_ns, srv.arrival_ns, passes[2])])
+    # one departure array serves the server's timeline, peak and makespan
+    np.testing.assert_array_equal(passes[2], srv.departure_ns)
+    assert res.summary["makespan_s"] == passes[2][-1] / 1e9
+    shaper, server = (trace.arrival_ns, srv.arrival_ns), (srv.arrival_ns, passes[2])
+    assert each_is(cores, [shaper, shaper, server, server])
+
+    # with drops the shaper takes the release instants, so the arrivals get a
+    # pass of their own, and so do the merged exits
+    res, passes, cores = order_passes(monkeypatch, small_mix())
+    trace, srv, mit = res.trace, res.server, res.mitigation
+    assert res.summary["packets_dropped"] > 0 and len(passes) == 5
+    np.testing.assert_array_equal(passes[0], np.sort(mit.release_ns[mit.release_ns >= 0]))
+    assert passes[1] is trace.arrival_ns and len(passes[2]) == len(trace)
+    assert passes[3] is srv.arrival_ns
+    shaper, server = (trace.arrival_ns, passes[2]), (srv.arrival_ns, passes[4])
+    assert each_is(cores, [shaper, shaper, server, server])
+
+    # the raw stream: the arrivals, checked by the server, and the departures
+    res, passes, cores = order_passes(monkeypatch, small_mix(sqf_enabled=False, aam_enabled=False))
+    server = (res.trace.arrival_ns, passes[1])
+    assert each_is([passes], [(res.server.arrival_ns, passes[1])])
+    assert each_is(cores, [server, server])
+
+
+@settings(max_examples=20)
+@given(kind=st.sampled_from(["shaped", "dropped", "raw"]), seed=st.integers(0, 2**32),
+       skip=st.integers(1, 40), sample_dt_s=st.sampled_from([0.001, 0.0137, 0.1]))
+def test_the_run_reports_equal_the_checked_public_functions(kind, seed, skip, sample_dt_s):
+    # at most ~1 100 packets: 400 benign, and a flood of ~500 over 0.5 s
+    scn = small_mix(seed=seed, horizon_s=2.0, sample_dt_s=sample_dt_s,
+                    floods=[FloodSpec(start_s=0.5, duration_s=0.5, rate_pps=1000.0)])
+    if kind == "dropped":
+        scn = dataclasses.replace(scn, skip_mode="fixed", fixed_skip=skip)
+    else:
+        scn = dataclasses.replace(scn, aam_enabled=False, sqf_enabled=kind == "shaped")
+    res = run_simulation(scn)
+    srv, summary, dt = res.server, res.summary, to_ns(sample_dt_s)
+    assert (summary["packets_dropped"] > 0) == (kind == "dropped")
+    if kind == "raw":
+        assert res.sqf_timeline is None
+    else:
+        # the shaper's exits: the forwarded emissions and the drop verdicts
+        exits = res.emit_ns[res.emit_ns >= 0]
+        if res.mitigation is not None:
+            drops = res.mitigation.drop_time_ns
+            exits = np.concatenate([exits, drops[drops >= 0]])
+        exits = np.sort(exits)
+        want = shaping_queue_timeline(res.trace.arrival_ns, exits, dt)
+        np.testing.assert_array_equal(res.sqf_timeline, want)
+        assert summary["sqf_peak_queue"] == peak_occupancy(res.trace.arrival_ns, exits)
+    departures = srv.departure_ns
+    np.testing.assert_array_equal(res.server_timeline, srv.queue_timeline(dt))
+    assert summary["server_peak_queue"] == peak_occupancy(srv.arrival_ns, departures)
+    assert summary["makespan_s"] == int(departures.max(initial=0)) / 1e9
